@@ -40,7 +40,6 @@ from .ideals import (
     is_ppri,
     is_pprir,
     is_primary,
-    is_prime,
     is_principal,
     is_semiprime,
     minimal_primes_over,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ringfile import RingFileError, load_ring_file
+from .ringfile import RingFileError, _sc_with_unity, load_ring_file
 from .rings import FiniteRing, make_algebra, make_boolean, make_product, make_zn
 
 __all__ = ["Corpus", "default_corpus", "load_corpus"]
@@ -34,19 +34,6 @@ class Corpus:
             if ring.label == label:
                 return ring
         raise KeyError(label)
-
-
-def _sc_with_unity(dim: int, entries: dict) -> list:
-    """Structure constants with slot 0 as unity; entries maps (i, j) with
-    1 <= i <= j to the coefficient vector of e_i * e_j."""
-    sc = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for j in range(dim):
-        sc[0][j][j] = 1
-        sc[j][0][j] = 1
-    for (i, j), vec in entries.items():
-        sc[i][j] = list(vec)
-        sc[j][i] = list(vec)
-    return sc
 
 
 def _algebra_rings() -> list[FiniteRing]:

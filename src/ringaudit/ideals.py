@@ -2,16 +2,17 @@
 
 Ideals are bitmasks over element indices. The full lattice of a ring is the
 closure of its principal ideals under pairwise sum (every ideal of a finite
-commutative unital ring arises that way) and is cached per ring, so repeated
-predicate calls stay cheap. Canonical order is lexicographic on the sorted
-member-index tuples; wherever a witness is chosen it is the first candidate
-in canonical order.
+commutative unital ring arises that way). It lives with its ring and holds
+every fact derived from it (containment, principal generators, the prime
+spectrum), each computed once, so the predicates that ask for them are
+lookups. Canonical order is lexicographic on the sorted member-index tuples;
+wherever a witness is chosen it is the first candidate in canonical order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -54,12 +55,6 @@ def _full_mask(ring) -> int:
     return (1 << ring.order) - 1
 
 
-def _check_element(ring, a: int) -> int:
-    if not 0 <= a < ring.order:
-        raise ValueError(f"element index {a} out of range for {ring.label}")
-    return a
-
-
 def _same_ring(ring, ideal: "Ideal") -> None:
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
@@ -79,7 +74,7 @@ class Ideal:
         return self.members.bit_count()
 
     def contains(self, a: int) -> bool:
-        _check_element(self.ring, a)
+        self.ring._check_index(a)
         return self.members >> a & 1 == 1
 
     @property
@@ -109,7 +104,7 @@ def ideal_from_members(ring, members) -> Ideal:
     """
     mask = 0
     for a in members:
-        mask |= 1 << _check_element(ring, a)
+        mask |= 1 << ring._check_index(a)
     if not mask >> ring.zero & 1:
         raise ValueError("not an ideal: zero is missing")
     add, mul, neg = ring._add, ring._mul, ring._neg
@@ -159,46 +154,26 @@ def unit_ideal(ring) -> Ideal:
 
 def principal_ideal(ring, a: int) -> Ideal:
     """The smallest ideal containing a: the set of multiples {a*r}."""
-    _check_element(ring, a)
     mask = 0
-    for v in ring._mul[a]:
+    for v in ring._mul[ring._check_index(a)]:
         mask |= 1 << v
     return Ideal(ring, mask)
 
 
 def ideal_generated(ring, elements) -> Ideal:
-    """Smallest ideal containing the given elements (fixpoint closure)."""
+    """Smallest ideal containing the given elements: the sum of their
+    principal ideals."""
     mask = 1 << ring.zero
     for a in elements:
-        mask |= 1 << _check_element(ring, a)
-    add, mul, neg = ring._add, ring._mul, ring._neg
-    while True:
-        new = mask
-        mem = list(_bits(mask))
-        for a in mem:
-            new |= 1 << neg[a]
-            arow = add[a]
-            for b in mem:
-                new |= 1 << arow[b]
-            mrow = mul[a]
-            for r in range(ring.order):
-                new |= 1 << mrow[r]
-        if new == mask:
-            return Ideal(ring, mask)
-        mask = new
+        mask = _mask_sum(ring, mask, principal_ideal(ring, a).members)
+    return Ideal(ring, mask)
 
 
 def sum_ideals(ring, left: Ideal, right: Ideal) -> Ideal:
     """Ideal sum I+J = {i+j}; already an ideal, no further closure needed."""
     _same_ring(ring, left)
     _same_ring(ring, right)
-    add = ring._add
-    mask = 0
-    for a in _bits(left.members):
-        arow = add[a]
-        for b in _bits(right.members):
-            mask |= 1 << arow[b]
-    return Ideal(ring, mask)
+    return Ideal(ring, _mask_sum(ring, left.members, right.members))
 
 
 def _mask_sum(ring, m1: int, m2: int) -> int:
@@ -211,53 +186,69 @@ def _mask_sum(ring, m1: int, m2: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdealLattice:
-    """All ideals of a ring in canonical order plus the containment relation.
+    """All ideals of a ring in canonical order, with the facts derived from them.
 
-    leq holds every pair (i, j) with ideals[i] a subset of ideals[j],
-    including the reflexive pairs.
+    index maps each ideal's member mask to its position in ideals, and
+    generator maps the mask of each principal ideal to its first generator.
+    up[i] is the bitset of the positions j with ideals[i] a subset of
+    ideals[j], i itself included. The primes are found on first use.
     """
 
     ring: "FiniteRing"
     ideals: tuple[Ideal, ...]
-    leq: tuple[tuple[int, int], ...]
+    index: dict[int, int]
+    generator: dict[int, int]
+    up: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.ideals)
 
     def index_of(self, ideal: Ideal) -> int:
-        for i, other in enumerate(self.ideals):
-            if other.members == ideal.members:
-                return i
-        raise ValueError("ideal not in lattice")
+        try:
+            return self.index[ideal.members]
+        except KeyError:
+            raise ValueError("ideal not in lattice") from None
+
+    @cached_property
+    def primes(self) -> dict[int, Ideal]:
+        """The prime ideals keyed by member mask, in canonical order."""
+        return {ideal.members: ideal for ideal in self.ideals if is_prime(self.ring, ideal)}
+
+    def _above(self, i: int) -> int:
+        """Bitset of the positions of the ideals strictly containing ideals[i]."""
+        return self.up[i] & ~(1 << i)
 
     def containment_edges(self) -> list[tuple[int, int]]:
         """Non-reflexive containment pairs (i, j): ideals[i] < ideals[j]."""
-        return [(i, j) for i, j in self.leq if i != j]
+        return [(i, j) for i in range(len(self.ideals)) for j in _bits(self._above(i))]
 
     def to_dot(self) -> str:
         """DOT digraph of the covering relation, for offline graphing."""
-        strict = set(self.containment_edges())
-        covers = []
-        for i, j in sorted(strict):
-            if not any((i, k) in strict and (k, j) in strict for k in range(len(self.ideals))):
-                covers.append((i, j))
         lines = [f'digraph "{self.ring.label}" {{']
         for i, ideal in enumerate(self.ideals):
             lines.append(f'  n{i} [label="{ideal}"];')
-        for i, j in covers:
-            lines.append(f"  n{i} -> n{j};")
+        for i in range(len(self.ideals)):
+            above = self._above(i)
+            beyond = 0
+            for k in _bits(above):
+                beyond |= self._above(k)
+            for j in _bits(above & ~beyond):
+                lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines)
 
 
-@cache
 def all_ideals(ring) -> IdealLattice:
-    """Every ideal: closure of the principal ideals under pairwise sum."""
-    known = {1 << ring.zero}
+    """Every ideal: closure of the principal ideals under pairwise sum, built
+    on first use and kept on the ring, so it lives exactly as long."""
+    if ring._lattice is not None:
+        return ring._lattice
+    generator: dict[int, int] = {}
     for a in range(ring.order):
-        known.add(principal_ideal(ring, a).members)
+        generator.setdefault(principal_ideal(ring, a).members, a)
+    known = set(generator)
     frontier = list(known)
     while frontier:
         fresh = []
@@ -269,13 +260,11 @@ def all_ideals(ring) -> IdealLattice:
                     fresh.append(s)
         frontier = fresh
     ideals = tuple(sorted((Ideal(ring, m) for m in known), key=Ideal.sort_key))
-    leq = tuple(
-        (i, j)
-        for i, left in enumerate(ideals)
-        for j, right in enumerate(ideals)
-        if left.members & ~right.members == 0
-    )
-    return IdealLattice(ring, ideals, leq)
+    masks = [ideal.members for ideal in ideals]
+    up = tuple(sum(1 << j for j, o in enumerate(masks) if m & ~o == 0) for m in masks)
+    index = {m: i for i, m in enumerate(masks)}
+    ring._lattice = IdealLattice(ring, ideals, index, generator, up)
+    return ring._lattice
 
 
 def radical(ring, ideal: Ideal) -> Ideal:
@@ -321,28 +310,17 @@ def is_maximal(ring, ideal: Ideal) -> bool:
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         return False
-    full = _full_mask(ring)
-    m = ideal.members
-    for other in all_ideals(ring).ideals:
-        o = other.members
-        if o != m and o != full and m & ~o == 0:
-            return False
-    return True
+    lattice = all_ideals(ring)
+    i = lattice.index_of(ideal)
+    return lattice.up[i] == 1 << i | 1 << lattice.index[_full_mask(ring)]
 
 
 def is_semiprime(ring, ideal: Ideal) -> bool:
-    """x^2 in I forces x in I; must agree with radical(I) == I."""
+    """x^2 in I forces x in I; equivalently radical(I) == I."""
     _same_ring(ring, ideal)
     m = ideal.members
     mul = ring._mul
-    ok = True
-    for x in range(ring.order):
-        if m >> mul[x][x] & 1 and not m >> x & 1:
-            ok = False
-            break
-    if ok != (radical(ring, ideal).members == m):
-        raise AssertionError("semiprime check disagrees with radical fixpoint")
-    return ok
+    return all(m >> x & 1 or not m >> mul[x][x] & 1 for x in range(ring.order))
 
 
 def is_primary(ring, ideal: Ideal) -> bool:
@@ -364,32 +342,29 @@ def is_primary(ring, ideal: Ideal) -> bool:
 
 
 def is_principal(ring, ideal: Ideal) -> tuple[bool, Optional[int]]:
-    """(found, generator): exhaustive search for a with (a) == I."""
+    """(found, generator): the first a with (a) == I, if there is one."""
     _same_ring(ring, ideal)
-    mul = ring._mul
-    for a in range(ring.order):
-        mask = 0
-        for v in mul[a]:
-            mask |= 1 << v
-        if mask == ideal.members:
-            return True, a
-    return False, None
+    generator = all_ideals(ring).generator.get(ideal.members)
+    return generator is not None, generator
 
 
 def is_ppri(ring, ideal: Ideal) -> bool:
     """Prime and principal."""
-    return is_prime(ring, ideal) and is_principal(ring, ideal)[0]
+    _same_ring(ring, ideal)
+    lattice = all_ideals(ring)
+    return ideal.members in lattice.primes and ideal.members in lattice.generator
 
 
 def prime_spectrum(ring) -> list[Ideal]:
     """All prime ideals, in canonical order."""
-    return [ideal for ideal in all_ideals(ring).ideals if is_prime(ring, ideal)]
+    return list(all_ideals(ring).primes.values())
 
 
 def is_pprir(ring) -> tuple[bool, Optional[Ideal]]:
     """(flag, witness): witness is the first non-principal prime, if any."""
-    for prime in prime_spectrum(ring):
-        if not is_principal(ring, prime)[0]:
+    lattice = all_ideals(ring)
+    for mask, prime in lattice.primes.items():
+        if mask not in lattice.generator:
             return False, prime
     return True, None
 
@@ -400,7 +375,7 @@ def minimal_primes_over(ring, ideal: Ideal) -> list[Ideal]:
     if not ideal.is_proper:
         raise ValueError("minimal primes are defined over proper ideals only")
     m = ideal.members
-    over = [p for p in prime_spectrum(ring) if m & ~p.members == 0]
+    over = [p for p in all_ideals(ring).primes.values() if m & ~p.members == 0]
     return [
         p
         for p in over

@@ -22,7 +22,6 @@ from .ideals import (
     all_ideals,
     classify_ring,
     ideal_from_members,
-    is_prime,
     is_pprir,
 )
 from .reports import REFUTED, SKIPPED, VERIFIED, ClaimOutcome
@@ -171,7 +170,11 @@ def classify_hom(hom: RingHom) -> dict:
 
 def endomorphism_cap() -> int:
     raw = os.environ.get(ENDO_CAP_ENV)
-    return int(raw) if raw else DEFAULT_ENDO_CAP
+    if not raw:
+        return DEFAULT_ENDO_CAP
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{ENDO_CAP_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
@@ -246,12 +249,13 @@ def audit_thm1(ring: FiniteRing) -> ClaimOutcome:
     principal (the hypothesis side)."""
     hypothesis, _ = is_pprir(ring)
     detail = f"all-primes-principal hypothesis: {hypothesis}"
-    for ideal in all_ideals(ring).ideals:
+    lattice = all_ideals(ring)
+    for ideal in lattice.ideals:
         if not ideal.is_proper:
             continue
         quotient = quotient_ring(ring, ideal).quotient
         flags = classify_ring(quotient)
-        if is_prime(ring, ideal) != (flags.is_domain and flags.is_pprir):
+        if (ideal.members in lattice.primes) != (flags.is_domain and flags.is_pprir):
             return ClaimOutcome(REFUTED, witness=str(ideal), detail=detail)
     return ClaimOutcome(VERIFIED, detail=detail)
 

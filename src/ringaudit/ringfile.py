@@ -2,22 +2,26 @@
 
 Five kinds are accepted (zn, boolean, product, algebra, table); the exact
 field names are fixed in docs/ring_format.md. Parsing is strict about the
-kind and about index ranges; structural axioms are then enforced by ring
-construction itself, so a table document that parses but breaks an axiom
-still fails, with the axiom named.
+kind and about index ranges, and it rejects any ring of more than MAX_ORDER
+elements before building its tables; structural axioms are then enforced by
+ring construction itself, so a table document that parses but breaks an
+axiom still fails, with the axiom named.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from math import prod
 from pathlib import Path
 
 from .rings import FiniteRing, make_algebra, make_boolean, make_product, make_table_ring, make_zn
 
-__all__ = ["RING_KINDS", "RingFileError", "document_for", "load_ring_file", "ring_from_document"]
+__all__ = ["MAX_ORDER", "RING_KINDS", "RingFileError", "document_for", "load_ring_file", "ring_from_document"]
 
 RING_KINDS = ("zn", "boolean", "product", "algebra", "table")
+
+MAX_ORDER = 2048  # largest ring a file may describe; tables take O(order^2) memory
 
 _TERM = re.compile(r"^(\d+)?([A-Za-z_][A-Za-z_0-9]*)?$")
 
@@ -37,6 +41,16 @@ def _int_field(doc: dict, field: str, kind: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise RingFileError(f"{kind} field {field!r} must be an integer")
     return value
+
+
+def _check_order(what: str, base: int, exponent: int = 1) -> None:
+    """Reject order base**exponent over MAX_ORDER, multiplying only until it passes."""
+    order = 1
+    for _ in range(exponent):
+        order *= base
+        if order > MAX_ORDER:
+            shown = base if exponent == 1 else f"{base}**{exponent}"
+            raise RingFileError(f"{what}: order {shown} exceeds MAX_ORDER = {MAX_ORDER}")
 
 
 def _parse_combo(text: str, basis_names, p: int, where: str) -> list[int]:
@@ -69,6 +83,7 @@ def _algebra_from_document(doc: dict) -> FiniteRing:
         raise RingFileError("algebra basis_names must be a nonempty list")
     basis_names = [str(s) for s in basis_names]
     dim = len(basis_names)
+    _check_order("algebra ring", p, dim)
     mul_map = _require(doc, "mul", "algebra")
     if not isinstance(mul_map, dict):
         raise RingFileError("algebra mul must be a map of \"a*b\" keys")
@@ -87,25 +102,33 @@ def _algebra_from_document(doc: dict) -> FiniteRing:
             raise RingFileError(f"conflicting products for basis pair in keys including {key!r}")
         parsed[(i, j)] = vec
 
-    sc = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for j in range(dim):
-        sc[0][j][j] = 1
-        sc[j][0][j] = 1
     for i in range(1, dim):
         for j in range(i, dim):
             if (i, j) not in parsed:
                 raise RingFileError(
                     f"algebra mul map is missing the product {basis_names[i]}*{basis_names[j]}"
                 )
-            sc[i][j] = parsed[(i, j)]
-            sc[j][i] = parsed[(i, j)]
-    return make_algebra(p, dim, sc, basis_names=basis_names, label=doc.get("label"))
+    return make_algebra(p, dim, _sc_with_unity(dim, parsed), basis_names=basis_names, label=doc.get("label"))
+
+
+def _sc_with_unity(dim: int, entries: dict) -> list:
+    """Structure constants with slot 0 as unity; entries maps (i, j) with
+    1 <= i <= j to the coefficient vector of e_i * e_j."""
+    sc = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for j in range(dim):
+        sc[0][j][j] = 1
+        sc[j][0][j] = 1
+    for (i, j), vec in entries.items():
+        sc[i][j] = list(vec)
+        sc[j][i] = list(vec)
+    return sc
 
 
 def _table_from_document(doc: dict) -> FiniteRing:
     order = _int_field(doc, "order", "table")
     if order < 2:
         raise RingFileError("table order must be >= 2 (the zero ring is excluded)")
+    _check_order("table ring", order)
     zero = _int_field(doc, "zero", "table")
     one = _int_field(doc, "one", "table")
     tables = {}
@@ -137,17 +160,23 @@ def ring_from_document(doc: dict) -> FiniteRing:
         n = _int_field(doc, "n", "zn")
         if n < 2:
             raise RingFileError("zn requires n >= 2 (the zero ring is excluded)")
+        _check_order("zn ring", n)
         return make_zn(n, label=doc.get("label"))
     if kind == "boolean":
         atoms = _int_field(doc, "atoms", "boolean")
         if atoms < 1:
             raise RingFileError("boolean requires atoms >= 1")
+        _check_order("boolean ring", 2, atoms)
         return make_boolean(atoms, label=doc.get("label"))
     if kind == "product":
         factors = _require(doc, "factors", "product")
         if not isinstance(factors, list) or not factors:
             raise RingFileError("product requires a nonempty factors list")
-        return make_product([ring_from_document(f) for f in factors], label=doc.get("label"))
+        rings = []
+        for f in factors:  # stop at the first factor that passes the limit
+            rings.append(ring_from_document(f))
+            _check_order(f"product ring, first {len(rings)} factors", prod(r.order for r in rings))
+        return make_product(rings, label=doc.get("label"))
     if kind == "algebra":
         return _algebra_from_document(doc)
     if kind == "table":

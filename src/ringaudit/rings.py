@@ -7,7 +7,8 @@ of multiplication, distributivity, nonzero unity), so downstream code may
 assume every FiniteRing instance is a genuine commutative unital ring.
 The zero ring is excluded: order >= 2 and one != zero.
 
-Instances are immutable after construction and safe to share across threads.
+Instances are immutable after construction, bar one lazily filled slot for
+the ideal lattice, and are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ class FiniteRing:
     add_table and mul_table are read-only order x order numpy arrays;
     element_names gives a display string per index. Identity semantics:
     two instances are equal only if they are the same object.
+
+    _lattice is the one lazily filled slot, where ideals.all_ideals keeps the
+    ring's IdealLattice; threads racing to fill it recompute the same value.
     """
 
     def __init__(
@@ -161,6 +165,7 @@ class FiniteRing:
         self._add = tuple(map(tuple, add.tolist()))
         self._mul = tuple(map(tuple, mul.tolist()))
         self._neg = tuple(int(v) for v in (add == self.zero).argmax(axis=1))
+        self._lattice = None
 
     def _check_index(self, a: int) -> int:
         if not 0 <= a < self.order:

@@ -86,3 +86,29 @@ def power_in(ring, y: int, ideal_members: set[int]) -> bool:
             return True
         x = ring.mul(x, y)
     return False
+
+
+def first_generator(ring, subset: set[int]):
+    """The least a whose multiples {a*r} are exactly the subset, else None."""
+    for a in range(ring.order):
+        if {ring.mul(a, r) for r in range(ring.order)} == subset:
+            return a
+    return None
+
+
+def is_maximal_in(family: set[frozenset[int]], ring, subset: frozenset[int]) -> bool:
+    """Definitional maximality among a family of ideals: proper, and no
+    ideal of the family lies strictly between the subset and the ring."""
+    whole = frozenset(range(ring.order))
+    return subset != whole and not any(subset < other < whole for other in family)
+
+
+def brute_force_covers(member_sets: list[frozenset[int]]) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) of a list of sets, in (i, j) order: sets[i] is
+    strictly inside sets[j] with no set k strictly between them."""
+    n = len(member_sets)
+    strict = {(i, j) for i in range(n) for j in range(n) if member_sets[i] < member_sets[j]}
+    return sorted(
+        (i, j) for i, j in strict
+        if not any((i, k) in strict and (k, j) in strict for k in range(n))
+    )

@@ -1,10 +1,16 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from ringaudit.cli import main
+from ringaudit.quotients import ENDO_CAP_ENV
+
+RING_FILES = sorted((Path(__file__).resolve().parents[1] / "rings").glob("*.json"))
+# expected stdout of each command on each shipped ring file
+PINS = json.loads((Path(__file__).resolve().parent / "cli_pins.json").read_text())
 
 
 @pytest.fixture()
@@ -54,6 +60,20 @@ def test_describe_unknown_kind_exits_2(tmp_path, capsys):
 
 def test_describe_missing_file_exits_2(tmp_path, capsys):
     assert main(["describe", str(tmp_path / "ghost.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ({"kind": "boolean", "atoms": 40}, "order 2**40 exceeds MAX_ORDER = 2048"),
+        ({"kind": "zn", "n": 1000000000000}, "order 1000000000000 exceeds MAX_ORDER = 2048"),
+    ],
+)
+def test_oversized_ring_file_exits_2(tmp_path, capsys, doc, reason):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["describe", str(path)]) == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_ideals_text_and_json(z6_file, capsys):
@@ -173,3 +193,23 @@ def test_zmodel_ideal_literal(capsys):
 def test_zmodel_bad_literal_exits_2(capsys):
     assert main(["zmodel", "ideal", "Z^2:(1)"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ideals --json", "ideals --dot", "spectrum"])
+@pytest.mark.parametrize("path", RING_FILES, ids=lambda p: p.name)
+def test_ring_file_output_is_pinned(path, command, capsys):
+    subcommand, *flags = command.split()
+    assert main([subcommand, str(path), *flags]) == 0
+    assert capsys.readouterr().out == PINS[path.name][command]
+
+
+def test_every_ring_file_is_pinned():
+    assert sorted(PINS) == [p.name for p in RING_FILES]
+
+
+@pytest.mark.parametrize("raw", ["-3", "abc"])
+def test_bad_endo_cap_exits_2(monkeypatch, capsys, raw):
+    monkeypatch.setenv(ENDO_CAP_ENV, raw)
+    assert main(["audit", "--claim", "THM3"]) == 2
+    err = capsys.readouterr().err
+    assert f"{ENDO_CAP_ENV} must be a positive integer, got {raw!r}" in err

@@ -5,10 +5,22 @@ divisor-count oracle in _oracles.py; textbook facts (prime chains,
 radicals of specific ideals) are asserted directly.
 """
 
+import gc
+import re
+import weakref
+
 import pytest
 
-from _oracles import brute_force_ideals, divisor_count, power_in
+from _oracles import (
+    brute_force_covers,
+    brute_force_ideals,
+    divisor_count,
+    first_generator,
+    is_maximal_in,
+    power_in,
+)
 from ringaudit.ideals import (
+    Ideal,
     all_ideals,
     classify_ring,
     ideal_from_members,
@@ -29,11 +41,17 @@ from ringaudit.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from ringaudit.rings import make_boolean, make_zn
+from ringaudit.rings import make_boolean, make_product, make_zn
 
 
 def members(ideal):
     return set(ideal.indices())
+
+
+@pytest.fixture(scope="module")
+def oracle_rings(small_corpus_rings):
+    """The small corpus rings plus B_3 and Z_2xZ_4, for the lookup oracles."""
+    return [*small_corpus_rings, make_boolean(3), make_product([make_zn(2), make_zn(4)])]
 
 
 # === enumeration against the brute-force oracle ===
@@ -69,13 +87,15 @@ def test_lattice_contains_zero_and_ring_and_sums(small_corpus_rings):
                 assert sum_ideals(ring, left, right).members in masks
 
 
-def test_leq_matches_subset(corpus):
+def test_containment_edges_match_subset(corpus):
     z12 = corpus.by_label("Z_12")
     lattice = all_ideals(z12)
+    edges = lattice.containment_edges()
+    assert edges == sorted(edges)
     for i, left in enumerate(lattice.ideals):
         for j, right in enumerate(lattice.ideals):
-            assert (((i, j) in set(lattice.leq))
-                    == set(left.indices()).issubset(right.indices()))
+            assert (((i, j) in set(edges))
+                    == (i != j and set(left.indices()).issubset(right.indices())))
 
 
 def test_ideal_order_divides_ring_order(corpus):
@@ -333,3 +353,56 @@ def test_lattice_dot_export():
     assert all(i != j for i, j in edges)
     # full containment list is larger than the Hasse diagram
     assert len(edges) >= dot.count("->")
+
+
+# === lattice lookups against the brute-force oracles ===
+
+def test_is_principal_matches_first_generator_oracle(oracle_rings):
+    for ring in oracle_rings:
+        for ideal in all_ideals(ring).ideals:
+            gen = first_generator(ring, members(ideal))
+            assert is_principal(ring, ideal) == (gen is not None, gen), (ring.label, str(ideal))
+
+
+def test_is_maximal_matches_definition(oracle_rings):
+    for ring in oracle_rings:
+        family = brute_force_ideals(ring)
+        for ideal in all_ideals(ring).ideals:
+            expected = is_maximal_in(family, ring, frozenset(ideal.indices()))
+            assert is_maximal(ring, ideal) == expected, (ring.label, str(ideal))
+
+
+def test_is_maximal_rejects_a_mask_outside_the_lattice():
+    z6 = make_zn(6)
+    not_an_ideal = Ideal(z6, 0b11)  # {0, 1}
+    with pytest.raises(ValueError, match="not in lattice"):
+        is_maximal(z6, not_an_ideal)
+    assert not is_ppri(z6, not_an_ideal)
+
+
+def test_to_dot_covers_match_oracle(oracle_rings):
+    for ring in oracle_rings:
+        lattice = all_ideals(ring)
+        expected = brute_force_covers([frozenset(i.indices()) for i in lattice.ideals])
+        got = [(int(i), int(j)) for i, j in re.findall(r"n(\d+) -> n(\d+);", lattice.to_dot())]
+        assert got == expected, ring.label
+
+
+def test_lattice_is_built_once_and_spectrum_on_demand():
+    ring = make_zn(12)
+    lattice = all_ideals(ring)
+    assert all_ideals(ring) is lattice
+    assert "primes" not in vars(lattice)
+    prime_spectrum(ring)
+    assert "primes" in vars(lattice)
+
+
+def test_lattice_dies_with_its_ring():
+    ring = make_zn(12)
+    ref = weakref.ref(ring)
+    all_ideals(ring)
+    prime_spectrum(ring)
+    is_maximal(ring, principal_ideal(ring, 2))
+    del ring
+    gc.collect()
+    assert ref() is None
