@@ -1,8 +1,9 @@
 """Five ways to build a finite commutative ring.
 
-Every constructor validates the full Cayley tables before handing the ring
-back, so anything you get out of this module is guaranteed to satisfy the
-ring axioms. Run from the repository root:
+Every constructor that takes Cayley tables from the caller validates them
+before handing the ring back, and the others build rings by construction,
+so anything you get out of this module is guaranteed to satisfy the ring
+axioms. Run from the repository root:
 
     python3 demos/01_building_rings.py
 """

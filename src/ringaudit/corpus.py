@@ -74,7 +74,7 @@ def _algebra_rings() -> list[FiniteRing]:
 
 def default_corpus() -> Corpus:
     """The desk-scale audit corpus: 63 modular rings, 4 Boolean rings,
-    4 direct products, 5 small algebras (76 rings, all validated)."""
+    4 direct products, 5 small algebras (76 rings)."""
     rings: list[FiniteRing] = []
     rings.extend(make_zn(n) for n in range(2, 65))
     rings.extend(make_boolean(k) for k in range(1, 5))

@@ -3,9 +3,12 @@
 Five kinds are accepted (zn, boolean, product, algebra, table); the exact
 field names are fixed in docs/ring_format.md. Parsing is strict about the
 kind and about index ranges, and it rejects any ring of more than MAX_ORDER
-elements before building its tables; structural axioms are then enforced by
-ring construction itself, so a table document that parses but breaks an
-axiom still fails, with the axiom named.
+elements before building its tables. A file is untrusted input: table and
+algebra documents go through make_table_ring and make_algebra, which run the
+full axiom check, so a document that parses but breaks an axiom still fails,
+with the axiom named. zn, boolean and product documents name rings the
+package builds by construction (a product's factors are documents checked
+the same way), so their tables need no check.
 """
 
 from __future__ import annotations

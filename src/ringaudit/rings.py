@@ -1,11 +1,15 @@
 """Finite commutative rings with nonzero unity, held as dense Cayley tables.
 
 A ring here is the index set 0..order-1 together with full addition and
-multiplication tables. Construction always runs the complete axiom check
-(closure, abelian-group laws for addition, commutativity and associativity
-of multiplication, distributivity, nonzero unity), so downstream code may
-assume every FiniteRing instance is a genuine commutative unital ring.
-The zero ring is excluded: order >= 2 and one != zero.
+multiplication tables. Every constructor that takes tables from the caller
+(FiniteRing itself, make_table_ring, make_algebra, and through them the
+table and algebra ring files) runs the complete O(order^3) axiom check:
+closure, abelian-group laws for addition, commutativity and associativity
+of multiplication, distributivity, nonzero unity. Z_n, B_k, direct products
+and quotients by ideals are rings by construction, so they skip that check
+and keep only the shape and zero/one range checks; the tests re-validate
+their output. Either way every FiniteRing instance is a genuine commutative
+unital ring. The zero ring is excluded: order >= 2 and one != zero.
 
 Instances are immutable after construction, bar one lazily filled slot for
 the ideal lattice, and are safe to share across threads.
@@ -125,7 +129,9 @@ class FiniteRing:
 
     add_table and mul_table are read-only order x order numpy arrays;
     element_names gives a display string per index. Identity semantics:
-    two instances are equal only if they are the same object.
+    two instances are equal only if they are the same object. Calling the
+    class validates the tables; _trusted is the path for tables that form a
+    ring by construction.
 
     _lattice is the one lazily filled slot, where ideals.all_ideals keeps the
     ring's IdealLattice; threads racing to fill it recompute the same value.
@@ -142,11 +148,23 @@ class FiniteRing:
         element_names=None,
         source: dict | None = None,
     ):
+        self._fill(order, add_table, mul_table, zero, one, label, element_names, source, validate=True)
+
+    @classmethod
+    def _trusted(cls, order, add_table, mul_table, zero, one, label, element_names=None, source=None):
+        """A ring whose tables are correct by construction: every check of
+        __init__ except the O(order^3) validate_tables."""
+        ring = cls.__new__(cls)
+        ring._fill(order, add_table, mul_table, zero, one, label, element_names, source, validate=False)
+        return ring
+
+    def _fill(self, order, add_table, mul_table, zero, one, label, element_names, source, validate):
         add = _as_table(add_table, order, "add")
         mul = _as_table(mul_table, order, "mul")
         if not (0 <= zero < order and 0 <= one < order):
             raise ValueError("zero/one index out of range")
-        validate_tables(order, add, mul, zero, one)
+        if validate:
+            validate_tables(order, add, mul, zero, one)
         add.setflags(write=False)
         mul.setflags(write=False)
         self.order = int(order)
@@ -219,7 +237,7 @@ def make_zn(n: int, label: str | None = None) -> FiniteRing:
     idx = np.arange(n)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
-    return FiniteRing(n, add, mul, 0, 1, label=label or f"Z_{n}", source={"kind": "zn", "n": int(n)})
+    return FiniteRing._trusted(n, add, mul, 0, 1, label or f"Z_{n}", source={"kind": "zn", "n": int(n)})
 
 
 def make_boolean(k: int, label: str | None = None) -> FiniteRing:
@@ -235,9 +253,8 @@ def make_boolean(k: int, label: str | None = None) -> FiniteRing:
     add = idx[:, None] ^ idx[None, :]
     mul = idx[:, None] & idx[None, :]
     names = ["{" + ",".join(str(i + 1) for i in range(k) if s >> i & 1) + "}" for s in range(order)]
-    return FiniteRing(
-        order, add, mul, 0, order - 1,
-        label=label or f"B_{k}", element_names=names,
+    return FiniteRing._trusted(
+        order, add, mul, 0, order - 1, label or f"B_{k}", element_names=names,
         source={"kind": "boolean", "atoms": int(k)},
     )
 
@@ -260,11 +277,11 @@ def make_product(factors, label: str | None = None) -> FiniteRing:
     source = None
     if all(r.source is not None for r in factors):
         source = {"kind": "product", "factors": [r.source for r in factors]}
-    return FiniteRing(
+    return FiniteRing._trusted(
         order, add, mul,
         index[tuple(r.zero for r in factors)],
         index[tuple(r.one for r in factors)],
-        label=label or "x".join(r.label for r in factors),
+        label or "x".join(r.label for r in factors),
         element_names=names,
         source=source,
     )

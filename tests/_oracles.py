@@ -112,3 +112,15 @@ def brute_force_covers(member_sets: list[frozenset[int]]) -> list[tuple[int, int
         (i, j) for i, j in strict
         if not any((i, k) in strict and (k, j) in strict for k in range(n))
     )
+
+
+def quotient_tables(ring, ideal_members: set[int]):
+    """Cayley tables of R/I from the definition: the coset of a is
+    {a+i : i in I}, its minimal member is the representative, and cosets are
+    numbered in representative order. Returns (add, mul, coset index of a)."""
+    rep = [min(ring.add(a, i) for i in ideal_members) for a in range(ring.order)]
+    reps = sorted(set(rep))
+    position = {r: k for k, r in enumerate(reps)}
+    add = [[position[rep[ring.add(a, b)]] for b in reps] for a in reps]
+    mul = [[position[rep[ring.mul(a, b)]] for b in reps] for a in reps]
+    return add, mul, tuple(position[r] for r in rep)

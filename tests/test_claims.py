@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ringaudit.claims import CLAIM_IDS, run_all_claims, run_claim
+from ringaudit.corpus import Corpus
 from ringaudit.ideals import is_prime, is_principal, parse_ideal
 from ringaudit.reports import (
     REFUTED,
@@ -14,6 +15,7 @@ from ringaudit.reports import (
     parse_report_json,
     render_report,
 )
+from ringaudit.rings import make_boolean
 
 ALWAYS_VERIFIED = ("THM1", "PROP1", "PROP2", "PROP3", "PROP4", "PROPRAD", "THM6", "EX1FIELD")
 
@@ -135,3 +137,11 @@ def test_runs_are_deterministic(corpus):
     for row in a + b:
         row["elapsed_ms"] = None
     assert a == b
+
+
+@pytest.mark.parametrize("atoms, subsets", [(5, 31), (6, 63)])
+def test_thm5_checks_every_subset_of_a_large_spectrum(atoms, subsets):
+    # B_k has k primes, so 2^k - 1 nonempty subsets, each covered once
+    [row] = run_claim("THM5", Corpus((make_boolean(atoms),)))
+    assert row.status == VERIFIED
+    assert row.detail == f"subsets checked: {subsets}"

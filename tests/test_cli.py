@@ -213,3 +213,12 @@ def test_bad_endo_cap_exits_2(monkeypatch, capsys, raw):
     assert main(["audit", "--claim", "THM3"]) == 2
     err = capsys.readouterr().err
     assert f"{ENDO_CAP_ENV} must be a positive integer, got {raw!r}" in err
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys, z6_file):
+    def exhausted(path):
+        raise MemoryError("cannot allocate the tables")
+
+    monkeypatch.setattr("ringaudit.cli.load_ring_file", exhausted)
+    assert main(["describe", z6_file]) == 2
+    assert capsys.readouterr().err == "error: out of memory: cannot allocate the tables\n"

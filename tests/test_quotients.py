@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_force_endos
+from _oracles import brute_force_endos, quotient_tables
 from ringaudit.ideals import (
+    Ideal,
     all_ideals,
     classify_ring,
     ideal_generated,
@@ -24,7 +25,7 @@ from ringaudit.quotients import (
     quotient_ring,
 )
 from ringaudit.reports import REFUTED, SKIPPED, VERIFIED
-from ringaudit.rings import make_boolean, make_product, make_zn
+from ringaudit.rings import make_boolean, make_product, make_zn, validate_tables
 
 
 def test_quotient_z6_by_2_is_z2():
@@ -75,6 +76,31 @@ def test_quotient_invariants(small_corpus_rings):
             assert combined == (1 << ring.order) - 1
             assert check_hom(pres.projection)
             assert kernel(pres.projection).members == ideal.members
+
+
+def test_every_corpus_quotient_is_a_ring_with_the_ideal_as_kernel(corpus):
+    # quotient_ring trusts the correspondence theorem; re-check it here
+    for ring in corpus:
+        for ideal in all_ideals(ring).ideals:
+            if not ideal.is_proper:
+                continue
+            pres = quotient_ring(ring, ideal)
+            q = pres.quotient
+            validate_tables(q.order, q.add_table, q.mul_table, q.zero, q.one)
+            assert check_hom(pres.projection)
+            assert kernel(pres.projection) == ideal
+            add, mul, coset_of = quotient_tables(ring, set(ideal.indices()))
+            assert q.add_table.tolist() == add and q.mul_table.tolist() == mul
+            assert pres.projection.mapping == coset_of
+
+
+@pytest.mark.parametrize("mask, law", [(0b11, "missing -1"), (0b101, "missing -2")])
+def test_quotient_rejects_a_non_ideal(mask, law):
+    z6 = make_zn(6)
+    with pytest.raises(ValueError) as err:
+        quotient_ring(z6, Ideal(z6, mask))
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"not an ideal: {law}"
 
 
 def test_prime_iff_quotient_domain(small_corpus_rings):

@@ -1,10 +1,15 @@
 """Ring constructors, the axiom validator, and element arithmetic."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ringaudit import rings
+from ringaudit.ideals import principal_ideal
+from ringaudit.quotients import quotient_ring
+from ringaudit.ringfile import load_ring_file
 from ringaudit.rings import (
     FiniteRing,
     RingAxiomError,
@@ -15,6 +20,7 @@ from ringaudit.rings import (
     make_product,
     make_table_ring,
     make_zn,
+    validate_tables,
 )
 
 
@@ -216,3 +222,56 @@ def test_tables_are_readonly():
 def test_is_prime_int():
     primes = [n for n in range(40) if is_prime_int(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+# === trusted constructors ===
+# make_zn, make_boolean, make_product and quotient_ring skip validate_tables
+# because their tables form a ring by construction; these tests keep the
+# check they skip
+
+TRUSTED = (
+    [(f"Z_{n}", lambda n=n: make_zn(n)) for n in [*range(2, 65), 128, 192, 256]]
+    + [(f"B_{k}", lambda k=k: make_boolean(k)) for k in range(1, 8)]
+    + [
+        ("Z_2xZ_3", lambda: make_product([make_zn(2), make_zn(3)])),
+        ("Z_2xZ_4", lambda: make_product([make_zn(2), make_zn(4)])),
+        ("Z_4xZ_9", lambda: make_product([make_zn(4), make_zn(9)])),
+        ("Z_2^3", lambda: make_product([make_zn(2)] * 3)),
+        ("Z_2^4xZ_3", lambda: make_product([make_zn(2)] * 4 + [make_zn(3)])),
+        ("Z_4^3", lambda: make_product([make_zn(4)] * 3)),
+    ]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in TRUSTED], ids=[name for name, _ in TRUSTED])
+def test_trusted_constructors_build_rings(build):
+    ring = build()
+    validate_tables(ring.order, ring.add_table, ring.mul_table, ring.zero, ring.one)
+    if ring.order <= 16:  # the loop oracle is O(order^3) in pure Python
+        assert_ring_axioms(ring)
+
+
+def test_only_caller_tables_are_validated(monkeypatch):
+    calls = []
+    real = rings.validate_tables
+    monkeypatch.setattr(rings, "validate_tables", lambda *args: calls.append(args[0]) or real(*args))
+    z2, z3, z12 = make_zn(2), make_zn(3), make_zn(12)
+    quartic = principal_ideal(z12, 4)
+    table_file = Path(__file__).resolve().parents[1] / "rings" / "z3_table.json"
+    one_each = {
+        "FiniteRing": lambda: FiniteRing(3, z3.add_table, z3.mul_table, 0, 1),
+        "make_table_ring": lambda: make_table_ring(2, z2.add_table, z2.mul_table, 0, 1),
+        "make_algebra": lambda: make_algebra(2, 2, _sc_with_unity(2, {(1, 1): (1, 1)})),
+        "table ring file": lambda: load_ring_file(table_file),
+    }
+    none = {
+        "make_zn": lambda: make_zn(12),
+        "make_boolean": lambda: make_boolean(3),
+        "make_product": lambda: make_product([z2, z3]),
+        "quotient_ring": lambda: quotient_ring(z12, quartic),
+    }
+    for expected, builds in ((1, one_each), (0, none)):
+        for name, build in builds.items():
+            calls.clear()
+            build()
+            assert len(calls) == expected, name
