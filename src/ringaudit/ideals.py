@@ -1,12 +1,15 @@
 """Ideal enumeration and the ideal- and ring-level predicates.
 
 Ideals are bitmasks over element indices. The full lattice of a ring is the
-closure of its principal ideals under pairwise sum (every ideal of a finite
-commutative unital ring arises that way). It lives with its ring and holds
-every fact derived from it (containment, principal generators, the prime
-spectrum), each computed once, so the predicates that ask for them are
-lookups. Canonical order is lexicographic on the sorted member-index tuples;
-wherever a witness is chosen it is the first candidate in canonical order.
+closure of its principal ideals under sum (every ideal of a finite
+commutative unital ring arises that way); a sum I+J is the union of the
+cosets g+I over members g of J, built one new coset at a time. The lattice
+lives with its ring and holds every fact derived from it (containment,
+principal generators, the prime spectrum), each computed once, so the
+predicates that ask for them are lookups, and a radical is the intersection
+of the primes over its ideal. Canonical order is lexicographic on the sorted
+member-index tuples; wherever a witness is chosen it is the first candidate
+in canonical order.
 """
 
 from __future__ import annotations
@@ -177,12 +180,22 @@ def sum_ideals(ring, left: Ideal, right: Ideal) -> Ideal:
 
 
 def _mask_sum(ring, m1: int, m2: int) -> int:
+    """The sum of an ideal m1 and an ideal m2 as a union of cosets g+I.
+
+    m1 must be an ideal (every caller passes one): as an additive subgroup
+    it makes each g+I a whole coset, so a member of m2 already in the sum
+    brings nothing new and the loop reads O(|I+J|) table cells."""
+    out = m1
+    rest = m2 & ~out
+    if not rest:
+        return out
+    members = tuple(_bits(m1))
     add = ring._add
-    out = 0
-    for a in _bits(m1):
-        arow = add[a]
-        for b in _bits(m2):
-            out |= 1 << arow[b]
+    while rest:
+        row = add[(rest & -rest).bit_length() - 1]
+        for i in members:
+            out |= 1 << row[i]
+        rest &= ~out
     return out
 
 
@@ -241,24 +254,23 @@ class IdealLattice:
 
 
 def all_ideals(ring) -> IdealLattice:
-    """Every ideal: closure of the principal ideals under pairwise sum, built
-    on first use and kept on the ring, so it lives exactly as long."""
+    """Every ideal: closure of the principal ideals under sum, built on first
+    use and kept on the ring, so it lives exactly as long."""
     if ring._lattice is not None:
         return ring._lattice
     generator: dict[int, int] = {}
     for a in range(ring.order):
         generator.setdefault(principal_ideal(ring, a).members, a)
-    known = set(generator)
-    frontier = list(known)
-    while frontier:
-        fresh = []
-        for m1 in frontier:
-            for m2 in list(known):
-                s = _mask_sum(ring, m1, m2)
-                if s not in known:
-                    known.add(s)
-                    fresh.append(s)
-        frontier = fresh
+    found = list(generator)
+    known = set(found)
+    # found grows while it is walked: each ideal is summed once with every
+    # ideal found before it, and one found later meets it in its own turn
+    for i, m1 in enumerate(found):
+        for m2 in found[:i]:
+            s = _mask_sum(ring, m1, m2)
+            if s not in known:
+                known.add(s)
+                found.append(s)
     ideals = tuple(sorted((Ideal(ring, m) for m in known), key=Ideal.sort_key))
     masks = [ideal.members for ideal in ideals]
     up = tuple(sum(1 << j for j, o in enumerate(masks) if m & ~o == 0) for m in masks)
@@ -268,21 +280,14 @@ def all_ideals(ring) -> IdealLattice:
 
 
 def radical(ring, ideal: Ideal) -> Ideal:
-    """Elements with some power inside the ideal (exponents up to ring order).
-
-    The exponent bound is sound: powers in a finite ring are eventually
-    periodic with period entering within the first `order` steps.
-    """
+    """The intersection of the primes containing the ideal, which is the set
+    of elements with some power inside it (Atiyah-Macdonald, Prop. 1.14);
+    no prime contains R, so radical(R) is R."""
     _same_ring(ring, ideal)
-    mul = ring._mul
-    mask = 0
-    for a in range(ring.order):
-        x = a
-        for _ in range(ring.order):
-            if ideal.members >> x & 1:
-                mask |= 1 << a
-                break
-            x = mul[x][a]
+    mask = _full_mask(ring)
+    for prime in all_ideals(ring).primes:
+        if ideal.members & ~prime == 0:
+            mask &= prime
     return Ideal(ring, mask)
 
 

@@ -161,10 +161,14 @@ def endomorphism_cap() -> int:
 def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
     """All unital ring endomorphisms, by backtracking with forced closure.
 
-    Partial assignments are closed under both preservation laws before each
-    branch (conflicts prune the branch), and candidate images must have
-    additive order dividing the preimage's additive order. Rings larger
-    than the cap are rejected; set RINGAUDIT_ENDO_CAP to raise it.
+    Each partial assignment is closed under both preservation laws before
+    it branches, by a worklist: every newly assigned element is paired once
+    with every assigned element, itself included, and the images this forces
+    are assigned in turn; a conflict prunes the branch. The forced closure
+    is unique, so the order of the worklist cannot change the maps found.
+    Candidate images must have additive order dividing the preimage's
+    additive order. Rings larger than the cap are rejected; set
+    RINGAUDIT_ENDO_CAP to raise it.
     """
     if cap is None:
         cap = endomorphism_cap()
@@ -178,47 +182,48 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
     orders = [additive_order(ring, a) for a in range(n)]
     found: list[tuple[int, ...]] = []
 
-    def close(assign: list[int]) -> list[int] | None:
-        while True:
-            changed = False
-            known = [a for a in range(n) if assign[a] >= 0]
-            for a in known:
-                va = assign[a]
-                arow, mrow = add[a], mul[a]
-                varow, vmrow = add[va], mul[va]
-                for b in known:
-                    vb = assign[b]
-                    for c, v in ((arow[b], varow[vb]), (mrow[b], vmrow[vb])):
-                        if assign[c] < 0:
-                            assign[c] = v
-                            changed = True
-                        elif assign[c] != v:
-                            return None
-            if not changed:
-                return assign
+    def close(assign: list[int], known: list[int], todo: list[int]) -> bool:
+        """Assign every image forced by pairs that involve an element of
+        todo; False on a conflict."""
+        while todo:
+            a = todo.pop()
+            va = assign[a]
+            arow, mrow = add[a], mul[a]
+            varow, vmrow = add[va], mul[va]
+            # elements assigned in this loop are on todo and meet a later
+            for b in known[:]:
+                vb = assign[b]
+                for c, v in ((arow[b], varow[vb]), (mrow[b], vmrow[vb])):
+                    w = assign[c]
+                    if w == v:
+                        continue
+                    if w >= 0:
+                        return False
+                    assign[c] = v
+                    known.append(c)
+                    todo.append(c)
+        return True
 
-    def extend(assign: list[int]) -> None:
-        assign = close(assign)
-        if assign is None:
+    def extend(assign: list[int], known: list[int], todo: list[int]) -> None:
+        if not close(assign, known, todo):
             return
-        try:
-            e = assign.index(-1)
-        except ValueError:
+        if len(known) == n:
             found.append(tuple(assign))
             return
+        e = assign.index(-1)
         for v in range(n):
             if orders[e] % orders[v] == 0:
                 branch = list(assign)
                 branch[e] = v
-                extend(branch)
+                extend(branch, [*known, e], [e])
 
     start = [-1] * n
     start[ring.zero] = ring.zero
     start[ring.one] = ring.one
-    extend(start)
+    extend(start, [ring.zero, ring.one], [ring.zero, ring.one])
 
-    # close() has applied both preservation laws to every pair of a
-    # complete assignment, so each map found is a homomorphism
+    # close() has paired every two assigned elements under both laws, so
+    # each complete assignment found is a homomorphism
     return [RingHom(ring, ring, f) for f in sorted(set(found))]
 
 

@@ -17,6 +17,7 @@ the ideal lattice, and are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from itertools import product as _cartesian
 
 import numpy as np
@@ -104,24 +105,18 @@ def validate_tables(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one
         raise RingAxiomError("unity", (bad[0],))
 
     for a in range(order):
-        lhs = add[add[a]]
-        rhs = add[a][add]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            b, c = bad[0]
-            raise RingAxiomError("associativity(add)", (a, b, c))
-        lhs = mul[mul[a]]
-        rhs = mul[a][mul]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            b, c = bad[0]
-            raise RingAxiomError("associativity(mul)", (a, b, c))
-        lhs = mul[a][add]
-        rhs = add[np.ix_(mul[a], mul[a])]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            b, c = bad[0]
-            raise RingAxiomError("distributivity", (a, b, c))
+        _check_slice("associativity(add)", a, add[add[a]], add[a][add])
+        _check_slice("associativity(mul)", a, mul[mul[a]], mul[a][mul])
+        _check_slice("distributivity", a, mul[a][add], add[np.ix_(mul[a], mul[a])])
+
+
+def _check_slice(axiom: str, a: int, lhs: np.ndarray, rhs: np.ndarray) -> None:
+    """Raise for the first (b, c) at which the law's two sides differ; the
+    witness is searched for only in a slice known to hold one."""
+    differ = lhs != rhs
+    if differ.any():
+        b, c = np.argwhere(differ)[0]
+        raise RingAxiomError(axiom, (a, b, c))
 
 
 class FiniteRing:
@@ -264,23 +259,22 @@ def make_product(factors, label: str | None = None) -> FiniteRing:
     factors = list(factors)
     if not factors:
         raise ValueError("make_product requires at least one factor")
-    tuples = list(_cartesian(*[range(r.order) for r in factors]))
-    index = {t: i for i, t in enumerate(tuples)}
-    order = len(tuples)
-    add = np.empty((order, order), dtype=np.int64)
-    mul = np.empty((order, order), dtype=np.int64)
-    for i, t in enumerate(tuples):
-        for j, u in enumerate(tuples):
-            add[i, j] = index[tuple(r._add[a][b] for r, a, b in zip(factors, t, u))]
-            mul[i, j] = index[tuple(r._mul[a][b] for r, a, b in zip(factors, t, u))]
-    names = ["(" + ",".join(r.element_names[a] for r, a in zip(factors, t)) + ")" for t in tuples]
+    orders = [r.order for r in factors]
+    order = math.prod(orders)
+    # element i has coordinates coords[f][i], last factor fastest, the order
+    # of itertools.product and of ravel_multi_index
+    coords = np.unravel_index(np.arange(order), orders)
+    strides = [math.prod(orders[f + 1:]) for f in range(len(factors))]
+    add = sum(s * r.add_table[np.ix_(c, c)] for s, r, c in zip(strides, factors, coords))
+    mul = sum(s * r.mul_table[np.ix_(c, c)] for s, r, c in zip(strides, factors, coords))
+    names = ["(" + ",".join(t) + ")" for t in _cartesian(*(r.element_names for r in factors))]
     source = None
     if all(r.source is not None for r in factors):
         source = {"kind": "product", "factors": [r.source for r in factors]}
     return FiniteRing._trusted(
         order, add, mul,
-        index[tuple(r.zero for r in factors)],
-        index[tuple(r.one for r in factors)],
+        np.ravel_multi_index([r.zero for r in factors], orders),
+        np.ravel_multi_index([r.one for r in factors], orders),
         label or "x".join(r.label for r in factors),
         element_names=names,
         source=source,

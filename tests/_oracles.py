@@ -124,3 +124,29 @@ def quotient_tables(ring, ideal_members: set[int]):
     add = [[position[rep[ring.add(a, b)]] for b in reps] for a in reps]
     mul = [[position[rep[ring.mul(a, b)]] for b in reps] for a in reps]
     return add, mul, tuple(position[r] for r in rep)
+
+
+def pairwise_sum(ring, left_members: set[int], right_members: set[int]) -> set[int]:
+    """The ideal sum from the definition: {i+j : i in I, j in J}."""
+    return {ring.add(i, j) for i in left_members for j in right_members}
+
+
+def product_tables(factors):
+    """Cayley tables of a direct product from the definition: elements are
+    coordinate tuples in lexicographic order, operated on componentwise.
+    Returns (add, mul, zero index, one index)."""
+    tuples = list(cartesian(*[range(r.order) for r in factors]))
+    index = {t: k for k, t in enumerate(tuples)}
+
+    def table(op):
+        return [
+            [index[tuple(op(r, a, b) for r, a, b in zip(factors, t, u))] for u in tuples]
+            for t in tuples
+        ]
+
+    return (
+        table(lambda r, a, b: r.add(a, b)),
+        table(lambda r, a, b: r.mul(a, b)),
+        index[tuple(r.zero for r in factors)],
+        index[tuple(r.one for r in factors)],
+    )

@@ -6,17 +6,22 @@ radicals of specific ideals) are asserted directly.
 """
 
 import gc
+import math
 import re
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     brute_force_covers,
     brute_force_ideals,
     divisor_count,
     first_generator,
+    is_ideal_subset,
     is_maximal_in,
+    pairwise_sum,
     power_in,
 )
 from ringaudit.ideals import (
@@ -139,6 +144,40 @@ def test_sum_ideals_examples(ring_a):
     assert members(sum_ideals(ring_a, principal_ideal(ring_a, x), principal_ideal(ring_a, y))) == {0, x, y, x + y}
 
 
+def test_sum_ideals_matches_pairwise_oracle(corpus):
+    for ring in corpus:
+        ideals = all_ideals(ring).ideals
+        for left in ideals:
+            for right in ideals:
+                expected = pairwise_sum(ring, members(left), members(right))
+                assert members(sum_ideals(ring, left, right)) == expected, (ring.label, str(left), str(right))
+
+
+@st.composite
+def zn_products(draw, max_order=64):
+    """Factor moduli of a random product of Z_n rings of order <= max_order."""
+    count = draw(st.integers(1, max_order.bit_length() - 1))
+    moduli = []
+    for left in range(count, 0, -1):
+        # leave room for the factors still to come, each of order >= 2
+        room = max_order // math.prod(moduli) // 2 ** (left - 1)
+        moduli.append(draw(st.integers(2, room)))
+    return moduli
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(zn_products())
+def test_lattice_of_random_zn_products_is_closed_and_complete(moduli):
+    ring = make_product([make_zn(n) for n in moduli])
+    found = {frozenset(ideal.indices()) for ideal in all_ideals(ring).ideals}
+    assert all(is_ideal_subset(ring, set(ideal)) for ideal in found)
+    for left in found:
+        for right in found:
+            assert pairwise_sum(ring, left, right) in found
+    if ring.order <= 13:
+        assert found == brute_force_ideals(ring)
+
+
 def test_cross_ring_ideals_rejected():
     z6, z8 = make_zn(6), make_zn(8)
     with pytest.raises(ValueError, match="different ring"):
@@ -174,8 +213,8 @@ def test_radical_examples():
     assert radical(z12, unit_ideal(z12)).members == unit_ideal(z12).members
 
 
-def test_radical_against_power_oracle(small_corpus_rings):
-    for ring in small_corpus_rings:
+def test_radical_against_power_oracle(corpus):
+    for ring in corpus:
         for ideal in all_ideals(ring).ideals:
             mem = members(ideal)
             expected = {a for a in range(ring.order) if power_in(ring, a, mem)}

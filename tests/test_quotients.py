@@ -1,5 +1,9 @@
 """Quotients, homomorphisms, endomorphism search, and the two audits."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -162,6 +166,28 @@ def test_endomorphisms_match_brute_force(build):
     ring = build()
     got = {h.mapping for h in endomorphisms(ring)}
     assert got == brute_force_endos(ring)
+
+
+# sha256 of the sorted endomorphism mappings, pinned from the sweep closure
+# that re-paired every two assigned elements until nothing changed
+ENDO_PINS = json.loads((Path(__file__).parent / "endo_pins.json").read_text())
+PINNED_PRODUCT = "Z_2xZ_2xZ_2xZ_2xZ_3"
+
+
+@pytest.mark.parametrize("label", sorted(ENDO_PINS))
+def test_endomorphisms_match_pins(label, corpus):
+    if label == PINNED_PRODUCT:
+        ring = make_product([make_zn(2)] * 4 + [make_zn(3)])
+    else:
+        ring = corpus.by_label(label)
+    maps = [list(h.mapping) for h in endomorphisms(ring, cap=ring.order)]
+    assert len(maps) == ENDO_PINS[label]["maps"]
+    assert hashlib.sha256(json.dumps(maps).encode()).hexdigest() == ENDO_PINS[label]["sha256"]
+
+
+def test_endo_pins_cover_the_small_corpus_rings(corpus):
+    small = {ring.label for ring in corpus if ring.order <= 16}
+    assert set(ENDO_PINS) == small | {PINNED_PRODUCT}
 
 
 def test_endomorphisms_of_z2xz2_frozen():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import product_tables
 from ringaudit import rings
 from ringaudit.ideals import principal_ideal
 from ringaudit.quotients import quotient_ring
@@ -203,6 +204,34 @@ def test_missing_additive_inverse_is_named():
     assert err.value.axiom == "additive-inverse"
 
 
+# messages pinned from the slice-at-a-time validator before it searched for a
+# witness only in failing slices: first failing a, then axiom, then (b, c)
+CORRUPTED = [
+    ("Z_6 mul[2][3]=1", lambda: make_zn(6), "mul", (2, 3, 1), "axiom associativity(mul) violated at (2, 2, 3)"),
+    ("Z_5 add[1][2]=4", lambda: make_zn(5), "add", (1, 2, 4), "axiom associativity(add) violated at (1, 1, 2)"),
+    ("Z_12 mul[5][7]=0", lambda: make_zn(12), "mul", (5, 7, 0), "axiom associativity(mul) violated at (2, 5, 7)"),
+    ("Z_9 add[4][4]=0", lambda: make_zn(9), "add", (4, 4, 0), "axiom associativity(add) violated at (1, 3, 4)"),
+    ("Z_10 add[3][8]=0", lambda: make_zn(10), "add", (3, 8, 0), "axiom associativity(add) violated at (1, 2, 8)"),
+    ("Z_3 mul[2][2]=2", lambda: make_zn(3), "mul", (2, 2, 2), "axiom distributivity violated at (2, 1, 1)"),
+    ("B_3 mul[3][5]=7", lambda: make_boolean(3), "mul", (3, 5, 7), "axiom associativity(mul) violated at (2, 3, 5)"),
+    ("Z_2xZ_4 add[6][6]=1", lambda: make_product([make_zn(2), make_zn(4)]), "add", (6, 6, 1),
+     "axiom additive-inverse violated at (6,)"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, which, cell, message", [c[1:] for c in CORRUPTED], ids=[c[0] for c in CORRUPTED],
+)
+def test_corrupted_table_messages_are_pinned(build, which, cell, message):
+    ring = build()
+    tables = {"add": ring.add_table.copy(), "mul": ring.mul_table.copy()}
+    a, b, value = cell
+    tables[which][a, b] = tables[which][b, a] = value
+    with pytest.raises(RingAxiomError) as err:
+        FiniteRing(ring.order, tables["add"], tables["mul"], ring.zero, ring.one)
+    assert str(err.value) == message
+
+
 def test_element_arith_range_checks():
     z6 = make_zn(6)
     with pytest.raises(ValueError):
@@ -249,6 +278,27 @@ def test_trusted_constructors_build_rings(build):
     validate_tables(ring.order, ring.add_table, ring.mul_table, ring.zero, ring.one)
     if ring.order <= 16:  # the loop oracle is O(order^3) in pure Python
         assert_ring_axioms(ring)
+
+
+PRODUCTS = [
+    ("Z_2xZ_3", [2, 3]),
+    ("Z_2xZ_4", [2, 4]),
+    ("Z_4xZ_9", [4, 9]),
+    ("Z_2^3", [2, 2, 2]),
+    ("Z_2^4xZ_3", [2, 2, 2, 2, 3]),
+    ("Z_4^3", [4, 4, 4]),
+]
+
+
+@pytest.mark.parametrize("moduli", [m for _, m in PRODUCTS], ids=[name for name, _ in PRODUCTS])
+def test_make_product_matches_loop_oracle(moduli):
+    factors = [make_zn(n) for n in moduli]
+    ring = make_product(factors)
+    add, mul, zero, one = product_tables(factors)
+    assert ring.add_table.tolist() == add
+    assert ring.mul_table.tolist() == mul
+    assert (ring.zero, ring.one) == (zero, one)
+    assert ring.element_names[-1] == "(" + ",".join(str(n - 1) for n in moduli) + ")"
 
 
 def test_only_caller_tables_are_validated(monkeypatch):
