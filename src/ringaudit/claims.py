@@ -87,7 +87,7 @@ def _prop2(ring: FiniteRing) -> ClaimOutcome:
     maximal = {i.members for i in lattice.ideals if is_maximal(ring, i)}
     if ppri != maximal:
         gap = min(ppri ^ maximal)
-        witness = next(str(i) for i in lattice.ideals if i.members == gap)
+        witness = str(lattice.ideals[lattice.index[gap]])
         direction = "principal prime, not maximal" if gap in ppri else "maximal, not a principal prime"
         return ClaimOutcome(REFUTED, witness=witness, detail=direction)
     return ClaimOutcome(VERIFIED, detail=f"all-primes-principal hypothesis: {flags.is_pprir}")

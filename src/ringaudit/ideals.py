@@ -400,11 +400,15 @@ class Classification:
 
 
 def classify_ring(ring) -> Classification:
-    z, o = ring.zero, ring.one
+    """Ring-level flags, read off the lattice where the lattice decides them.
+
+    R is a domain exactly when its zero ideal is prime, and a field exactly
+    when {0} and R are its only ideals (Atiyah-Macdonald, Sec. 1 and
+    Prop. 1.2); Boolean means x*x == x for every x, one pass over the
+    diagonal of the multiplication table.
+    """
+    lattice = all_ideals(ring)
     mul = ring._mul
-    nonzero = [a for a in range(ring.order) if a != z]
-    domain = all(mul[a][b] != z for a in nonzero for b in nonzero)
-    field = all(any(mul[a][b] == o for b in nonzero) for a in nonzero)
     boolean = all(mul[a][a] == a for a in range(ring.order))
     flag, witness = is_pprir(ring)
-    return Classification(domain, field, boolean, flag, witness)
+    return Classification(1 << ring.zero in lattice.primes, len(lattice) == 2, boolean, flag, witness)

@@ -355,20 +355,12 @@ def make_table_ring(
     label: str | None = None,
     element_names=None,
 ) -> FiniteRing:
-    """Ring from raw Cayley tables; the axiom check decides admissibility."""
-    add = _as_table(add_table, order, "add")
-    mul = _as_table(mul_table, order, "mul")
-    source = {
-        "kind": "table",
-        "order": int(order),
-        "zero": int(zero),
-        "one": int(one),
-        "add": add.tolist(),
-        "mul": mul.tolist(),
-    }
+    """Ring from raw Cayley tables; the axiom check decides admissibility.
+
+    The ring keeps no source document: ringfile.document_for writes it back
+    as a table document from its tables and element names."""
     return FiniteRing(
-        order, add, mul, zero, one,
+        order, add_table, mul_table, zero, one,
         label=label or f"table-ring-{order}",
         element_names=element_names,
-        source=source,
     )

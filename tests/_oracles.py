@@ -42,6 +42,24 @@ def brute_force_ideals(ring) -> set[frozenset[int]]:
     return found
 
 
+def is_domain(ring) -> bool:
+    """No two nonzero elements multiply to zero."""
+    nonzero = [a for a in range(ring.order) if a != ring.zero]
+    return all(ring.mul(a, b) != ring.zero for a in nonzero for b in nonzero)
+
+
+def is_field(ring) -> bool:
+    """Every nonzero element has a multiplicative inverse."""
+    nonzero = [a for a in range(ring.order) if a != ring.zero]
+    return all(any(ring.mul(a, b) == ring.one for b in nonzero) for a in nonzero)
+
+
+def is_prime_subset(ring, subset: set[int]) -> bool:
+    """Proper, and a product of two elements outside the subset stays outside."""
+    outside = [a for a in range(ring.order) if a not in subset]
+    return bool(outside) and all(ring.mul(a, b) not in subset for a in outside for b in outside)
+
+
 def additive_subgroups(ring, carrier: set[int]) -> set[frozenset[int]]:
     """All subsets of the carrier closed under + and containing zero."""
     elems = sorted(carrier)

@@ -11,7 +11,7 @@ import re
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -19,8 +19,11 @@ from _oracles import (
     brute_force_ideals,
     divisor_count,
     first_generator,
+    is_domain,
+    is_field,
     is_ideal_subset,
     is_maximal_in,
+    is_prime_subset,
     pairwise_sum,
     power_in,
 )
@@ -46,7 +49,9 @@ from ringaudit.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from ringaudit.rings import make_boolean, make_product, make_zn
+from ringaudit.quotients import quotient_ring
+from ringaudit.rings import RingAxiomError, make_algebra, make_boolean, make_product, make_zn
+from ringaudit.ringfile import _sc_with_unity
 
 
 def members(ideal):
@@ -176,6 +181,56 @@ def test_lattice_of_random_zn_products_is_closed_and_complete(moduli):
             assert pairwise_sum(ring, left, right) in found
     if ring.order <= 13:
         assert found == brute_force_ideals(ring)
+
+
+def assert_classification_matches_oracles(ring):
+    """Every classify_ring flag against its definition; is_pprir from the
+    definitional primes and the first-generator oracle."""
+    flags = classify_ring(ring)
+    primes = [set(i.indices()) for i in all_ideals(ring).ideals if is_prime_subset(ring, set(i.indices()))]
+    expected = (
+        is_domain(ring),
+        is_field(ring),
+        all(ring.mul(a, a) == a for a in range(ring.order)),
+        all(first_generator(ring, p) is not None for p in primes),
+    )
+    assert (flags.is_domain, flags.is_field, flags.is_boolean, flags.is_pprir) == expected, ring.label
+
+
+@st.composite
+def fp_algebras(draw):
+    """A commutative F_p-algebra from random structure constants, kept only
+    when the products it defines satisfy the ring axioms."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    dim = draw(st.integers(2, 3))
+    coefficients = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
+    entries = {(i, j): draw(coefficients) for i in range(1, dim) for j in range(i, dim)}
+    try:
+        return make_algebra(p, dim, _sc_with_unity(dim, entries))
+    except RingAxiomError:
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(fp_algebras())
+def test_lattice_of_random_fp_algebras(ring):
+    lattice = all_ideals(ring)
+    found = {frozenset(ideal.indices()) for ideal in lattice.ideals}
+    for left in found:
+        for right in found:
+            assert pairwise_sum(ring, left, right) in found
+    if ring.order <= 13:
+        assert found == brute_force_ideals(ring)
+    assert_classification_matches_oracles(ring)
+    # correspondence theorem: the ideals of R/I are the ideals of R over I,
+    # and the primes of R/I the primes of R over I
+    for ideal in lattice.ideals:
+        if not ideal.is_proper:
+            continue
+        quotient = quotient_ring(ring, ideal).quotient
+        over = [m for m in lattice.index if ideal.members & ~m == 0]
+        assert len(all_ideals(quotient)) == len(over)
+        assert len(prime_spectrum(quotient)) == sum(m in lattice.primes for m in over)
 
 
 def test_cross_ring_ideals_rejected():
@@ -375,6 +430,20 @@ def test_classify_ring_examples(ring_a):
     # boolean-ness is semantic, not a constructor tag
     assert classify_ring(make_zn(2)).is_boolean
     assert classify_ring(make_boolean(3)).is_boolean
+
+
+def test_classify_ring_matches_definitional_oracles(corpus):
+    for ring in corpus:
+        assert_classification_matches_oracles(ring)
+        for ideal in all_ideals(ring).ideals:
+            if ideal.is_proper:
+                assert_classification_matches_oracles(quotient_ring(ring, ideal).quotient)
+    for ring in (
+        make_boolean(5),
+        make_product([*[make_zn(2)] * 4, make_zn(3)]),
+        make_product([make_zn(4)] * 3),
+    ):
+        assert_classification_matches_oracles(ring)
 
 
 def test_prime_iff_maximal_in_finite_rings(small_corpus_rings):

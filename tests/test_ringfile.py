@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ringaudit.ringfile import RingFileError, document_for, load_ring_file, ring_from_document
-from ringaudit.rings import RingAxiomError, make_zn
+from ringaudit.rings import RingAxiomError, make_product, make_zn
 
 
 def test_zn_document():
@@ -138,6 +138,21 @@ def test_document_roundtrip(corpus):
         ring = corpus.by_label(label)
         rebuilt = ring_from_document(document_for(ring))
         assert rebuilt.label == ring.label
+        assert np.array_equal(rebuilt.add_table, ring.add_table)
+        assert np.array_equal(rebuilt.mul_table, ring.mul_table)
+
+
+def test_named_table_ring_roundtrip():
+    z3 = make_zn(3)
+    named = ring_from_document({
+        "kind": "table", "order": 3, "zero": 0, "one": 1,
+        "add": z3.add_table.tolist(), "mul": z3.mul_table.tolist(),
+        "element_names": ["o", "e", "f"],
+    })
+    for ring in (named, make_product([named, make_zn(2)])):
+        rebuilt = ring_from_document(document_for(ring))
+        assert rebuilt.label == ring.label
+        assert rebuilt.element_names == ring.element_names
         assert np.array_equal(rebuilt.add_table, ring.add_table)
         assert np.array_equal(rebuilt.mul_table, ring.mul_table)
 
