@@ -7,16 +7,19 @@ cosets g+I over members g of J, built one new coset at a time. The lattice
 lives with its ring and holds every fact derived from it (containment,
 principal generators, the prime spectrum), each computed once, so the
 predicates that ask for them are lookups, and a radical is the intersection
-of the primes over its ideal. Canonical order is lexicographic on the sorted
-member-index tuples; wherever a witness is chosen it is the first candidate
-in canonical order.
+of the primes over its ideal. The predicates test their definitions on
+whole blocks of the numpy tables; only the coset sum reads rows as lists.
+Canonical order is lexicographic on the sorted member-index tuples;
+wherever a witness is chosen it is the first candidate in canonical order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .rings import FiniteRing
@@ -52,6 +55,20 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _masks_of(ring, rows: np.ndarray) -> list[int]:
+    """The bitmask of the set of entries of each row of a 2-d index array."""
+    inside = np.zeros((len(rows), ring.order), dtype=bool)
+    inside[np.arange(len(rows))[:, None], rows] = True
+    packed = np.packbits(inside, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _flags_of(ring, mask: int) -> np.ndarray:
+    """The bool array over the ring's elements with entry i = bit i of mask."""
+    packed = np.frombuffer(mask.to_bytes((ring.order + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=ring.order, bitorder="little").view(bool)
 
 
 def _full_mask(ring) -> int:
@@ -110,22 +127,24 @@ def ideal_from_members(ring, members) -> Ideal:
         mask |= 1 << ring._check_index(a)
     if not mask >> ring.zero & 1:
         raise ValueError("not an ideal: zero is missing")
-    add, mul, neg = ring._add, ring._mul, ring._neg
-    for a in _bits(mask):
-        if not mask >> neg[a] & 1:
-            raise ValueError(f"not an ideal: missing -{ring.element_names[a]}")
-        arow = add[a]
-        for b in _bits(mask):
-            if not mask >> arow[b] & 1:
-                raise ValueError(
-                    f"not an ideal: {ring.element_names[a]}+{ring.element_names[b]} escapes"
-                )
-        mrow = mul[a]
-        for r in range(ring.order):
-            if not mask >> mrow[r] & 1:
-                raise ValueError(
-                    f"not an ideal: {ring.element_names[a]}*{ring.element_names[r]} escapes"
-                )
+    inside = _flags_of(ring, mask)
+    idx = np.flatnonzero(inside)
+    # row k holds member idx[k]'s violations: its negative, then a+b over
+    # the members b, then a*r over the ring; the first row with one names
+    # the least offending member, and within it the first law it breaks
+    neg_out = ~inside[(ring.add_table[idx] == ring.zero).argmax(axis=1)]
+    add_out = ~inside[ring.add_table[idx][:, idx]]
+    mul_out = ~inside[ring.mul_table[idx]]
+    bad = np.flatnonzero(neg_out | add_out.any(axis=1) | mul_out.any(axis=1))
+    if len(bad):
+        k = bad[0]
+        name = ring.element_names
+        a = name[idx[k]]
+        if neg_out[k]:
+            raise ValueError(f"not an ideal: missing -{a}")
+        if add_out[k].any():
+            raise ValueError(f"not an ideal: {a}+{name[idx[add_out[k].argmax()]]} escapes")
+        raise ValueError(f"not an ideal: {a}*{name[mul_out[k].argmax()]} escapes")
     return Ideal(ring, mask)
 
 
@@ -157,18 +176,17 @@ def unit_ideal(ring) -> Ideal:
 
 def principal_ideal(ring, a: int) -> Ideal:
     """The smallest ideal containing a: the set of multiples {a*r}."""
-    mask = 0
-    for v in ring._mul[ring._check_index(a)]:
-        mask |= 1 << v
-    return Ideal(ring, mask)
+    a = ring._check_index(a)
+    return Ideal(ring, _masks_of(ring, ring.mul_table[a:a + 1])[0])
 
 
 def ideal_generated(ring, elements) -> Ideal:
     """Smallest ideal containing the given elements: the sum of their
     principal ideals."""
     mask = 1 << ring.zero
+    rows = _add_rows(ring)
     for a in elements:
-        mask = _mask_sum(ring, mask, principal_ideal(ring, a).members)
+        mask = _mask_sum(rows, mask, principal_ideal(ring, a).members)
     return Ideal(ring, mask)
 
 
@@ -176,10 +194,16 @@ def sum_ideals(ring, left: Ideal, right: Ideal) -> Ideal:
     """Ideal sum I+J = {i+j}; already an ideal, no further closure needed."""
     _same_ring(ring, left)
     _same_ring(ring, right)
-    return Ideal(ring, _mask_sum(ring, left.members, right.members))
+    return Ideal(ring, _mask_sum(_add_rows(ring), left.members, right.members))
 
 
-def _mask_sum(ring, m1: int, m2: int) -> int:
+def _add_rows(ring):
+    """rows(g) is row g of the addition table as a list, converted the first
+    time it is asked for and kept as long as the caller keeps rows."""
+    return cache(lambda g: ring.add_table[g].tolist())
+
+
+def _mask_sum(rows, m1: int, m2: int) -> int:
     """The sum of an ideal m1 and an ideal m2 as a union of cosets g+I.
 
     m1 must be an ideal (every caller passes one): as an additive subgroup
@@ -190,9 +214,8 @@ def _mask_sum(ring, m1: int, m2: int) -> int:
     if not rest:
         return out
     members = tuple(_bits(m1))
-    add = ring._add
     while rest:
-        row = add[(rest & -rest).bit_length() - 1]
+        row = rows((rest & -rest).bit_length() - 1)
         for i in members:
             out |= 1 << row[i]
         rest &= ~out
@@ -259,15 +282,16 @@ def all_ideals(ring) -> IdealLattice:
     if ring._lattice is not None:
         return ring._lattice
     generator: dict[int, int] = {}
-    for a in range(ring.order):
-        generator.setdefault(principal_ideal(ring, a).members, a)
+    for a, principal in enumerate(_masks_of(ring, ring.mul_table)):
+        generator.setdefault(principal, a)
     found = list(generator)
     known = set(found)
+    rows = _add_rows(ring)
     # found grows while it is walked: each ideal is summed once with every
     # ideal found before it, and one found later meets it in its own turn
     for i, m1 in enumerate(found):
         for m2 in found[:i]:
-            s = _mask_sum(ring, m1, m2)
+            s = _mask_sum(rows, m1, m2)
             if s not in known:
                 known.add(s)
                 found.append(s)
@@ -296,18 +320,9 @@ def is_prime(ring, ideal: Ideal) -> bool:
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         return False
-    m = ideal.members
-    mul = ring._mul
-    for x in range(ring.order):
-        if m >> x & 1:
-            continue
-        xrow = mul[x]
-        for y in range(x, ring.order):
-            if m >> y & 1:
-                continue
-            if m >> xrow[y] & 1:
-                return False
-    return True
+    inside = _flags_of(ring, ideal.members)
+    outside = ~inside
+    return not inside[ring.mul_table[outside][:, outside]].any()
 
 
 def is_maximal(ring, ideal: Ideal) -> bool:
@@ -323,9 +338,8 @@ def is_maximal(ring, ideal: Ideal) -> bool:
 def is_semiprime(ring, ideal: Ideal) -> bool:
     """x^2 in I forces x in I; equivalently radical(I) == I."""
     _same_ring(ring, ideal)
-    m = ideal.members
-    mul = ring._mul
-    return all(m >> x & 1 or not m >> mul[x][x] & 1 for x in range(ring.order))
+    inside = _flags_of(ring, ideal.members)
+    return not (inside[ring.mul_table.diagonal()] & ~inside).any()
 
 
 def is_primary(ring, ideal: Ideal) -> bool:
@@ -333,17 +347,9 @@ def is_primary(ring, ideal: Ideal) -> bool:
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         return False
-    m = ideal.members
-    rad = radical(ring, ideal).members
-    mul = ring._mul
-    for x in range(ring.order):
-        if m >> x & 1:
-            continue
-        xrow = mul[x]
-        for y in range(ring.order):
-            if m >> xrow[y] & 1 and not rad >> y & 1:
-                return False
-    return True
+    inside = _flags_of(ring, ideal.members)
+    in_radical = _flags_of(ring, radical(ring, ideal).members)
+    return not inside[ring.mul_table[~inside][:, ~in_radical]].any()
 
 
 def is_principal(ring, ideal: Ideal) -> tuple[bool, Optional[int]]:
@@ -408,7 +414,6 @@ def classify_ring(ring) -> Classification:
     diagonal of the multiplication table.
     """
     lattice = all_ideals(ring)
-    mul = ring._mul
-    boolean = all(mul[a][a] == a for a in range(ring.order))
+    boolean = bool((ring.mul_table.diagonal() == np.arange(ring.order)).all())
     flag, witness = is_pprir(ring)
     return Classification(1 << ring.zero in lattice.primes, len(lattice) == 2, boolean, flag, witness)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .ideals import (
     Ideal,
+    _masks_of,
     _same_ring,
     all_ideals,
     classify_ring,
@@ -92,7 +93,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
     rep_of = ring.add_table[:, members].min(axis=1)
     reps = np.flatnonzero(rep_of == np.arange(ring.order))
     coset_of = np.searchsorted(reps, rep_of)
-    cosets = tuple(sum(1 << b for b in row) for row in ring.add_table[np.ix_(reps, members)].tolist())
+    cosets = tuple(_masks_of(ring, ring.add_table[np.ix_(reps, members)]))
     quotient = FiniteRing._trusted(
         len(reps),
         coset_of[ring.add_table[np.ix_(reps, reps)]],
@@ -118,16 +119,12 @@ def check_hom(hom: RingHom) -> bool:
         raise ValueError("map image out of target range")
     if f[src.one] != tgt.one:
         return False
-    sadd, smul = src._add, src._mul
-    tadd, tmul = tgt._add, tgt._mul
-    for a in range(src.order):
-        fa = f[a]
-        sa, sm = sadd[a], smul[a]
-        ta, tm = tadd[fa], tmul[fa]
-        for b in range(src.order):
-            if f[sa[b]] != ta[f[b]] or f[sm[b]] != tm[f[b]]:
-                return False
-    return True
+    f = np.array(f)
+    # cell (a, b) compares f(a op b) with f(a) op f(b)
+    return bool(
+        (f[src.add_table] == tgt.add_table[f][:, f]).all()
+        and (f[src.mul_table] == tgt.mul_table[f][:, f]).all()
+    )
 
 
 def kernel(hom: RingHom) -> Ideal:
@@ -178,7 +175,7 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
             f"ring order {n} exceeds endomorphism search cap {cap}; "
             f"set {ENDO_CAP_ENV} to raise it"
         )
-    add, mul = ring._add, ring._mul
+    add, mul = ring.add_table.tolist(), ring.mul_table.tolist()
     orders = [additive_order(ring, a) for a in range(n)]
     found: list[tuple[int, ...]] = []
 

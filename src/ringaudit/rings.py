@@ -1,15 +1,16 @@
 """Finite commutative rings with nonzero unity, held as dense Cayley tables.
 
 A ring here is the index set 0..order-1 together with full addition and
-multiplication tables. Every constructor that takes tables from the caller
-(FiniteRing itself, make_table_ring, make_algebra, and through them the
-table and algebra ring files) runs the complete O(order^3) axiom check:
-closure, abelian-group laws for addition, commutativity and associativity
-of multiplication, distributivity, nonzero unity. Z_n, B_k, direct products
-and quotients by ideals are rings by construction, so they skip that check
-and keep only the shape and zero/one range checks; the tests re-validate
-their output. Either way every FiniteRing instance is a genuine commutative
-unital ring. The zero ring is excluded: order >= 2 and one != zero.
+multiplication tables, two read-only numpy arrays kept in no other form.
+Every constructor that takes tables from the caller (FiniteRing itself,
+make_table_ring, make_algebra, and through them the table and algebra ring
+files) runs the complete O(order^3) axiom check: closure, abelian-group
+laws for addition, commutativity and associativity of multiplication,
+distributivity, nonzero unity. Z_n, B_k, direct products and quotients by
+ideals are rings by construction, so they skip that check and keep only the
+shape and zero/one range checks; the tests re-validate their output. Either
+way every FiniteRing instance is a genuine commutative unital ring. The
+zero ring is excluded: order >= 2 and one != zero.
 
 Instances are immutable after construction, bar one lazily filled slot for
 the ideal lattice, and are safe to share across threads.
@@ -122,8 +123,8 @@ def _check_slice(axiom: str, a: int, lhs: np.ndarray, rhs: np.ndarray) -> None:
 class FiniteRing:
     """A finite commutative ring with unity, elements indexed 0..order-1.
 
-    add_table and mul_table are read-only order x order numpy arrays;
-    element_names gives a display string per index. Identity semantics:
+    add_table and mul_table are read-only order x order numpy arrays, the
+    ring's only tables; element_names gives a display string per index. Identity semantics:
     two instances are equal only if they are the same object. Calling the
     class validates the tables; _trusted is the path for tables that form a
     ring by construction.
@@ -174,10 +175,6 @@ class FiniteRing:
             raise ValueError("element_names length must equal order")
         self.element_names = tuple(str(s) for s in element_names)
         self.source = source
-        # tuple mirrors keep the pure-python predicate loops fast
-        self._add = tuple(map(tuple, add.tolist()))
-        self._mul = tuple(map(tuple, mul.tolist()))
-        self._neg = tuple(int(v) for v in (add == self.zero).argmax(axis=1))
         self._lattice = None
 
     def _check_index(self, a: int) -> int:
@@ -186,13 +183,13 @@ class FiniteRing:
         return a
 
     def add(self, a: int, b: int) -> int:
-        return self._add[self._check_index(a)][self._check_index(b)]
+        return self.add_table.item(self._check_index(a), self._check_index(b))
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[self._check_index(a)][self._check_index(b)]
+        return self.mul_table.item(self._check_index(a), self._check_index(b))
 
     def neg(self, a: int) -> int:
-        return self._neg[self._check_index(a)]
+        return int((self.add_table[self._check_index(a)] == self.zero).argmax())
 
     def pow(self, a: int, n: int) -> int:
         """a**n by repeated multiplication; requires n >= 1."""
@@ -201,7 +198,7 @@ class FiniteRing:
             raise ValueError("exponent must be >= 1")
         acc = a
         for _ in range(n - 1):
-            acc = self._mul[acc][a]
+            acc = self.mul_table.item(acc, a)
         return acc
 
     def name(self, a: int) -> str:
@@ -216,11 +213,11 @@ class FiniteRing:
 
 def additive_order(ring: FiniteRing, a: int) -> int:
     """Order of a in the additive group of the ring."""
-    ring._check_index(a)
+    plus_a = ring.add_table[:, ring._check_index(a)].tolist()
     n = 1
     x = a
     while x != ring.zero:
-        x = ring._add[x][a]
+        x = plus_a[x]
         n += 1
     return n
 

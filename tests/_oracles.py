@@ -60,6 +60,11 @@ def is_prime_subset(ring, subset: set[int]) -> bool:
     return bool(outside) and all(ring.mul(a, b) not in subset for a in outside for b in outside)
 
 
+def is_semiprime_subset(ring, subset: set[int]) -> bool:
+    """A square lands in the subset only when its root is already in it."""
+    return all(a in subset or ring.mul(a, a) not in subset for a in range(ring.order))
+
+
 def additive_subgroups(ring, carrier: set[int]) -> set[frozenset[int]]:
     """All subsets of the carrier closed under + and containing zero."""
     elems = sorted(carrier)
@@ -73,14 +78,17 @@ def additive_subgroups(ring, carrier: set[int]) -> set[frozenset[int]]:
     return found
 
 
-def is_unital_hom(ring, mapping: tuple[int, ...]) -> bool:
-    if mapping[ring.one] != ring.one:
+def is_unital_hom(ring, mapping: tuple[int, ...], target=None) -> bool:
+    """Does the map from ring to target (ring itself by default) send one to
+    one and preserve sums and products of every pair."""
+    target = ring if target is None else target
+    if mapping[ring.one] != target.one:
         return False
     for a in range(ring.order):
         for b in range(ring.order):
-            if mapping[ring.add(a, b)] != ring.add(mapping[a], mapping[b]):
+            if mapping[ring.add(a, b)] != target.add(mapping[a], mapping[b]):
                 return False
-            if mapping[ring.mul(a, b)] != ring.mul(mapping[a], mapping[b]):
+            if mapping[ring.mul(a, b)] != target.mul(mapping[a], mapping[b]):
                 return False
     return True
 

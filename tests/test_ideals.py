@@ -10,6 +10,7 @@ import math
 import re
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from _oracles import (
     is_ideal_subset,
     is_maximal_in,
     is_prime_subset,
+    is_semiprime_subset,
     pairwise_sum,
     power_in,
 )
@@ -50,7 +52,14 @@ from ringaudit.ideals import (
     zero_ideal,
 )
 from ringaudit.quotients import quotient_ring
-from ringaudit.rings import RingAxiomError, make_algebra, make_boolean, make_product, make_zn
+from ringaudit.rings import (
+    RingAxiomError,
+    make_algebra,
+    make_boolean,
+    make_product,
+    make_table_ring,
+    make_zn,
+)
 from ringaudit.ringfile import _sc_with_unity
 
 
@@ -250,6 +259,63 @@ def test_ideal_from_members_validates():
         ideal_from_members(z6, [2, 4])
 
 
+def _relabelled_z3_squared():
+    """Z_3 x Z_3 as a table ring with shuffled indices (zero at index 4, one
+    at index 8) and each element named by its coordinates."""
+    z33 = make_product([make_zn(3), make_zn(3)])
+    position = np.array([4, 7, 1, 0, 8, 3, 6, 2, 5])  # element k sits at index position[k]
+    element = np.argsort(position)
+    return make_table_ring(
+        9,
+        position[z33.add_table[np.ix_(element, element)]],
+        position[z33.mul_table[np.ix_(element, element)]],
+        position[z33.zero], position[z33.one],
+        element_names=[z33.element_names[k] for k in element],
+    )
+
+
+@pytest.fixture(scope="module")
+def named_rings(ring_a):
+    return {"Z_6": make_zn(6), "Z_12": make_zn(12), "A": ring_a, "T": _relabelled_z3_squared()}
+
+
+# messages pinned from the member-by-member loop: the least member with a
+# violation is named, and for it the negative comes first, then a+b over the
+# members b, then a*r over the ring; each comment lists other laws broken
+NON_IDEALS = [
+    ("Z_6", [2, 4], "zero is missing"),  # also 2+4, 2*3
+    ("Z_6", [0, 1], "missing -1"),  # also 1+1, 1*2
+    ("Z_6", [0, 2, 3, 4], "2+3 escapes"),  # also 3+4
+    ("Z_6", [0, 3, 5], "3+5 escapes"),  # also -5, 5*2
+    ("Z_12", [1, 11], "zero is missing"),  # also 1+1, 1*0
+    ("Z_12", [0, 2], "missing -2"),  # also 2+2, 2*2
+    ("Z_12", [0, 4, 6], "missing -4"),  # also 4+4, 4*2
+    ("Z_12", [0, 4, 6, 8], "4+6 escapes"),  # also 6+8
+    ("Z_12", [0, 3, 4, 6, 9], "3+4 escapes"),  # also -4, 4+4, 4*2
+    ("Z_12", [0, 3, 6, 9, 10], "3+10 escapes"),  # also -10, 10+10
+    ("A", [1, 2], "zero is missing"),  # also 1+1, 1*y
+    ("A", [0, 1], "1*x escapes"),  # only products escape
+    ("A", [0, 3], "1+x*x escapes"),  # only products escape
+    ("A", [0, 1, 2], "1+x escapes"),  # also 1*y, x+1
+    ("A", [0, 1, 4], "1+y escapes"),  # also 1*x, with x before y
+    ("A", [0, 2, 5], "x+1+y escapes"),  # also (1+y)*y
+    ("T", [5, 8], "zero is missing"),  # also (2,2)+(1,1), (2,2)*(1,0)
+    ("T", [4, 8], "missing -(1,1)"),  # also (1,1)+(1,1), (1,1)*(1,0)
+    ("T", [4, 5, 8], "(2,2)*(1,0) escapes"),  # only products escape
+    ("T", [4, 5, 7, 8], "(2,2)+(0,1) escapes"),  # also (2,2)*(1,0), -(0,1)
+    ("T", [1, 2, 3, 4], "missing -(0,2)"),  # also (0,2)+(0,2), (0,2)*(0,2)
+]
+
+
+@pytest.mark.parametrize(
+    "label, subset, law", NON_IDEALS, ids=[f"{c[0]}-{c[1]}" for c in NON_IDEALS],
+)
+def test_ideal_from_members_names_the_first_violation(named_rings, label, subset, law):
+    with pytest.raises(ValueError) as err:
+        ideal_from_members(named_rings[label], subset)
+    assert str(err.value) == f"not an ideal: {law}"
+
+
 def test_parse_ideal_roundtrip(ring_a):
     m = parse_ideal(ring_a, "{0,x,y,x+y}")
     assert members(m) == {0, 2, 4, 6}
@@ -293,6 +359,27 @@ def test_is_prime_examples(ring_a):
     assert not is_prime(z6, unit_ideal(z6))  # proper required
     m = ideal_generated(ring_a, [2, 4])
     assert is_prime(ring_a, m)
+
+
+@pytest.fixture(scope="module")
+def predicate_rings(corpus):
+    """Every corpus ring and three larger ones, for the table predicates."""
+    return [*corpus, make_zn(128), make_boolean(6), make_product([make_zn(4)] * 3)]
+
+
+def test_principal_ideal_is_the_set_of_multiples(predicate_rings):
+    for ring in predicate_rings:
+        for a in ring.elements():
+            expected = {ring.mul(a, r) for r in ring.elements()}
+            assert members(principal_ideal(ring, a)) == expected, (ring.label, a)
+
+
+def test_prime_and_semiprime_match_definitional_oracles(predicate_rings):
+    for ring in predicate_rings:
+        for ideal in all_ideals(ring).ideals:
+            subset = members(ideal)
+            assert is_prime(ring, ideal) == is_prime_subset(ring, subset), (ring.label, str(ideal))
+            assert is_semiprime(ring, ideal) == is_semiprime_subset(ring, subset), (ring.label, str(ideal))
 
 
 def test_is_maximal_examples(ring_a):

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+from itertools import product as cartesian
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import brute_force_endos, quotient_tables
+from _oracles import brute_force_endos, is_unital_hom, quotient_tables
 from ringaudit.ideals import (
     Ideal,
     all_ideals,
@@ -126,6 +127,30 @@ def test_check_hom_basics():
         check_hom(RingHom(z6, z6, (0, 1)))
     with pytest.raises(ValueError, match="range"):
         check_hom(RingHom(z6, z6, (0, 1, 2, 3, 4, 17)))
+
+
+def test_check_hom_matches_oracle_on_every_small_map(corpus):
+    for ring in corpus:
+        if ring.order > 4:
+            continue
+        for mapping in cartesian(range(ring.order), repeat=ring.order):
+            expected = is_unital_hom(ring, mapping)
+            assert check_hom(RingHom(ring, ring, mapping)) == expected, (ring.label, mapping)
+
+
+def test_check_hom_matches_oracle_on_altered_projections(corpus):
+    """Maps between different rings: each corpus projection R -> R/I, and
+    each map that moves one element's image to the next coset."""
+    for ring in corpus:
+        for ideal in all_ideals(ring).ideals:
+            if not ideal.is_proper:
+                continue
+            pres = quotient_ring(ring, ideal)
+            q, f = pres.quotient, pres.projection.mapping
+            assert check_hom(pres.projection)
+            for a in ring.elements():
+                g = (*f[:a], (f[a] + 1) % q.order, *f[a + 1:])
+                assert check_hom(RingHom(ring, q, g)) == is_unital_hom(ring, g, q), (ring.label, str(ideal), a)
 
 
 def test_kernel_and_classify():

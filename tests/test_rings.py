@@ -1,6 +1,7 @@
 """Ring constructors, the axiom validator, and element arithmetic."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,19 @@ def test_tables_are_readonly():
     z6 = make_zn(6)
     with pytest.raises(ValueError):
         z6.add_table[0, 0] = 1
+
+
+def test_a_ring_holds_only_its_two_tables():
+    tracemalloc.start()
+    try:
+        ring = make_zn(1024)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two 1024x1024 int64 tables take 16 MiB; a per-cell Python copy of
+    # either would add tens of MiB more
+    assert ring.order == 1024
+    assert retained < 24 * 2**20
 
 
 def test_is_prime_int():
