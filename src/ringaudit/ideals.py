@@ -315,14 +315,26 @@ def radical(ring, ideal: Ideal) -> Ideal:
     return Ideal(ring, mask)
 
 
+_PRIME_BLOCK_CELLS = 1 << 16  # a ring of order <= 256 is one block
+
+
 def is_prime(ring, ideal: Ideal) -> bool:
-    """Proper, and xy in P forces x in P or y in P (all pairs checked)."""
+    """Proper, and xy in P forces x in P or y in P (all pairs checked).
+
+    The block of products of two outsiders is tested a few rows at a time,
+    at most _PRIME_BLOCK_CELLS cells each, so a non-prime ideal is usually
+    settled by its first rows."""
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         return False
     inside = _flags_of(ring, ideal.members)
     outside = ~inside
-    return not inside[ring.mul_table[outside][:, outside]].any()
+    step = max(1, _PRIME_BLOCK_CELLS // ring.order)
+    for start in range(0, ring.order, step):
+        rows = slice(start, start + step)
+        if inside[ring.mul_table[rows][outside[rows]][:, outside]].any():
+            return False
+    return True
 
 
 def is_maximal(ring, ideal: Ideal) -> bool:

@@ -15,8 +15,12 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import suppress
+from itertools import chain
 from math import prod
 from pathlib import Path
+
+import numpy as np
 
 from .rings import FiniteRing, make_algebra, make_boolean, make_product, make_table_ring, make_zn
 
@@ -141,17 +145,28 @@ def _table_from_document(doc: dict) -> FiniteRing:
             not isinstance(row, list) or len(row) != order for row in rows
         ):
             raise RingFileError(f"table {field} must be an {order}x{order} matrix")
-        for a, row in enumerate(rows):
-            for b, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
-                    raise RingFileError(f"table {field}[{a}][{b}] = {v!r} out of range 0..{order - 1}")
-        tables[field] = rows
+        tables[field] = _table_cells(rows, order, field)
     if not 0 <= zero < order or not 0 <= one < order:
         raise RingFileError("table zero/one index out of range")
     return make_table_ring(
         order, tables["add"], tables["mul"], zero, one,
         label=doc.get("label"), element_names=doc.get("element_names"),
     )
+
+
+def _table_cells(rows: list, order: int, field: str) -> np.ndarray:
+    """The order x order matrix as an array, once every cell is an int (not a
+    bool) in 0..order-1; a cell that is not is named by a scan run only then."""
+    if set(map(type, chain.from_iterable(rows))) == {int}:
+        with suppress(OverflowError):  # an int beyond int64 is out of range too
+            cells = np.array(rows, dtype=np.int64)
+            if cells.min() >= 0 and cells.max() < order:
+                return cells
+    for a, row in enumerate(rows):
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
+                raise RingFileError(f"table {field}[{a}][{b}] = {v!r} out of range 0..{order - 1}")
+    return np.array(rows, dtype=np.int64)  # cells of an int subclass other than bool
 
 
 def ring_from_document(doc: dict) -> FiniteRing:

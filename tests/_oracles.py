@@ -2,12 +2,19 @@
 
 Everything here is written from the definitions, against the public
 element-arithmetic API only, so it shares no code path with the engine
-under test.
+under test. The one exception is slice_loop_validate: a table that breaks
+an axiom has no ring to ask, so it is the axiom validator as it stood
+before the generator-set check, run on raw tables and raising the engine's
+RingAxiomError so that messages compare.
 """
 
 from __future__ import annotations
 
 from itertools import product as cartesian
+
+import numpy as np
+
+from ringaudit.rings import RingAxiomError
 
 
 def divisor_count(n: int) -> int:
@@ -176,3 +183,46 @@ def product_tables(factors):
         index[tuple(r.zero for r in factors)],
         index[tuple(r.one for r in factors)],
     )
+
+
+def slice_loop_validate(order: int, add, mul, zero: int, one: int) -> None:
+    """Check every commutative-unital-ring axiom on raw tables: the O(order^2)
+    laws, then each cubic law one slice a at a time over all (b, c)."""
+    add, mul = np.asarray(add), np.asarray(mul)
+    if order < 2:
+        raise ValueError("ring order must be >= 2 (the zero ring is excluded)")
+    for axiom, table in (("closure(add)", add), ("closure(mul)", mul)):
+        bad = np.argwhere((table < 0) | (table >= order))
+        if len(bad):
+            a, b = (int(v) for v in bad[0])
+            raise RingAxiomError(axiom, (a, b), f"{axiom}: entry [{a}][{b}] = {int(table[a, b])} out of range")
+    if zero == one:
+        raise RingAxiomError("nonzero-unity", (int(zero),), "unity must differ from zero")
+
+    idx = np.arange(order)
+    bad = np.argwhere(add != add.T)
+    if len(bad):
+        raise RingAxiomError("commutativity(add)", tuple(bad[0]))
+    bad = np.flatnonzero(add[zero] != idx)
+    if len(bad):
+        raise RingAxiomError("additive-identity", (bad[0],))
+    bad = np.flatnonzero(~(add == zero).any(axis=1))
+    if len(bad):
+        raise RingAxiomError("additive-inverse", (bad[0],))
+    bad = np.argwhere(mul != mul.T)
+    if len(bad):
+        raise RingAxiomError("commutativity(mul)", tuple(bad[0]))
+    bad = np.flatnonzero(mul[one] != idx)
+    if len(bad):
+        raise RingAxiomError("unity", (bad[0],))
+
+    for a in range(order):
+        for axiom, lhs, rhs in (
+            ("associativity(add)", add[add[a]], add[a][add]),
+            ("associativity(mul)", mul[mul[a]], mul[a][mul]),
+            ("distributivity", mul[a][add], add[np.ix_(mul[a], mul[a])]),
+        ):
+            differ = lhs != rhs
+            if differ.any():
+                b, c = np.argwhere(differ)[0]
+                raise RingAxiomError(axiom, (a, b, c))

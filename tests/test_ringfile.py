@@ -110,6 +110,25 @@ def test_table_rejects_out_of_range_entry():
         ring_from_document(doc)
 
 
+@pytest.mark.parametrize("cells, message", [
+    ({("mul", 1, 1): 9}, "table mul[1][1] = 9 out of range 0..1"),
+    ({("add", 1, 0): -1, ("add", 1, 1): 5}, "table add[1][0] = -1 out of range 0..1"),
+    ({("mul", 0, 1): True}, "table mul[0][1] = True out of range 0..1"),
+    ({("add", 0, 0): 0.0}, "table add[0][0] = 0.0 out of range 0..1"),
+    ({("add", 1, 1): "0"}, "table add[1][1] = '0' out of range 0..1"),
+    ({("add", 0, 1): None, ("mul", 0, 0): 7}, "table add[0][1] = None out of range 0..1"),
+    ({("mul", 1, 0): 10**30}, f"table mul[1][0] = {10**30} out of range 0..1"),
+    ({("mul", 1, 1): -(10**30)}, f"table mul[1][1] = {-(10**30)} out of range 0..1"),
+])
+def test_table_cell_errors_name_the_first_bad_cell(cells, message):
+    doc = {"kind": "table", "order": 2, "zero": 0, "one": 1, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+    for (field, a, b), value in cells.items():
+        doc[field][a][b] = value
+    with pytest.raises(RingFileError) as err:
+        ring_from_document(doc)
+    assert str(err.value) == message
+
+
 def test_table_axiom_violation_names_axiom():
     doc = {
         "kind": "table",
