@@ -52,21 +52,6 @@ from .zmodel import audit_ex2
 
 __all__ = ["CLAIM_IDS", "run_all_claims", "run_claim"]
 
-CLAIM_IDS = (
-    "THM1",
-    "PROP1",
-    "PROP2",
-    "PROP3",
-    "PROP4",
-    "PROPRAD",
-    "THM2",
-    "THM3",
-    "THM5",
-    "THM6",
-    "EX1FIELD",
-    "EX2",
-)
-
 
 def _prop1(ring: FiniteRing) -> ClaimOutcome:
     hypothesis, _ = is_pprir(ring)
@@ -189,6 +174,8 @@ _PER_RING_CHECKERS = {
     "THM6": _thm6,
     "EX1FIELD": _ex1field,
 }
+
+CLAIM_IDS = (*_PER_RING_CHECKERS, "EX2")
 
 
 def run_claim(claim: str, corpus: Corpus) -> list[ClaimReport]:

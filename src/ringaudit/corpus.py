@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ringfile import RingFileError, _sc_with_unity, load_ring_file
-from .rings import FiniteRing, make_algebra, make_boolean, make_product, make_zn
+from .ringfile import RingFileError, load_ring_file, ring_from_document
+from .rings import FiniteRing
 
-__all__ = ["Corpus", "default_corpus", "load_corpus"]
+__all__ = ["DOCUMENTS", "Corpus", "default_corpus", "load_corpus"]
 
 
 @dataclass(frozen=True)
@@ -36,54 +36,33 @@ class Corpus:
         raise KeyError(label)
 
 
-def _algebra_rings() -> list[FiniteRing]:
+# The corpus in docs/ring_format.md notation; ring_from_document builds each
+# ring, validating the algebras' tables as it does those of any ring file.
+DOCUMENTS = (
+    *({"kind": "zn", "n": n} for n in range(2, 65)),
+    *({"kind": "boolean", "atoms": k} for k in range(1, 5)),
+    *({"kind": "product", "factors": [{"kind": "zn", "n": n} for n in ns]}
+      for ns in ((2, 3), (2, 4), (4, 9), (2, 2, 2))),
     # A = F2[x,y] modulo all degree-2 monomials: x^2 = xy = y^2 = 0
-    ring_a = make_algebra(
-        2, 3,
-        _sc_with_unity(3, {(1, 1): (0, 0, 0), (1, 2): (0, 0, 0), (2, 2): (0, 0, 0)}),
-        basis_names=("1", "x", "y"),
-        label="A=F2[x,y]/(x,y)^2",
-    )
-    f4 = make_algebra(
-        2, 2,
-        _sc_with_unity(2, {(1, 1): (1, 1)}),  # x^2 = 1 + x
-        basis_names=("1", "x"),
-        label="F_4",
-    )
-    f2_dual = make_algebra(
-        2, 2,
-        _sc_with_unity(2, {(1, 1): (0, 0)}),
-        basis_names=("1", "x"),
-        label="F2[x]/(x^2)",
-    )
-    f3_dual = make_algebra(
-        3, 2,
-        _sc_with_unity(2, {(1, 1): (0, 0)}),
-        basis_names=("1", "x"),
-        label="F3[x]/(x^2)",
-    )
+    {
+        "kind": "algebra", "label": "A=F2[x,y]/(x,y)^2", "p": 2, "basis_names": ["1", "x", "y"],
+        "mul": {"x*x": "0", "x*y": "0", "y*y": "0"},
+    },
+    {"kind": "algebra", "label": "F_4", "p": 2, "basis_names": ["1", "x"], "mul": {"x*x": "1+x"}},
+    {"kind": "algebra", "label": "F2[x]/(x^2)", "p": 2, "basis_names": ["1", "x"], "mul": {"x*x": "0"}},
+    {"kind": "algebra", "label": "F3[x]/(x^2)", "p": 3, "basis_names": ["1", "x"], "mul": {"x*x": "0"}},
     # basis (1, x, x2) with x * x = x2 and everything of degree >= 3 zero
-    f2_cubic = make_algebra(
-        2, 3,
-        _sc_with_unity(3, {(1, 1): (0, 0, 1), (1, 2): (0, 0, 0), (2, 2): (0, 0, 0)}),
-        basis_names=("1", "x", "x2"),
-        label="F2[x]/(x^3)",
-    )
-    return [ring_a, f4, f2_dual, f3_dual, f2_cubic]
+    {
+        "kind": "algebra", "label": "F2[x]/(x^3)", "p": 2, "basis_names": ["1", "x", "x2"],
+        "mul": {"x*x": "x2", "x*x2": "0", "x2*x2": "0"},
+    },
+)
 
 
 def default_corpus() -> Corpus:
     """The desk-scale audit corpus: 63 modular rings, 4 Boolean rings,
-    4 direct products, 5 small algebras (76 rings)."""
-    rings: list[FiniteRing] = []
-    rings.extend(make_zn(n) for n in range(2, 65))
-    rings.extend(make_boolean(k) for k in range(1, 5))
-    rings.append(make_product([make_zn(2), make_zn(3)]))
-    rings.append(make_product([make_zn(2), make_zn(4)]))
-    rings.append(make_product([make_zn(4), make_zn(9)]))
-    rings.append(make_product([make_zn(2), make_zn(2), make_zn(2)]))
-    rings.extend(_algebra_rings())
-    return Corpus(tuple(rings))
+    4 direct products, 5 small algebras (76 rings), built from DOCUMENTS."""
+    return Corpus(tuple(ring_from_document(d) for d in DOCUMENTS))
 
 
 def load_corpus(directory) -> Corpus:

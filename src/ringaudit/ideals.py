@@ -15,6 +15,7 @@ wherever a witness is chosen it is the first candidate in canonical order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, Optional
@@ -153,16 +154,19 @@ def parse_ideal(ring, text: str) -> Ideal:
     body = text.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise ValueError(f"ideal literal must be brace-delimited, got {text!r}")
-    body = body[1:-1]
+    body = body[1:-1].rstrip()
     lookup = {name: i for i, name in enumerate(ring.element_names)}
-    members = []
-    for tok in body.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok not in lookup:
-            raise ValueError(f"unknown element name {tok!r} in {ring.label}")
-        members.append(lookup[tok])
+    # names such as "(0,1)" and "{1,2}" hold commas, so a member is the
+    # longest name followed by a comma or the end, not a comma-split token
+    names = "|".join(map(re.escape, sorted(lookup, key=len, reverse=True)))
+    member = re.compile(rf"\s*({names})\s*(?:,|$)")
+    members, pos = [], 0
+    while pos < len(body):
+        m = member.match(body, pos)
+        if m is None:
+            raise ValueError(f"unknown element name at {body[pos:].strip()!r} in {ring.label}")
+        members.append(lookup[m.group(1)])
+        pos = m.end()
     return ideal_from_members(ring, members)
 
 

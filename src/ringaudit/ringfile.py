@@ -148,9 +148,15 @@ def _table_from_document(doc: dict) -> FiniteRing:
         tables[field] = _table_cells(rows, order, field)
     if not 0 <= zero < order or not 0 <= one < order:
         raise RingFileError("table zero/one index out of range")
+    names = doc.get("element_names")
+    if "element_names" in doc and not (
+        isinstance(names, list) and len(names) == order
+        and all(isinstance(name, str) for name in names) and len(set(names)) == order
+    ):
+        raise RingFileError(f"table element_names must be a list of {order} distinct strings")
     return make_table_ring(
         order, tables["add"], tables["mul"], zero, one,
-        label=doc.get("label"), element_names=doc.get("element_names"),
+        label=doc.get("label"), element_names=names,
     )
 
 
@@ -173,6 +179,8 @@ def ring_from_document(doc: dict) -> FiniteRing:
     """Build a validated ring from a parsed document."""
     if not isinstance(doc, dict):
         raise RingFileError("ring document must be a JSON object")
+    if not isinstance(doc.get("label", ""), str):
+        raise RingFileError("ring document label must be a string")
     kind = doc.get("kind")
     if kind == "zn":
         n = _int_field(doc, "n", "zn")
@@ -206,10 +214,11 @@ def load_ring_file(path) -> FiniteRing:
     """Read one JSON ring document from disk."""
     text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        return ring_from_document(json.loads(text))
     except json.JSONDecodeError as exc:
         raise RingFileError(f"{path}: not valid JSON ({exc})") from exc
-    return ring_from_document(doc)
+    except RecursionError as exc:  # from json.loads, or from the product factors
+        raise RingFileError(f"{path}: document is nested too deeply") from exc
 
 
 def document_for(ring: FiniteRing) -> dict:

@@ -189,6 +189,10 @@ class FiniteRing:
     class validates the tables; _trusted is the path for tables that form a
     ring by construction.
 
+    source is the ring document a package constructor attached, which
+    ringfile.document_for writes back; rings built from caller tables keep
+    None, so a caller cannot make a ring describe another.
+
     _lattice is the one lazily filled slot, where ideals.all_ideals keeps the
     ring's IdealLattice; threads racing to fill it recompute the same value.
     """
@@ -202,9 +206,8 @@ class FiniteRing:
         one: int,
         label: str = "ring",
         element_names=None,
-        source: dict | None = None,
     ):
-        self._fill(order, add_table, mul_table, zero, one, label, element_names, source, validate=True)
+        self._fill(order, add_table, mul_table, zero, one, label, element_names, None, validate=True)
 
     @classmethod
     def _trusted(cls, order, add_table, mul_table, zero, one, label, element_names=None, source=None):
@@ -385,7 +388,12 @@ def make_algebra(p: int, dim: int, sc, basis_names=None, label: str | None = Non
     add = ((vecs[:, None, :] + vecs[None, :, :]) % p) @ powers
     mul = (np.einsum("ai,bj,ijk->abk", vecs, vecs, sc) % p) @ powers
     names = [_combo_name(v, basis_names) for v in vecs]
-    source = {
+    ring = FiniteRing(
+        order, add, mul, 0, 1,
+        label=label or f"F{p}-algebra(dim={dim})",
+        element_names=names,
+    )
+    ring.source = {
         "kind": "algebra",
         "p": int(p),
         "basis_names": list(basis_names),
@@ -395,12 +403,7 @@ def make_algebra(p: int, dim: int, sc, basis_names=None, label: str | None = Non
             for j in range(i, dim)
         },
     }
-    return FiniteRing(
-        order, add, mul, 0, 1,
-        label=label or f"F{p}-algebra(dim={dim})",
-        element_names=names,
-        source=source,
-    )
+    return ring
 
 
 def make_table_ring(

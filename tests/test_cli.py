@@ -76,6 +76,36 @@ def test_oversized_ring_file_exits_2(tmp_path, capsys, doc, reason):
     assert reason in capsys.readouterr().err
 
 
+Z3_TABLE = {
+    "kind": "table", "order": 3, "zero": 0, "one": 1,
+    "add": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
+}
+NAMES_ERROR = "table element_names must be a list of 3 distinct strings"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (json.dumps({**Z3_TABLE, "element_names": 5}), NAMES_ERROR),
+        (json.dumps({**Z3_TABLE, "element_names": "xyz"}), NAMES_ERROR),
+        (json.dumps({**Z3_TABLE, "element_names": ["a", "a", "b"]}), NAMES_ERROR),
+        (json.dumps({**Z3_TABLE, "element_names": ["a", "b", 2]}), NAMES_ERROR),
+        (json.dumps({"kind": "zn", "n": 6, "label": 7}), "ring document label must be a string"),
+        (json.dumps({"kind": "product", "factors": [{"kind": "zn", "n": 2, "label": None}]}),
+         "ring document label must be a string"),
+        ('{"kind": "product", "factors": [' * 5000 + '{"kind": "zn", "n": 2}' + "]}" * 5000,
+         "document is nested too deeply"),
+    ],
+    ids=["names-int", "names-str", "names-duplicate", "names-non-str", "label-int", "factor-label-null", "deep"],
+)
+def test_malformed_ring_file_exits_2(tmp_path, capsys, text, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["describe", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+
+
 def test_ideals_text_and_json(z6_file, capsys):
     assert main(["ideals", z6_file]) == 0
     out = capsys.readouterr().out

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from ringaudit.corpus import Corpus, default_corpus, load_corpus
-from ringaudit.ringfile import RingFileError
+from ringaudit.corpus import DOCUMENTS, Corpus, default_corpus, load_corpus
+from ringaudit.ringfile import RingFileError, document_for
 from ringaudit.rings import make_zn
 
 
@@ -19,6 +19,11 @@ def test_corpus_size_and_composition(corpus):
         "Z_2xZ_3", "Z_2xZ_4", "Z_4xZ_9", "Z_2xZ_2xZ_2",
     ]
     assert labels[-5:] == ["A=F2[x,y]/(x,y)^2", "F_4", "F2[x]/(x^2)", "F3[x]/(x^2)", "F2[x]/(x^3)"]
+
+
+def test_corpus_rings_write_back_their_documents(corpus):
+    for doc, ring in zip(DOCUMENTS, corpus, strict=True):
+        assert document_for(ring) == {**doc, "label": ring.label}
 
 
 def test_corpus_ring_a_shape(ring_a):

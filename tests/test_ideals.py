@@ -324,6 +324,13 @@ def test_parse_ideal_roundtrip(ring_a):
         parse_ideal(ring_a, "{0,q}")
 
 
+def test_every_ideal_literal_parses_back(corpus):
+    # product and Boolean element names such as "(0,1)" and "{1,2}" hold commas
+    for ring in (*corpus, make_boolean(5), make_product([make_boolean(2), make_zn(4)])):
+        for ideal in all_ideals(ring).ideals:
+            assert parse_ideal(ring, str(ideal)).members == ideal.members, (ring.label, str(ideal))
+
+
 # === radical ===
 
 def test_radical_examples():

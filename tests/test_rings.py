@@ -344,6 +344,12 @@ def test_only_caller_tables_are_validated(monkeypatch):
             assert len(calls) == expected, name
 
 
+def test_caller_tables_cannot_carry_a_source_document():
+    z2 = make_zn(2)
+    with pytest.raises(TypeError):
+        FiniteRing(2, z2.add_table, z2.mul_table, 0, 1, source={"kind": "zn", "n": 7})
+
+
 # === the generator-set validator against the slice loop it replaced ===
 
 def assert_same_verdict(order, add, mul, zero, one):
