@@ -13,6 +13,7 @@ import sys
 from .claims import CLAIM_IDS, run_all_claims, run_claim
 from .corpus import default_corpus, load_corpus
 from .ideals import (
+    _match_elements,
     all_ideals,
     classify_ring,
     ideal_generated,
@@ -42,20 +43,18 @@ __all__ = ["main"]
 
 
 def _parse_elements(ring, text: str) -> list[int]:
-    """Comma-separated element indices or names (names must be comma-free)."""
-    lookup = {name: i for i, name in enumerate(ring.element_names)}
+    """Comma-separated element names or indices; a name wins over an index."""
     out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok in lookup:
-            out.append(lookup[tok])
-        else:
+    for index, rest in _match_elements(ring, text):
+        if index is None:
+            tok = rest.split(",", 1)[0].strip()
+            if not tok:
+                continue
             try:
-                out.append(int(tok))
+                index = int(tok)
             except ValueError:
                 raise ValueError(f"unknown element {tok!r} in {ring.label}") from None
+        out.append(index)
     return out
 
 

@@ -154,20 +154,32 @@ def parse_ideal(ring, text: str) -> Ideal:
     body = text.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise ValueError(f"ideal literal must be brace-delimited, got {text!r}")
-    body = body[1:-1].rstrip()
+    members = []
+    for index, rest in _match_elements(ring, body[1:-1].rstrip()):
+        if index is None:
+            raise ValueError(f"unknown element name at {rest.strip()!r} in {ring.label}")
+        members.append(index)
+    return ideal_from_members(ring, members)
+
+
+def _match_elements(ring, text: str):
+    """Split a comma-separated list of element names, yielding for each
+    member its index and the text from it on. Names such as "(0,1)" and
+    "{1,2}" hold commas, so a member is the longest name followed by a comma
+    or the end, not a comma-split token; where no name matches, the index is
+    None and the member runs to the next comma."""
     lookup = {name: i for i, name in enumerate(ring.element_names)}
-    # names such as "(0,1)" and "{1,2}" hold commas, so a member is the
-    # longest name followed by a comma or the end, not a comma-split token
     names = "|".join(map(re.escape, sorted(lookup, key=len, reverse=True)))
     member = re.compile(rf"\s*({names})\s*(?:,|$)")
-    members, pos = [], 0
-    while pos < len(body):
-        m = member.match(body, pos)
-        if m is None:
-            raise ValueError(f"unknown element name at {body[pos:].strip()!r} in {ring.label}")
-        members.append(lookup[m.group(1)])
-        pos = m.end()
-    return ideal_from_members(ring, members)
+    pos = 0
+    while pos < len(text):
+        m = member.match(text, pos)
+        if m:
+            yield lookup[m.group(1)], text[pos:]
+            pos = m.end()
+        else:
+            yield None, text[pos:]
+            pos = text.find(",", pos) + 1 or len(text)  # past the next comma
 
 
 def zero_ideal(ring) -> Ideal:

@@ -8,7 +8,9 @@ projection is a surjective homomorphism and its kernel is the ideal, so
 none of that is re-verified (the tests do it for every corpus quotient).
 Homomorphisms are total index maps; a map given by the caller is trusted
 only once check_hom has verified the preservation laws exhaustively, while
-endomorphisms returns maps that forced closure already made homomorphisms.
+endomorphisms returns maps that are homomorphisms by construction: each is
+written additively from the images of an additive generating set that
+preserve the generators' products (the proof is in its docstring).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .ideals import (
     is_pprir,
 )
 from .reports import REFUTED, SKIPPED, VERIFIED, ClaimOutcome
-from .rings import FiniteRing, additive_order
+from .rings import FiniteRing
 
 __all__ = [
     "DEFAULT_ENDO_CAP",
@@ -156,16 +158,34 @@ def endomorphism_cap() -> int:
 
 
 def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
-    """All unital ring endomorphisms, by backtracking with forced closure.
+    """All unital ring endomorphisms, in increasing order of their mappings,
+    by a search over the images of an additive generating set.
 
-    Each partial assignment is closed under both preservation laws before
-    it branches, by a worklist: every newly assigned element is paired once
-    with every assigned element, itself included, and the images this forces
-    are assigned in turn; a conflict prunes the branch. The forced closure
-    is unique, so the order of the worklist cannot change the maps found.
-    Candidate images must have additive order dividing the preimage's
-    additive order. Rings larger than the cap are rejected; set
-    RINGAUDIT_ENDO_CAP to raise it.
+    Generators: s_1 = one, and each later s_i is the first index outside the
+    subgroup H_{i-1} reached so far (H_0 = {zero}); each at least doubles it,
+    so there are at most log2(order) + 1. c_i is the least m > 0 with
+    m*s_i in H_{i-1}, and b_i = c_i*s_i. Layer i lists each element of H_i
+    outside H_{i-1} once, as h + m*s_i with h in H_{i-1} and 1 <= m < c_i.
+    The search branches on v_i = f(s_i): v_1 = one, and each later v_i runs
+    over the v with c_i*v = f(b_i). Layer i is written as
+    f(h + m*s_i) = f(h) + m*v_i, and f(s_a)f(s_b) = f(s_a*s_b) is checked
+    for each generator pair as soon as its three values are known; a
+    failure prunes the branch. A complete map costs O(order) to write.
+
+    Why the maps found are exactly the unital endomorphisms:
+      - None is missed: every unital homomorphism f has f(s_1) = one,
+        c_i*f(s_i) = f(b_i) and f(s_a)f(s_b) = f(s_a*s_b), and, being
+        additive, it is the map written from its v_i.
+      - Additive: (h, m) -> h + m*s_i maps H_{i-1} x Z onto H_i with kernel
+        {(-m*s_i, m) : m in c_i*Z}, since {m : m*s_i in H_{i-1}} = c_i*Z. If
+        f is additive on H_{i-1}, (h, m) -> f(h) + m*v_i is additive and
+        vanishes on that kernel as c_i*v_i = f(b_i), so the extension to H_i
+        is well defined and additive.
+      - Multiplicative, by bilinearity: for x = sum m_a*s_a and
+        y = sum n_b*s_b, f(xy) = sum m_a*n_b*f(s_a*s_b) = f(x)f(y).
+      - Unital, since v_1 = one.
+    Rings larger than the cap are rejected; set RINGAUDIT_ENDO_CAP to raise
+    it.
     """
     if cap is None:
         cap = endomorphism_cap()
@@ -176,54 +196,64 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
             f"set {ENDO_CAP_ENV} to raise it"
         )
     add, mul = ring.add_table.tolist(), ring.mul_table.tolist()
-    orders = [additive_order(ring, a) for a in range(n)]
+    level: list[int | None] = [None] * n  # the layer of each reached element
+    level[ring.zero] = 0
+    reached, gens, layers = [ring.zero], [], []  # layers[i]: c_i, b_i, [(x, x - s_i)]
+    s = ring.one
+    while s is not None:
+        layer, row = [], reached
+        # row_next[0] is m*s, as reached[0] is zero; m = c_i ends the loop
+        while level[(row_next := [add[x][s] for x in row])[0]] is None:
+            layer += zip(row_next, row)
+            row = row_next
+        for x, _ in layer:
+            level[x] = len(layers)
+        gens.append(s)
+        layers.append((len(layer) // len(reached) + 1, row_next[0], layer))
+        reached = reached + [x for x, _ in layer]
+        s = level.index(None) if len(reached) < n else None
+    # a pair is checked at the layer of its later factor or of its product,
+    # whichever is later: before writing it if the product lies below it
+    checks = [([], []) for _ in gens]
+    for j, sb in enumerate(gens):
+        for sa in gens[:j + 1]:
+            x = mul[sa][sb]
+            i = max(j, level[x])
+            checks[i][level[x] == i].append((sa, sb, x))
+    candidates: dict[int, dict[int, list[int]]] = {}  # c -> c*v -> [v]
+    for c in {c for c, _, _ in layers[1:]}:
+        multiple = [ring.zero] * n
+        for _ in range(c):
+            multiple = [add[w][v] for v, w in enumerate(multiple)]
+        candidates[c] = {}
+        for v, w in enumerate(multiple):
+            candidates[c].setdefault(w, []).append(v)
+
+    f = [ring.zero] * n
     found: list[tuple[int, ...]] = []
 
-    def close(assign: list[int], known: list[int], todo: list[int]) -> bool:
-        """Assign every image forced by pairs that involve an element of
-        todo; False on a conflict."""
-        while todo:
-            a = todo.pop()
-            va = assign[a]
-            arow, mrow = add[a], mul[a]
-            varow, vmrow = add[va], mul[va]
-            # elements assigned in this loop are on todo and meet a later
-            for b in known[:]:
-                vb = assign[b]
-                for c, v in ((arow[b], varow[vb]), (mrow[b], vmrow[vb])):
-                    w = assign[c]
-                    if w == v:
-                        continue
-                    if w >= 0:
-                        return False
-                    assign[c] = v
-                    known.append(c)
-                    todo.append(c)
-        return True
-
-    def extend(assign: list[int], known: list[int], todo: list[int]) -> None:
-        if not close(assign, known, todo):
+    def extend(i: int) -> None:
+        if i == len(layers):
+            found.append(tuple(f))
             return
-        if len(known) == n:
-            found.append(tuple(assign))
-            return
-        e = assign.index(-1)
-        for v in range(n):
-            if orders[e] % orders[v] == 0:
-                branch = list(assign)
-                branch[e] = v
-                extend(branch, [*known, e], [e])
+        c, b, layer = layers[i]
+        before, after = checks[i]
+        for v in candidates[c].get(f[b], ()):
+            f[gens[i]] = v
+            if not all(mul[f[sa]][f[sb]] == f[x] for sa, sb, x in before):
+                continue
+            for x, prev in layer:
+                f[x] = add[f[prev]][v]
+            if all(mul[f[sa]][f[sb]] == f[x] for sa, sb, x in after):
+                extend(i + 1)
 
-    start = [-1] * n
-    start[ring.zero] = ring.zero
-    start[ring.one] = ring.one
-    extend(start, [ring.zero, ring.one], [ring.zero, ring.one])
-
-    # close() has paired every two assigned elements under both laws, so
-    # each complete assignment found is a homomorphism. Sibling branches
-    # agree below the least unassigned index e and give e increasing images,
-    # so the maps come out distinct and in increasing order.
-    return [RingHom(ring, ring, f) for f in found]
+    # v_1 = one fixes layer 0, the multiples of one; its one check,
+    # one*one = one, holds
+    for x, prev in layers[0][2]:
+        f[x] = add[f[prev]][ring.one]
+    extend(1)
+    found.sort()
+    return [RingHom(ring, ring, m) for m in found]
 
 
 def audit_thm1(ring: FiniteRing) -> ClaimOutcome:

@@ -30,7 +30,8 @@ RING_KINDS = ("zn", "boolean", "product", "algebra", "table")
 
 MAX_ORDER = 2048  # largest ring a file may describe; tables take O(order^2) memory
 
-_TERM = re.compile(r"^(\d+)?([A-Za-z_][A-Za-z_0-9]*)?$")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a non-unity basis name
+_TERM = re.compile(rf"^(\d+)?({_NAME.pattern})?$")
 
 
 class RingFileError(ValueError):
@@ -88,7 +89,12 @@ def _algebra_from_document(doc: dict) -> FiniteRing:
     basis_names = _require(doc, "basis_names", "algebra")
     if not isinstance(basis_names, list) or len(basis_names) < 1:
         raise RingFileError("algebra basis_names must be a nonempty list")
-    basis_names = [str(s) for s in basis_names]
+    if not all(isinstance(name, str) for name in basis_names):
+        raise RingFileError("algebra basis_names must be strings")
+    for name in basis_names[1:]:
+        # element names such as "1+2x" must read back as combinations
+        if not _NAME.fullmatch(name):
+            raise RingFileError(f"algebra basis name {name!r} must match {_NAME.pattern}")
     dim = len(basis_names)
     _check_order("algebra ring", p, dim)
     mul_map = _require(doc, "mul", "algebra")

@@ -2,10 +2,12 @@
 
 Everything here is written from the definitions, against the public
 element-arithmetic API only, so it shares no code path with the engine
-under test. The one exception is slice_loop_validate: a table that breaks
-an axiom has no ring to ask, so it is the axiom validator as it stood
-before the generator-set check, run on raw tables and raising the engine's
-RingAxiomError so that messages compare.
+under test. There are two exceptions. slice_loop_validate: a table that
+breaks an axiom has no ring to ask, so it is the axiom validator as it
+stood before the generator-set check, run on raw tables and raising the
+engine's RingAxiomError so that messages compare. closure_endomorphisms is
+the endomorphism search as it stood before the generator-image search,
+kept as the reference that search must match map for map.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import product as cartesian
 
 import numpy as np
 
-from ringaudit.rings import RingAxiomError
+from ringaudit.rings import RingAxiomError, additive_order
 
 
 def divisor_count(n: int) -> int:
@@ -109,6 +111,65 @@ def brute_force_endos(ring) -> set[tuple[int, ...]]:
         for mapping in cartesian(range(ring.order), repeat=ring.order)
         if is_unital_hom(ring, mapping)
     }
+
+
+def closure_endomorphisms(ring) -> list[tuple[int, ...]]:
+    """Every unital endomorphism's mapping, in increasing order, by the
+    backtracking search with forced closure that the engine used before its
+    generator-image search: each partial assignment is closed under both
+    preservation laws by pairing every newly assigned element with every
+    assigned one, and a conflict prunes the branch. Kept as it stood, minus
+    the order cap, returning the mappings."""
+    n = ring.order
+    add, mul = ring.add_table.tolist(), ring.mul_table.tolist()
+    orders = [additive_order(ring, a) for a in range(n)]
+    found: list[tuple[int, ...]] = []
+
+    def close(assign: list[int], known: list[int], todo: list[int]) -> bool:
+        """Assign every image forced by pairs that involve an element of
+        todo; False on a conflict."""
+        while todo:
+            a = todo.pop()
+            va = assign[a]
+            arow, mrow = add[a], mul[a]
+            varow, vmrow = add[va], mul[va]
+            # elements assigned in this loop are on todo and meet a later
+            for b in known[:]:
+                vb = assign[b]
+                for c, v in ((arow[b], varow[vb]), (mrow[b], vmrow[vb])):
+                    w = assign[c]
+                    if w == v:
+                        continue
+                    if w >= 0:
+                        return False
+                    assign[c] = v
+                    known.append(c)
+                    todo.append(c)
+        return True
+
+    def extend(assign: list[int], known: list[int], todo: list[int]) -> None:
+        if not close(assign, known, todo):
+            return
+        if len(known) == n:
+            found.append(tuple(assign))
+            return
+        e = assign.index(-1)
+        for v in range(n):
+            if orders[e] % orders[v] == 0:
+                branch = list(assign)
+                branch[e] = v
+                extend(branch, [*known, e], [e])
+
+    start = [-1] * n
+    start[ring.zero] = ring.zero
+    start[ring.one] = ring.one
+    extend(start, [ring.zero, ring.one], [ring.zero, ring.one])
+
+    # close() has paired every two assigned elements under both laws, so
+    # each complete assignment found is a homomorphism. Sibling branches
+    # agree below the least unassigned index e and give e increasing images,
+    # so the maps come out distinct and in increasing order.
+    return found
 
 
 def power_in(ring, y: int, ideal_members: set[int]) -> bool:

@@ -81,6 +81,7 @@ Z3_TABLE = {
     "add": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
 }
 NAMES_ERROR = "table element_names must be a list of 3 distinct strings"
+X_SQUARED_ZERO = {"kind": "algebra", "p": 3, "basis_names": ["1", "x"], "mul": {"x*x": "0"}}
 
 
 @pytest.mark.parametrize(
@@ -95,8 +96,16 @@ NAMES_ERROR = "table element_names must be a list of 3 distinct strings"
          "ring document label must be a string"),
         ('{"kind": "product", "factors": [' * 5000 + '{"kind": "zn", "n": 2}' + "]}" * 5000,
          "document is nested too deeply"),
+        (json.dumps({**X_SQUARED_ZERO, "basis_names": [1, "x"]}), "algebra basis_names must be strings"),
+        (json.dumps({**X_SQUARED_ZERO, "basis_names": ["1", "2x"], "mul": {"2x*2x": "0"}}),
+         "algebra basis name '2x' must match [A-Za-z_][A-Za-z_0-9]*"),
+        (json.dumps({**X_SQUARED_ZERO, "basis_names": ["1", "x y"], "mul": {"x y*x y": "0"}}),
+         "algebra basis name 'x y' must match"),
     ],
-    ids=["names-int", "names-str", "names-duplicate", "names-non-str", "label-int", "factor-label-null", "deep"],
+    ids=[
+        "names-int", "names-str", "names-duplicate", "names-non-str", "label-int", "factor-label-null", "deep",
+        "basis-int", "basis-2x", "basis-space",
+    ],
 )
 def test_malformed_ring_file_exits_2(tmp_path, capsys, text, reason):
     path = tmp_path / "bad.json"
@@ -142,6 +151,19 @@ def test_classify_ideal_by_name(z12_file, capsys):
     assert main(["classify-ideal", z12_file, "--elements", "2, 3"]) == 0
     out = capsys.readouterr().out
     assert "proper: False" in out
+
+
+@pytest.mark.parametrize("ringfile, elements, ideal", [
+    ("z2xz3.json", "(1,0)", "{(0,0),(1,0)}"),
+    ("b2.json", "{1,2}", "{{},{1},{2},{1,2}}"),
+    ("b2.json", "{1}, ,", "{{},{1}}"),
+    ("z2xz3.json", "(0,1), 3", "{(0,0),(0,1),(0,2),(1,0),(1,1),(1,2)}"),
+])
+def test_classify_ideal_names_holding_commas(ringfile, elements, ideal, capsys):
+    # product and Boolean names hold commas; a token naming no element is an index
+    path = Path(__file__).resolve().parents[1] / "rings" / ringfile
+    assert main(["classify-ideal", str(path), "--elements", elements]) == 0
+    assert f"ideal: {ideal}\n" in capsys.readouterr().out
 
 
 def test_classify_ideal_unknown_element(z12_file, capsys):

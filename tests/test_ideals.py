@@ -12,7 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -29,6 +29,7 @@ from _oracles import (
     pairwise_sum,
     power_in,
 )
+from _strategies import fp_algebras
 from ringaudit.ideals import (
     Ideal,
     all_ideals,
@@ -53,14 +54,11 @@ from ringaudit.ideals import (
 )
 from ringaudit.quotients import quotient_ring
 from ringaudit.rings import (
-    RingAxiomError,
-    make_algebra,
     make_boolean,
     make_product,
     make_table_ring,
     make_zn,
 )
-from ringaudit.ringfile import _sc_with_unity
 
 
 def members(ideal):
@@ -204,20 +202,6 @@ def assert_classification_matches_oracles(ring):
         all(first_generator(ring, p) is not None for p in primes),
     )
     assert (flags.is_domain, flags.is_field, flags.is_boolean, flags.is_pprir) == expected, ring.label
-
-
-@st.composite
-def fp_algebras(draw):
-    """A commutative F_p-algebra from random structure constants, kept only
-    when the products it defines satisfy the ring axioms."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    dim = draw(st.integers(2, 3))
-    coefficients = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
-    entries = {(i, j): draw(coefficients) for i in range(1, dim) for j in range(i, dim)}
-    try:
-        return make_algebra(p, dim, _sc_with_unity(dim, entries))
-    except RingAxiomError:
-        assume(False)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import runpy
 from itertools import product as cartesian
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import brute_force_endos, is_unital_hom, quotient_tables
+from _oracles import brute_force_endos, closure_endomorphisms, is_unital_hom, quotient_tables
+from _strategies import fp_algebras
 from ringaudit.ideals import (
     Ideal,
     all_ideals,
@@ -30,7 +34,9 @@ from ringaudit.quotients import (
     quotient_ring,
 )
 from ringaudit.reports import REFUTED, SKIPPED, VERIFIED
-from ringaudit.rings import make_boolean, make_product, make_zn, validate_tables
+from ringaudit.rings import make_boolean, make_product, make_table_ring, make_zn, validate_tables
+
+CLOSED_FORMS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "closed_forms.py"))
 
 
 def test_quotient_z6_by_2_is_z2():
@@ -252,6 +258,48 @@ def test_endomorphisms_all_pass_check_hom(corpus):
         assert tuple(range(ring.order)) in {h.mapping for h in homs}
         for hom in homs:
             assert check_hom(hom)
+
+
+@st.composite
+def endo_rings(draw):
+    """A random F_p algebra, its product with Z_2, Z_3 or Z_4, or its
+    quotient by a proper ideal, maybe as a relabelled table copy so that
+    the additive generators need not follow index order."""
+    ring = draw(fp_algebras())
+    form = draw(st.sampled_from(("algebra", "product", "quotient")))
+    if form == "product":
+        ring = make_product([ring, make_zn(draw(st.sampled_from((2, 3, 4))))])
+    elif form == "quotient":
+        proper = [ideal for ideal in all_ideals(ring).ideals if ideal.is_proper]
+        ring = quotient_ring(ring, draw(st.sampled_from(proper))).quotient
+    if draw(st.booleans()):
+        position = np.array(draw(st.permutations(range(ring.order))))  # element k sits at position[k]
+        element = np.argsort(position)
+        ring = make_table_ring(
+            ring.order,
+            position[ring.add_table[np.ix_(element, element)]],
+            position[ring.mul_table[np.ix_(element, element)]],
+            position[ring.zero], position[ring.one],
+        )
+    return ring
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(endo_rings())
+def test_endomorphisms_match_closure_search(ring):
+    homs = endomorphisms(ring, cap=ring.order)
+    assert [h.mapping for h in homs] == closure_endomorphisms(ring)
+    assert all(check_hom(hom) for hom in homs)
+
+
+@pytest.mark.parametrize("build, primes, count", [
+    (lambda: make_boolean(5), (2,) * 5, 5**5),
+    (lambda: make_product([make_zn(2)] * 4 + [make_zn(3)]), (2, 2, 2, 2, 3), 4**4),
+], ids=["B_5", "Z_2^4xZ_3"])
+def test_endomorphism_counts_match_closed_form(build, primes, count):
+    ring = build()
+    assert CLOSED_FORMS["field_product_endomorphism_count"](primes) == count
+    assert len(endomorphisms(ring, cap=ring.order)) == count
 
 
 def test_endomorphism_cap_and_override(monkeypatch):
