@@ -1,7 +1,9 @@
 """Walk the full ideal lattice of a ring and classify every ideal.
 
-The lattice is computed by closing the set of principal ideals under
-pairwise sums, which is exhaustive for finite rings. Run:
+The lattice is computed one local factor eR at a time, for the primitive
+idempotents e: the principal ideals inside eR are closed under pairwise
+sums, which is exhaustive for finite rings, and one ideal per factor is
+combined into an ideal of the whole ring. Run:
 
     python3 demos/02_ideal_lattices.py
 """

@@ -142,7 +142,7 @@ def _cmd_quotient(args) -> int:
             "quotient": q.label,
             "order": q.order,
             "cosets": [
-                sorted(ring.element_names[b] for b in range(ring.order) if mask >> b & 1)
+                [ring.element_names[b] for b in range(ring.order) if mask >> b & 1]
                 for mask in pres.cosets
             ],
         }

@@ -1,9 +1,11 @@
 """Ideal enumeration and the ideal- and ring-level predicates.
 
-Ideals are bitmasks over element indices. The full lattice of a ring is the
-closure of its principal ideals under sum (every ideal of a finite
-commutative unital ring arises that way); a sum I+J is the union of the
-cosets g+I over members g of J, built one new coset at a time. The lattice
+Ideals are bitmasks over element indices. The full lattice of a ring is
+built one local factor eR at a time, for the primitive idempotents e: the
+ideals inside eR are the closure under sum of the principal ideals there,
+and an ideal of R is the intersection of the preimages {x : ex in J} of one
+such J per factor. A sum I+J is the union of the cosets g+I over members g
+of J, built one new coset at a time. The lattice
 lives with its ring and holds every fact derived from it (containment,
 principal generators, the prime spectrum), each computed once, so the
 predicates that ask for them are lookups, and a radical is the intersection
@@ -58,12 +60,17 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _pack(inside: np.ndarray) -> list[int]:
+    """The bitmask of each row of a 2-d bool array."""
+    packed = np.packbits(inside, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _masks_of(ring, rows: np.ndarray) -> list[int]:
     """The bitmask of the set of entries of each row of a 2-d index array."""
     inside = np.zeros((len(rows), ring.order), dtype=bool)
     inside[np.arange(len(rows))[:, None], rows] = True
-    packed = np.packbits(inside, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return _pack(inside)
 
 
 def _flags_of(ring, mask: int) -> np.ndarray:
@@ -238,6 +245,11 @@ def _mask_sum(rows, m1: int, m2: int) -> int:
     return out
 
 
+def _dot_escape(text: str) -> str:
+    """text with backslash and double quote escaped, for a DOT quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 @dataclass(frozen=True, eq=False)
 class IdealLattice:
     """All ideals of a ring in canonical order, with the facts derived from them.
@@ -278,9 +290,9 @@ class IdealLattice:
 
     def to_dot(self) -> str:
         """DOT digraph of the covering relation, for offline graphing."""
-        lines = [f'digraph "{self.ring.label}" {{']
+        lines = [f'digraph "{_dot_escape(self.ring.label)}" {{']
         for i, ideal in enumerate(self.ideals):
-            lines.append(f'  n{i} [label="{ideal}"];')
+            lines.append(f'  n{i} [label="{_dot_escape(str(ideal))}"];')
         for i in range(len(self.ideals)):
             above = self._above(i)
             beyond = 0
@@ -292,26 +304,54 @@ class IdealLattice:
         return "\n".join(lines)
 
 
+def _primitive_idempotents(ring, principals: list[int]) -> list[int]:
+    """The minimal nonzero idempotents under f <= e iff ef = f, in index
+    order, given the principal ideal masks. An idempotent f = er lies in eR
+    exactly when ef = f, so e is minimal when eR holds no idempotent but
+    zero and e."""
+    idempotents = np.flatnonzero(ring.mul_table.diagonal() == np.arange(ring.order)).tolist()
+    among = sum(1 << f for f in idempotents)
+    return [e for e in idempotents if (principals[e] & among).bit_count() == 2]
+
+
 def all_ideals(ring) -> IdealLattice:
-    """Every ideal: closure of the principal ideals under sum, built on first
-    use and kept on the ring, so it lives exactly as long."""
+    """Every ideal, built one local factor at a time on first use and kept on
+    the ring, so it lives exactly as long.
+
+    The idempotents of R form a finite Boolean algebra under e <= f iff
+    ef = e. Its atoms, the primitive idempotents e_1..e_k, are pairwise
+    orthogonal (e_i e_j is an idempotent below both) and sum to 1. So each
+    ideal I is the direct sum of the e_i I = I & e_iR, and x lies in I iff
+    e_i x lies in I for every i; conversely each tuple of ideals J_i of e_iR
+    gives the ideal {x : e_i x in J_i for all i}, and distinct tuples give
+    distinct ideals. The ideals of e_iR are the ideals of R inside e_iR,
+    since r*j = (r e_i)*j, and each is the sum of the principal ideals (a)
+    with a in e_iR. A local ring is the one factor e = 1, whose lift is the
+    identity. (Atiyah-Macdonald, Thm 8.7; McDonald, Finite Rings with
+    Identity, 1974.)
+    """
     if ring._lattice is not None:
         return ring._lattice
+    principals = _masks_of(ring, ring.mul_table)
     generator: dict[int, int] = {}
-    for a, principal in enumerate(_masks_of(ring, ring.mul_table)):
+    for a, principal in enumerate(principals):
         generator.setdefault(principal, a)
-    found = list(generator)
-    known = set(found)
     rows = _add_rows(ring)
-    # found grows while it is walked: each ideal is summed once with every
-    # ideal found before it, and one found later meets it in its own turn
-    for i, m1 in enumerate(found):
-        for m2 in found[:i]:
-            s = _mask_sum(rows, m1, m2)
-            if s not in known:
-                known.add(s)
-                found.append(s)
-    ideals = tuple(sorted((Ideal(ring, m) for m in known), key=Ideal.sort_key))
+    combined = [_full_mask(ring)]
+    for e in _primitive_idempotents(ring, principals):
+        found = [m for m in generator if m & ~principals[e] == 0]
+        known = set(found)
+        # found grows while it is walked: each ideal is summed once with
+        # every ideal found before it, and one found later meets it in its turn
+        for i, m1 in enumerate(found):
+            for m2 in found[:i]:
+                s = _mask_sum(rows, m1, m2)
+                if s not in known:
+                    known.add(s)
+                    found.append(s)
+        lifts = _pack(np.array([_flags_of(ring, m) for m in found])[:, ring.mul_table[e]])
+        combined = [m & lift for m in combined for lift in lifts]
+    ideals = tuple(sorted((Ideal(ring, m) for m in combined), key=Ideal.sort_key))
     masks = [ideal.members for ideal in ideals]
     up = tuple(sum(1 << j for j, o in enumerate(masks) if m & ~o == 0) for m in masks)
     index = {m: i for i, m in enumerate(masks)}

@@ -7,7 +7,9 @@ breaks an axiom has no ring to ask, so it is the axiom validator as it
 stood before the generator-set check, run on raw tables and raising the
 engine's RingAxiomError so that messages compare. closure_endomorphisms is
 the endomorphism search as it stood before the generator-image search,
-kept as the reference that search must match map for map.
+kept as the reference that search must match map for map. closure_lattice
+is the ideal-lattice enumeration as it stood before the split by primitive
+idempotents: the pairwise closure of the principal ideals under sum.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from itertools import product as cartesian
 
 import numpy as np
 
+from ringaudit.ideals import Ideal, IdealLattice, _add_rows, _mask_sum, _masks_of
 from ringaudit.rings import RingAxiomError, additive_order
 
 
@@ -170,6 +173,31 @@ def closure_endomorphisms(ring) -> list[tuple[int, ...]]:
     # agree below the least unassigned index e and give e increasing images,
     # so the maps come out distinct and in increasing order.
     return found
+
+
+def closure_lattice(ring) -> IdealLattice:
+    """Every ideal as the closure of the principal ideals under sum, each
+    unordered pair summed once; the lattice is returned, not kept on the
+    ring."""
+    generator: dict[int, int] = {}
+    for a, principal in enumerate(_masks_of(ring, ring.mul_table)):
+        generator.setdefault(principal, a)
+    found = list(generator)
+    known = set(found)
+    rows = _add_rows(ring)
+    # found grows while it is walked: each ideal is summed once with every
+    # ideal found before it, and one found later meets it in its own turn
+    for i, m1 in enumerate(found):
+        for m2 in found[:i]:
+            s = _mask_sum(rows, m1, m2)
+            if s not in known:
+                known.add(s)
+                found.append(s)
+    ideals = tuple(sorted((Ideal(ring, m) for m in known), key=Ideal.sort_key))
+    masks = [ideal.members for ideal in ideals]
+    up = tuple(sum(1 << j for j, o in enumerate(masks) if m & ~o == 0) for m in masks)
+    index = {m: i for i, m in enumerate(masks)}
+    return IdealLattice(ring, ideals, index, generator, up)
 
 
 def power_in(ring, y: int, ideal_members: set[int]) -> bool:

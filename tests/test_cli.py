@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,28 @@ def test_ideals_dot(z6_file, capsys):
     assert out.startswith('digraph "Z_6"')
 
 
+def test_ideals_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    doc = {
+        "kind": "table",
+        "order": 2,
+        "zero": 0,
+        "one": 1,
+        "add": [[0, 1], [1, 0]],
+        "mul": [[0, 0], [0, 1]],
+        "label": 'q"x',
+        "element_names": ['o"', "e\\"],
+    }
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ideals", str(path), "--dot"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith('digraph "q\\"x" {')
+    assert 'label="{o\\",e\\\\}"' in out
+    # every quote opens a DOT string that runs to its unescaped closing quote
+    assert re.fullmatch(r'(?:[^"]|"(?:[^"\\]|\\.)*")*', out)
+    assert len(re.findall(r'"(?:[^"\\]|\\.)*"', out)) == 3  # the graph id and two node labels
+
+
 def test_spectrum(z12_file, capsys):
     assert main(["spectrum", z12_file]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -179,6 +202,13 @@ def test_quotient(z6_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["order"] == 2
     assert doc["cosets"] == [["0", "2", "4"], ["1", "3", "5"]]
+
+
+def test_quotient_json_lists_coset_members_in_index_order(z12_file, capsys):
+    assert main(["quotient", z12_file, "--elements", "4", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ideal"] == "{0,4,8}"
+    assert doc["cosets"] == [["0", "4", "8"], ["1", "5", "9"], ["2", "6", "10"], ["3", "7", "11"]]
 
 
 def test_quotient_by_unit_exits_2(z6_file, capsys):

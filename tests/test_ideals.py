@@ -8,7 +8,9 @@ radicals of specific ideals) are asserted directly.
 import gc
 import math
 import re
+import runpy
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from _oracles import (
     brute_force_covers,
     brute_force_ideals,
+    closure_lattice,
     divisor_count,
     first_generator,
     is_domain,
@@ -52,13 +55,19 @@ from ringaudit.ideals import (
     unit_ideal,
     zero_ideal,
 )
+from ringaudit.ideals import _masks_of, _primitive_idempotents
 from ringaudit.quotients import quotient_ring
+from ringaudit.ringfile import _sc_with_unity
 from ringaudit.rings import (
+    make_algebra,
     make_boolean,
     make_product,
     make_table_ring,
     make_zn,
 )
+
+
+CLOSED_FORMS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "closed_forms.py"))
 
 
 def members(ideal):
@@ -190,6 +199,88 @@ def test_lattice_of_random_zn_products_is_closed_and_complete(moduli):
         assert found == brute_force_ideals(ring)
 
 
+def _relabelled(ring, position):
+    """A table-ring copy of ring with element k at index position[k], each
+    element keeping its name."""
+    position = np.asarray(position)
+    element = np.argsort(position)
+    return make_table_ring(
+        ring.order,
+        position[ring.add_table[np.ix_(element, element)]],
+        position[ring.mul_table[np.ix_(element, element)]],
+        position[ring.zero], position[ring.one],
+        element_names=[ring.element_names[k] for k in element],
+    )
+
+
+def _square_zero_algebra(p):
+    """F_p[x,y]/(x,y)^2: local, and its maximal ideal (x,y) is not principal."""
+    zero = [0, 0, 0]
+    return make_algebra(p, 3, _sc_with_unity(3, {(1, 1): zero, (1, 2): zero, (2, 2): zero}))
+
+
+@st.composite
+def split_rings(draw):
+    """Z_n products, F_p algebras and their products with Z_2, Z_3 or Z_4
+    (non-local, with non-principal factor ideals), each possibly taken to a
+    quotient by a proper ideal and relabelled, so idempotents sit anywhere."""
+    kind = draw(st.sampled_from(("zn", "algebra", "algebra x zn")))
+    if kind == "zn":
+        ring = make_product([make_zn(n) for n in draw(zn_products())])
+    else:
+        ring = draw(st.one_of(fp_algebras(), st.sampled_from((2, 3)).map(_square_zero_algebra)))
+        if kind == "algebra x zn":
+            ring = make_product([ring, make_zn(draw(st.sampled_from((2, 3, 4))))])
+    if draw(st.booleans()):
+        proper = [ideal for ideal in closure_lattice(ring).ideals if ideal.is_proper]
+        ring = quotient_ring(ring, draw(st.sampled_from(proper))).quotient
+    if draw(st.booleans()):
+        ring = _relabelled(ring, draw(st.permutations(range(ring.order))))
+    return ring
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(split_rings())
+def test_lattice_by_factors_matches_pairwise_closure(ring):
+    lattice, oracle = all_ideals(ring), closure_lattice(ring)
+    assert [i.members for i in lattice.ideals] == [i.members for i in oracle.ideals]
+    assert lattice.index == oracle.index
+    assert lattice.generator == oracle.generator
+    assert lattice.up == oracle.up
+
+
+def assert_primitive_idempotents_split_one(ring):
+    idempotents = _primitive_idempotents(ring, _masks_of(ring, ring.mul_table))
+    assert idempotents and ring.zero not in idempotents, ring.label
+    for i, e in enumerate(idempotents):
+        assert ring.mul(e, e) == e, ring.label
+        for f in idempotents[:i]:
+            assert ring.mul(e, f) == ring.zero, ring.label
+    total = ring.zero
+    for e in idempotents:
+        total = ring.add(total, e)
+    assert total == ring.one, ring.label
+
+
+def test_primitive_idempotents_are_orthogonal_and_sum_to_one(corpus):
+    for ring in corpus:
+        assert_primitive_idempotents_split_one(ring)
+        for ideal in all_ideals(ring).ideals:
+            if ideal.is_proper:
+                assert_primitive_idempotents_split_one(quotient_ring(ring, ideal).quotient)
+
+
+@pytest.mark.parametrize(
+    "moduli", [[2] * 8, [2] * 9, [2] * 10, [4] * 5, [2, 2, 2, 2, 3, 5, 7]], ids=lambda m: "x".join(map(str, m)),
+)
+def test_lattice_past_the_corpus_matches_closed_forms(moduli):
+    ring = make_boolean(len(moduli)) if set(moduli) == {2} else make_product([make_zn(n) for n in moduli])
+    lattice = all_ideals(ring)
+    assert sorted(len(ideal) for ideal in lattice.ideals) == CLOSED_FORMS["ideal_sizes"](moduli)
+    pairs = sum(up.bit_count() - 1 for up in lattice.up)
+    assert pairs == CLOSED_FORMS["containment_pairs"](moduli)
+
+
 def assert_classification_matches_oracles(ring):
     """Every classify_ring flag against its definition; is_pprir from the
     definitional primes and the first-generator oracle."""
@@ -246,16 +337,7 @@ def test_ideal_from_members_validates():
 def _relabelled_z3_squared():
     """Z_3 x Z_3 as a table ring with shuffled indices (zero at index 4, one
     at index 8) and each element named by its coordinates."""
-    z33 = make_product([make_zn(3), make_zn(3)])
-    position = np.array([4, 7, 1, 0, 8, 3, 6, 2, 5])  # element k sits at index position[k]
-    element = np.argsort(position)
-    return make_table_ring(
-        9,
-        position[z33.add_table[np.ix_(element, element)]],
-        position[z33.mul_table[np.ix_(element, element)]],
-        position[z33.zero], position[z33.one],
-        element_names=[z33.element_names[k] for k in element],
-    )
+    return _relabelled(make_product([make_zn(3), make_zn(3)]), [4, 7, 1, 0, 8, 3, 6, 2, 5])
 
 
 @pytest.fixture(scope="module")
