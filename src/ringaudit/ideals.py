@@ -10,7 +10,11 @@ lives with its ring and holds every fact derived from it (containment,
 principal generators, the prime spectrum), each computed once, so the
 predicates that ask for them are lookups, and a radical is the intersection
 of the primes over its ideal. The predicates test their definitions on
-whole blocks of the numpy tables; only the coset sum reads rows as lists.
+blocks of the numpy tables; only the coset sum reads rows as lists.
+is_prime and is_primary share one question, whether some product of an x
+from one set and a y from another lands in the ideal, and one helper,
+_product_lands, answers it a few table rows at a time, stopping at the
+first chunk that holds such a product.
 Canonical order is lexicographic on the sorted member-index tuples;
 wherever a witness is chosen it is the first candidate in canonical order.
 """
@@ -63,7 +67,8 @@ def _bits(mask: int):
 def _pack(inside: np.ndarray) -> list[int]:
     """The bitmask of each row of a 2-d bool array."""
     packed = np.packbits(inside, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    width, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
 
 
 def _masks_of(ring, rows: np.ndarray) -> list[int]:
@@ -77,6 +82,14 @@ def _flags_of(ring, mask: int) -> np.ndarray:
     """The bool array over the ring's elements with entry i = bit i of mask."""
     packed = np.frombuffer(mask.to_bytes((ring.order + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(packed, count=ring.order, bitorder="little").view(bool)
+
+
+def _unpack(ring, masks: list[int]) -> np.ndarray:
+    """The 2-d bool array whose row k holds the bits of masks[k]: the
+    inverse of _pack, in one unpack."""
+    width = (ring.order + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=ring.order, bitorder="little").view(bool)
 
 
 def _full_mask(ring) -> int:
@@ -140,8 +153,9 @@ def ideal_from_members(ring, members) -> Ideal:
     # row k holds member idx[k]'s violations: its negative, then a+b over
     # the members b, then a*r over the ring; the first row with one names
     # the least offending member, and within it the first law it breaks
-    neg_out = ~inside[(ring.add_table[idx] == ring.zero).argmax(axis=1)]
-    add_out = ~inside[ring.add_table[idx][:, idx]]
+    sums = ring.add_table[idx]
+    neg_out = ~inside[(sums == ring.zero).argmax(axis=1)]
+    add_out = ~inside[sums[:, idx]]
     mul_out = ~inside[ring.mul_table[idx]]
     bad = np.flatnonzero(neg_out | add_out.any(axis=1) | mul_out.any(axis=1))
     if len(bad):
@@ -257,7 +271,9 @@ class IdealLattice:
     index maps each ideal's member mask to its position in ideals, and
     generator maps the mask of each principal ideal to its first generator.
     up[i] is the bitset of the positions j with ideals[i] a subset of
-    ideals[j], i itself included. The primes are found on first use.
+    ideals[j], i itself included; it is read off one matrix product, as
+    ideals[i] lies in ideals[j] exactly when none of the members of i is
+    outside j. The primes are found on first use.
     """
 
     ring: "FiniteRing"
@@ -337,7 +353,7 @@ def all_ideals(ring) -> IdealLattice:
     for a, principal in enumerate(principals):
         generator.setdefault(principal, a)
     rows = _add_rows(ring)
-    combined = [_full_mask(ring)]
+    combined = np.ones((1, ring.order), dtype=bool)
     for e in _primitive_idempotents(ring, principals):
         found = [m for m in generator if m & ~principals[e] == 0]
         known = set(found)
@@ -349,12 +365,16 @@ def all_ideals(ring) -> IdealLattice:
                 if s not in known:
                     known.add(s)
                     found.append(s)
-        lifts = _pack(np.array([_flags_of(ring, m) for m in found])[:, ring.mul_table[e]])
-        combined = [m & lift for m in combined for lift in lifts]
-    ideals = tuple(sorted((Ideal(ring, m) for m in combined), key=Ideal.sort_key))
-    masks = [ideal.members for ideal in ideals]
-    up = tuple(sum(1 << j for j, o in enumerate(masks) if m & ~o == 0) for m in masks)
-    index = {m: i for i, m in enumerate(masks)}
+        lifts = _unpack(ring, found)[:, ring.mul_table[e]]
+        combined = (combined[:, None] & lifts).reshape(-1, ring.order)
+    masks = _pack(combined)
+    order = sorted(range(len(masks)), key=lambda k: tuple(_bits(masks[k])))
+    ideals = tuple(Ideal(ring, masks[k]) for k in order)
+    # ideals[i] lies in ideals[j] when none of its members is outside j; the
+    # counts are at most the order, far below float32's exact range of 2**24
+    inside = combined[order].astype(np.float32)
+    up = tuple(_pack(inside @ (1 - inside).T == 0))
+    index = {ideal.members: i for i, ideal in enumerate(ideals)}
     ring._lattice = IdealLattice(ring, ideals, index, generator, up)
     return ring._lattice
 
@@ -371,26 +391,33 @@ def radical(ring, ideal: Ideal) -> Ideal:
     return Ideal(ring, mask)
 
 
-_PRIME_BLOCK_CELLS = 1 << 16  # a ring of order <= 256 is one block
+_BLOCK_CELLS = 1 << 16  # a ring of order <= 256 is one block
+
+
+def _product_lands(ring, inside: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> bool:
+    """Whether some x with xs[x] and y with ys[y] have xy inside, all three
+    given as bool arrays over the elements.
+
+    is_prime and is_primary both ask this of every pair in a block of the
+    multiplication table. The block is tested a few rows at a time, at most
+    _BLOCK_CELLS cells each, and the first chunk that holds such a product
+    answers, so an ideal that fails its predicate is usually settled by its
+    first rows and memory stays at one chunk whatever the order."""
+    step = max(1, _BLOCK_CELLS // ring.order)
+    for start in range(0, ring.order, step):
+        rows = slice(start, start + step)
+        if inside[ring.mul_table[rows][xs[rows]][:, ys]].any():
+            return True
+    return False
 
 
 def is_prime(ring, ideal: Ideal) -> bool:
-    """Proper, and xy in P forces x in P or y in P (all pairs checked).
-
-    The block of products of two outsiders is tested a few rows at a time,
-    at most _PRIME_BLOCK_CELLS cells each, so a non-prime ideal is usually
-    settled by its first rows."""
+    """Proper, and xy in P forces x in P or y in P (all pairs checked)."""
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         return False
     inside = _flags_of(ring, ideal.members)
-    outside = ~inside
-    step = max(1, _PRIME_BLOCK_CELLS // ring.order)
-    for start in range(0, ring.order, step):
-        rows = slice(start, start + step)
-        if inside[ring.mul_table[rows][outside[rows]][:, outside]].any():
-            return False
-    return True
+    return not _product_lands(ring, inside, ~inside, ~inside)
 
 
 def is_maximal(ring, ideal: Ideal) -> bool:
@@ -417,7 +444,7 @@ def is_primary(ring, ideal: Ideal) -> bool:
         return False
     inside = _flags_of(ring, ideal.members)
     in_radical = _flags_of(ring, radical(ring, ideal).members)
-    return not inside[ring.mul_table[~inside][:, ~in_radical]].any()
+    return not _product_lands(ring, inside, ~inside, ~in_radical)
 
 
 def is_principal(ring, ideal: Ideal) -> tuple[bool, Optional[int]]:

@@ -6,6 +6,12 @@ representatives. quotient_ring checks once that its argument is an ideal;
 by the correspondence theorem the induced tables then form a ring, the
 projection is a surjective homomorphism and its kernel is the ideal, so
 none of that is re-verified (the tests do it for every corpus quotient).
+That check stays even for the lattice ideals audit_thm1 passes, as the one
+place a caller's mask is proved an ideal. The representatives are read
+from the rows of the addition table at the ideal's members, not from its
+columns: addition is commutative, a law every table is validated for, so
+column a of those rows is the coset a+I, and a row gather reads
+contiguous memory.
 Homomorphisms are total index maps; a map given by the caller is trusted
 only once check_hom has verified the preservation laws exhaustively, while
 endomorphisms returns maps that are homomorphisms by construction: each is
@@ -22,12 +28,13 @@ import numpy as np
 
 from .ideals import (
     Ideal,
-    _masks_of,
+    _pack,
     _same_ring,
     all_ideals,
-    classify_ring,
     ideal_from_members,
     is_pprir,
+    is_prime,
+    zero_ideal,
 )
 from .reports import REFUTED, SKIPPED, VERIFIED, ClaimOutcome
 from .rings import FiniteRing
@@ -90,12 +97,15 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
         raise ValueError("cannot quotient by the whole ring (the zero ring is excluded)")
     members = list(ideal.indices())
     ideal_from_members(ring, members)
-    # the coset a+I is row a of the addition table restricted to I; its
-    # minimal member is the representative, and cosets are ordered by it
-    rep_of = ring.add_table[:, members].min(axis=1)
+    # the coset a+I is column a of the rows i in I of the addition table,
+    # which is commutative; its minimal member is the representative, and
+    # cosets are ordered by it
+    rep_of = ring.add_table[members].min(axis=0)
     reps = np.flatnonzero(rep_of == np.arange(ring.order))
     coset_of = np.searchsorted(reps, rep_of)
-    cosets = tuple(_masks_of(ring, ring.add_table[np.ix_(reps, members)]))
+    inside = np.zeros((len(reps), ring.order), dtype=bool)
+    inside[coset_of, np.arange(ring.order)] = True
+    cosets = tuple(_pack(inside))
     quotient = FiniteRing._trusted(
         len(reps),
         coset_of[ring.add_table[np.ix_(reps, reps)]],
@@ -259,7 +269,16 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
 def audit_thm1(ring: FiniteRing) -> ClaimOutcome:
     """For every proper ideal P: P prime iff R/P is a domain in which every
     prime ideal is principal. Also records whether R itself has all primes
-    principal (the hypothesis side)."""
+    principal (the hypothesis side).
+
+    Each quotient Q is asked two things, by their definitions: whether it is
+    a domain, which is whether its zero ideal is prime (is_prime checks
+    every product of two nonzero elements), and, only when it is, whether
+    every prime of Q is principal. When Q is not a domain the conjunction is
+    false whatever is_pprir(Q) would say, so skipping it changes no answer;
+    it only spares the lattice and spectrum of every quotient that is not a
+    domain. The witness is the first proper ideal, in canonical order, on
+    which the two sides differ."""
     hypothesis, _ = is_pprir(ring)
     detail = f"all-primes-principal hypothesis: {hypothesis}"
     lattice = all_ideals(ring)
@@ -267,8 +286,8 @@ def audit_thm1(ring: FiniteRing) -> ClaimOutcome:
         if not ideal.is_proper:
             continue
         quotient = quotient_ring(ring, ideal).quotient
-        flags = classify_ring(quotient)
-        if (ideal.members in lattice.primes) != (flags.is_domain and flags.is_pprir):
+        holds = is_prime(quotient, zero_ideal(quotient)) and is_pprir(quotient)[0]
+        if (ideal.members in lattice.primes) != holds:
             return ClaimOutcome(REFUTED, witness=str(ideal), detail=detail)
     return ClaimOutcome(VERIFIED, detail=detail)
 

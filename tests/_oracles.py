@@ -9,7 +9,10 @@ engine's RingAxiomError so that messages compare. closure_endomorphisms is
 the endomorphism search as it stood before the generator-image search,
 kept as the reference that search must match map for map. closure_lattice
 is the ideal-lattice enumeration as it stood before the split by primitive
-idempotents: the pairwise closure of the principal ideals under sum.
+idempotents: the pairwise closure of the principal ideals under sum, with
+pair_scan_up, the containment scan that built the up-sets before the
+containment product. whole_block_is_primary is is_primary as it stood
+before the chunked early-exit test, gathering its whole block at once.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import product as cartesian
 
 import numpy as np
 
-from ringaudit.ideals import Ideal, IdealLattice, _add_rows, _mask_sum, _masks_of
+from ringaudit.ideals import Ideal, IdealLattice, _add_rows, _flags_of, _mask_sum, _masks_of, radical
 from ringaudit.rings import RingAxiomError, additive_order
 
 
@@ -195,9 +198,24 @@ def closure_lattice(ring) -> IdealLattice:
                 found.append(s)
     ideals = tuple(sorted((Ideal(ring, m) for m in known), key=Ideal.sort_key))
     masks = [ideal.members for ideal in ideals]
-    up = tuple(sum(1 << j for j, o in enumerate(masks) if m & ~o == 0) for m in masks)
     index = {m: i for i, m in enumerate(masks)}
-    return IdealLattice(ring, ideals, index, generator, up)
+    return IdealLattice(ring, ideals, index, generator, pair_scan_up(masks))
+
+
+def pair_scan_up(masks: list[int]) -> tuple[int, ...]:
+    """up[i] is the bitset of the positions j with masks[i] a subset of
+    masks[j], by testing every pair."""
+    return tuple(sum(1 << j for j, o in enumerate(masks) if m & ~o == 0) for m in masks)
+
+
+def whole_block_is_primary(ring, ideal) -> bool:
+    """xy in I forces x in I or some power of y in I, tested on the whole
+    block of products of the x outside I with the y outside radical(I)."""
+    if not ideal.is_proper:
+        return False
+    inside = _flags_of(ring, ideal.members)
+    in_radical = _flags_of(ring, radical(ring, ideal).members)
+    return not inside[ring.mul_table[~inside][:, ~in_radical]].any()
 
 
 def power_in(ring, y: int, ideal_members: set[int]) -> bool:

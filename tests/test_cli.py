@@ -1,12 +1,19 @@
 """CLI surface: subcommands, formats, exit codes."""
 
+import copy
+import io
 import json
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringaudit.cli import main
+from ringaudit.corpus import DOCUMENTS
 from ringaudit.quotients import ENDO_CAP_ENV
 
 RING_FILES = sorted((Path(__file__).resolve().parents[1] / "rings").glob("*.json"))
@@ -304,3 +311,66 @@ def test_out_of_memory_exits_2(monkeypatch, capsys, z6_file):
     monkeypatch.setattr("ringaudit.cli.load_ring_file", exhausted)
     assert main(["describe", z6_file]) == 2
     assert capsys.readouterr().err == "error: out of memory: cannot allocate the tables\n"
+
+
+# === fuzzed ring documents ===
+
+# the shipped samples and the small corpus documents that mutations start from
+FUZZ_SEEDS = [json.loads(path.read_text()) for path in RING_FILES] + [
+    doc for doc in DOCUMENTS if doc["kind"] != "zn" or doc["n"] <= 12
+]
+FUZZ_POOL = (None, True, False, 2**70, float("nan"), "", [[0, [1]], []], {"kind": "zn", "n": 3})
+FUZZ_COMMANDS = (["describe"], ["ideals", "--json"], ["ideals", "--dot"], ["spectrum"])
+
+
+def _nodes(doc, path=()):
+    """(path, value) for every value in a JSON document, the root first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """A seed document after one or two mutations: a value replaced by one
+    from FUZZ_POOL, a key deleted, or a list entry duplicated."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(1, 2))):
+        nodes = list(_nodes(doc))
+        # the root comes last, as Hypothesis favours early choices
+        ops = [("duplicate", path) for path, node in nodes if isinstance(node, list) and node]
+        ops += [("delete", path) for path, _ in nodes if path and isinstance(_at(doc, path[:-1]), dict)]
+        ops += [("replace", path) for path, _ in reversed(nodes)]
+        op, path = draw(st.sampled_from(ops))
+        if op == "replace":
+            value = copy.deepcopy(draw(st.sampled_from(FUZZ_POOL)))
+            if path:
+                _at(doc, path[:-1])[path[-1]] = value
+            else:
+                doc = value
+        elif op == "delete":
+            del _at(doc, path[:-1])[path[-1]]
+        else:
+            entries = _at(doc, path)
+            k = draw(st.integers(0, len(entries) - 1))
+            entries.insert(k, copy.deepcopy(entries[k]))
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutated_documents())
+def test_mutated_ring_documents_exit_0_or_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ring.json"
+        path.write_text(json.dumps(doc))
+        for command in FUZZ_COMMANDS:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([command[0], str(path), *command[1:]])
+            assert code in (0, 2), (command, doc)

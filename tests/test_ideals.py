@@ -29,8 +29,10 @@ from _oracles import (
     is_maximal_in,
     is_prime_subset,
     is_semiprime_subset,
+    pair_scan_up,
     pairwise_sum,
     power_in,
+    whole_block_is_primary,
 )
 from _strategies import fp_algebras
 from ringaudit.ideals import (
@@ -247,6 +249,12 @@ def test_lattice_by_factors_matches_pairwise_closure(ring):
     assert lattice.index == oracle.index
     assert lattice.generator == oracle.generator
     assert lattice.up == oracle.up
+
+
+def test_up_matches_pair_scan(corpus):
+    for ring in [*corpus, make_boolean(8), make_product([make_zn(4)] * 3)]:
+        lattice = all_ideals(ring)
+        assert lattice.up == pair_scan_up([ideal.members for ideal in lattice.ideals]), ring.label
 
 
 def assert_primitive_idempotents_split_one(ring):
@@ -488,19 +496,33 @@ def test_is_primary_examples():
 
 
 def test_primary_against_definitional_oracle(small_corpus_rings):
-    for ring in small_corpus_rings:
+    for ring in [*small_corpus_rings, make_boolean(5), make_product([make_zn(4)] * 3)]:
         for ideal in all_ideals(ring).ideals:
             mem = members(ideal)
             if not ideal.is_proper:
                 expected = False
             else:
+                # the y with some power in I, each found once per ideal
+                powers_land = {y for y in range(ring.order) if power_in(ring, y, mem)}
                 expected = all(
-                    x in mem or power_in(ring, y, mem)
+                    x in mem or y in powers_land
                     for x in range(ring.order)
                     for y in range(ring.order)
                     if ring.mul(x, y) in mem
                 )
             assert is_primary(ring, ideal) == expected, (ring.label, str(ideal))
+
+
+@pytest.mark.parametrize(
+    "moduli", [[512], [2, 256], [4, 8, 16]], ids=lambda m: "x".join(map(str, m)),
+)
+def test_chunked_primary_matches_whole_block(moduli):
+    # past order 256 the block of products is tested in several row chunks
+    ring = make_zn(moduli[0]) if len(moduli) == 1 else make_product([make_zn(n) for n in moduli])
+    assert ring.order > 256
+    verdicts = [is_primary(ring, ideal) for ideal in all_ideals(ring).ideals]
+    assert verdicts == [whole_block_is_primary(ring, ideal) for ideal in all_ideals(ring).ideals]
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_primes_are_primary_and_semiprime(small_corpus_rings):

@@ -321,6 +321,41 @@ def test_audit_thm1_details(ring_a):
     assert "False" in out_a.detail
 
 
+@pytest.mark.parametrize("planted, witness", [((4,), 4), ((6, 4), 4), ((2, 3), 2)])
+def test_audit_thm1_refutes_on_planted_violation(monkeypatch, planted, witness):
+    # the quotient-side domain check gives the wrong answer on the quotients
+    # by the planted principal ideals of Z_12; the witness is the first of
+    # them in canonical order
+    import ringaudit.quotients as q
+
+    z12 = make_zn(12)
+    wrong = {f"Z_12/{principal_ideal(z12, a)}" for a in planted}
+    real = q.is_prime
+    monkeypatch.setattr(q, "is_prime", lambda ring, ideal: real(ring, ideal) != (ring.label in wrong))
+    out = q.audit_thm1(z12)
+    assert out.status == REFUTED
+    assert out.witness == str(principal_ideal(z12, witness))
+
+
+def test_audit_thm1_asks_is_pprir_of_domain_quotients_only(monkeypatch):
+    import ringaudit.quotients as q
+
+    z12 = make_zn(12)
+    asked = []
+    real = q.is_pprir
+
+    def planted(ring):
+        asked.append(ring.label)
+        return (False, None) if ring.label == "Z_12/{0,3,6,9}" else real(ring)
+
+    monkeypatch.setattr(q, "is_pprir", planted)
+    out = q.audit_thm1(z12)
+    # R itself for the hypothesis, then the quotients by the two primes
+    assert asked == ["Z_12", "Z_12/{0,2,4,6,8,10}", "Z_12/{0,3,6,9}"]
+    assert out.status == REFUTED
+    assert out.witness == "{0,3,6,9}"
+
+
 def test_audit_thm3_verified_and_skipped(ring_a):
     assert audit_thm3(make_zn(6)).status == VERIFIED
     assert audit_thm3(ring_a).status == VERIFIED
