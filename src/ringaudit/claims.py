@@ -46,7 +46,7 @@ from .ideals import (
     radical,
 )
 from .quotients import audit_thm1, audit_thm3
-from .reports import REFUTED, VERIFIED, ClaimOutcome, ClaimReport, report_from_outcome
+from .reports import REFUTED, VERIFIED, ClaimOutcome, ClaimReport
 from .rings import FiniteRing
 from .zmodel import audit_ex2
 
@@ -185,7 +185,7 @@ def run_claim(claim: str, corpus: Corpus) -> list[ClaimReport]:
         start = time.perf_counter()
         outcome = audit_ex2()
         elapsed = (time.perf_counter() - start) * 1000.0
-        return [report_from_outcome("EX2", "zmodel", outcome, elapsed)]
+        return [ClaimReport("EX2", "zmodel", outcome.status, outcome.witness, outcome.reason, outcome.detail, elapsed)]
     checker = _PER_RING_CHECKERS.get(claim)
     if checker is None:
         raise ValueError(f"unknown claim id {claim!r}; expected one of {', '.join(CLAIM_IDS)}")
@@ -194,7 +194,9 @@ def run_claim(claim: str, corpus: Corpus) -> list[ClaimReport]:
         start = time.perf_counter()
         outcome = checker(ring)
         elapsed = (time.perf_counter() - start) * 1000.0
-        reports.append(report_from_outcome(claim, ring.label, outcome, elapsed))
+        reports.append(
+            ClaimReport(claim, ring.label, outcome.status, outcome.witness, outcome.reason, outcome.detail, elapsed)
+        )
     return reports
 
 

@@ -1,16 +1,18 @@
 """Ideal enumeration and the ideal- and ring-level predicates.
 
-Ideals are bitmasks over element indices. The full lattice of a ring is
+Ideals are bitmasks over element indices, kept in range by the Ideal type;
+the ideal laws are checked once, on the mask, by the helper that
+ideal_from_members and quotient_ring share. The full lattice of a ring is
 built one local factor eR at a time, for the primitive idempotents e: the
 ideals inside eR are the closure under sum of the principal ideals there,
 and an ideal of R is the intersection of the preimages {x : ex in J} of one
 such J per factor. A sum I+J is the union of the cosets g+I over members g
-of J, built one new coset at a time. The lattice
-lives with its ring and holds every fact derived from it (containment,
-principal generators, the prime spectrum), each computed once, so the
-predicates that ask for them are lookups, and a radical is the intersection
-of the primes over its ideal. The predicates test their definitions on
-blocks of the numpy tables; only the coset sum reads rows as lists.
+of J, built one new coset at a time. The lattice lives with its ring and
+holds every fact derived from it (containment, principal generators, the
+prime spectrum), each computed once, so the predicates that ask for them
+are lookups, and a radical is the intersection of the primes over its
+ideal. The predicates test their definitions on blocks of the numpy
+tables; only the coset sum reads rows as lists.
 is_prime and is_primary share one question, whether some product of an x
 from one set and a y from another lands in the ideal, and one helper,
 _product_lands, answers it a few table rows at a time, stopping at the
@@ -103,10 +105,16 @@ def _same_ring(ring, ideal: "Ideal") -> None:
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal of a FiniteRing, held as the bitmask of its member indices."""
+    """An ideal of a FiniteRing, held as the bitmask of its member indices.
+    A mask that is negative or names an index >= order is rejected here;
+    the ideal laws are checked once, where members enter (_checked_members)."""
 
     ring: "FiniteRing"
     members: int
+
+    def __post_init__(self):
+        if self.members < 0 or self.members >> self.ring.order:
+            raise ValueError(f"ideal mask out of range for {self.ring.label}")
 
     def indices(self) -> tuple[int, ...]:
         return tuple(_bits(self.members))
@@ -121,10 +129,6 @@ class Ideal:
     @property
     def is_proper(self) -> bool:
         return self.members != _full_mask(self.ring)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.members == 1 << self.ring.zero
 
     def member_names(self) -> tuple[str, ...]:
         return tuple(self.ring.element_names[i] for i in self.indices())
@@ -146,6 +150,13 @@ def ideal_from_members(ring, members) -> Ideal:
     mask = 0
     for a in members:
         mask |= 1 << ring._check_index(a)
+    _checked_members(ring, mask)
+    return Ideal(ring, mask)
+
+
+def _checked_members(ring, mask: int) -> np.ndarray:
+    """The member indices of an in-range mask, in increasing order, once the
+    ideal laws hold for it; raises ValueError naming the first violated law."""
     if not mask >> ring.zero & 1:
         raise ValueError("not an ideal: zero is missing")
     inside = _flags_of(ring, mask)
@@ -167,7 +178,7 @@ def ideal_from_members(ring, members) -> Ideal:
         if add_out[k].any():
             raise ValueError(f"not an ideal: {a}+{name[idx[add_out[k].argmax()]]} escapes")
         raise ValueError(f"not an ideal: {a}*{name[mul_out[k].argmax()]} escapes")
-    return Ideal(ring, mask)
+    return idx
 
 
 def parse_ideal(ring, text: str) -> Ideal:

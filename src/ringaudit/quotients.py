@@ -2,18 +2,18 @@
 structural audits that depend on them.
 
 Quotients are presented as coset partitions with minimal-index
-representatives. quotient_ring checks once that its argument is an ideal;
-by the correspondence theorem the induced tables then form a ring, the
-projection is a surjective homomorphism and its kernel is the ideal, so
-none of that is re-verified (the tests do it for every corpus quotient).
-That check stays even for the lattice ideals audit_thm1 passes, as the one
-place a caller's mask is proved an ideal. The representatives are read
-from the rows of the addition table at the ideal's members, not from its
-columns: addition is commutative, a law every table is validated for, so
-column a of those rows is the coset a+I, and a row gather reads
-contiguous memory.
+representatives. The Ideal type keeps a mask in range; quotient_ring
+checks the ideal laws once, on the mask, and by the correspondence theorem
+the induced tables then form a ring, the projection is a surjective
+homomorphism and its kernel is the ideal, so none of that is re-verified
+(the tests do it for every corpus quotient). The check stays even for the
+lattice ideals audit_thm1 passes, as the one place a caller's mask is
+proved an ideal. The representatives are read from the rows of the
+addition table at the member indices the check returns: addition is
+commutative, a validated law, so column a of those rows is the coset a+I.
 Homomorphisms are total index maps; a map given by the caller is trusted
-only once check_hom has verified the preservation laws exhaustively, while
+only once check_hom has verified the preservation laws exhaustively, which
+makes its kernel an ideal without a second check, while
 endomorphisms returns maps that are homomorphisms by construction: each is
 written additively from the images of an additive generating set that
 preserve the generators' products (the proof is in its docstring).
@@ -28,10 +28,10 @@ import numpy as np
 
 from .ideals import (
     Ideal,
+    _checked_members,
     _pack,
     _same_ring,
     all_ideals,
-    ideal_from_members,
     is_pprir,
     is_prime,
     zero_ideal,
@@ -95,8 +95,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         raise ValueError("cannot quotient by the whole ring (the zero ring is excluded)")
-    members = list(ideal.indices())
-    ideal_from_members(ring, members)
+    members = _checked_members(ring, ideal.members)
     # the coset a+I is column a of the rows i in I of the addition table,
     # which is commutative; its minimal member is the representative, and
     # cosets are ordered by it
@@ -140,11 +139,10 @@ def check_hom(hom: RingHom) -> bool:
 
 
 def kernel(hom: RingHom) -> Ideal:
-    """Preimage of zero, returned as a validated Ideal of the source."""
+    """Preimage of zero, an ideal by the laws check_hom proves: not re-checked."""
     if not check_hom(hom):
         raise ValueError("kernel is defined for ring homomorphisms only")
-    members = [a for a in range(hom.source.order) if hom.mapping[a] == hom.target.zero]
-    return ideal_from_members(hom.source, members)
+    return Ideal(hom.source, _pack((np.array(hom.mapping) == hom.target.zero)[None])[0])
 
 
 def classify_hom(hom: RingHom) -> dict:

@@ -60,18 +60,6 @@ class ClaimReport:
         _check_status(self.status, self.witness, self.reason)
 
 
-def report_from_outcome(claim: str, ring_label: str, outcome: ClaimOutcome, elapsed_ms: float) -> ClaimReport:
-    return ClaimReport(
-        claim=claim,
-        ring=ring_label,
-        status=outcome.status,
-        witness=outcome.witness,
-        reason=outcome.reason,
-        detail=outcome.detail,
-        elapsed_ms=elapsed_ms,
-    )
-
-
 def _render_text(reports) -> str:
     lines = []
     for r in reports:

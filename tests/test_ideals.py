@@ -342,6 +342,16 @@ def test_ideal_from_members_validates():
         ideal_from_members(z6, [2, 4])
 
 
+@pytest.mark.parametrize("n, mask", [(6, -1), (6, 1 << 6 | 1), (7, 1 << 7 | 1)])
+def test_ideal_rejects_a_mask_outside_its_ring(n, mask):
+    # such a mask names elements the ring lacks; the type stops it at
+    # construction, so no predicate, str or quotient ever sees it
+    ring = make_zn(n)
+    with pytest.raises(ValueError, match="out of range"):
+        Ideal(ring, mask)
+    assert len(Ideal(ring, (1 << n) - 1)) == n
+
+
 def _relabelled_z3_squared():
     """Z_3 x Z_3 as a table ring with shuffled indices (zero at index 4, one
     at index 8) and each element named by its coordinates."""

@@ -34,7 +34,7 @@ from ringaudit.quotients import (
     quotient_ring,
 )
 from ringaudit.reports import REFUTED, SKIPPED, VERIFIED
-from ringaudit.rings import make_boolean, make_product, make_table_ring, make_zn, validate_tables
+from ringaudit.rings import FiniteRing, make_boolean, make_product, make_table_ring, make_zn, validate_tables
 
 CLOSED_FORMS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "closed_forms.py"))
 
@@ -112,6 +112,19 @@ def test_quotient_rejects_a_non_ideal(mask, law):
         quotient_ring(z6, Ideal(z6, mask))
     assert type(err.value) is ValueError
     assert str(err.value) == f"not an ideal: {law}"
+
+
+def test_quotient_checks_the_mask_not_each_member(monkeypatch):
+    # the ideal laws are checked on the mask in numpy; no member is walked
+    # back through the ring's index check to rebuild a mask it was handed
+    z12 = make_zn(12)
+    ideals = [ideal for ideal in all_ideals(z12).ideals if ideal.is_proper]
+    calls = []
+    check_index = FiniteRing._check_index
+    monkeypatch.setattr(FiniteRing, "_check_index", lambda ring, a: calls.append(a) or check_index(ring, a))
+    for ideal in ideals:
+        assert quotient_ring(z12, ideal).quotient.order * len(ideal) == 12
+    assert calls == []
 
 
 def test_prime_iff_quotient_domain(small_corpus_rings):
