@@ -252,11 +252,14 @@ def _add_rows(ring):
 
 
 def _mask_sum(rows, m1: int, m2: int) -> int:
-    """The sum of an ideal m1 and an ideal m2 as a union of cosets g+I.
+    """The sum of ideals m1 and m2 as a union of cosets g+I.
 
-    m1 must be an ideal (every caller passes one): as an additive subgroup
-    it makes each g+I a whole coset, so a member of m2 already in the sum
-    brings nothing new and the loop reads O(|I+J|) table cells."""
+    Both must be ideals, as every caller's are. Of comparable ideals the sum
+    is the larger one. Otherwise m1, an additive subgroup, makes each g+I a
+    whole coset, so a member of m2 already in the sum brings nothing new and
+    the loop reads O(|I+J|) table cells."""
+    if m1 & ~m2 == 0:
+        return m2
     out = m1
     rest = m2 & ~out
     if not rest:
@@ -356,6 +359,13 @@ def all_ideals(ring) -> IdealLattice:
     with a in e_iR. A local ring is the one factor e = 1, whose lift is the
     identity. (Atiyah-Macdonald, Thm 8.7; McDonald, Finite Rings with
     Identity, 1974.)
+
+    The closure in eR sums the ideal at each position i of found only with
+    the principal ideals before position i, p_0..p_{i-1}, which found starts
+    with. That makes found closed under adding any principal p_j: to an
+    ideal at i > j it is added in turn i, and p_i + p_j with i < j is formed
+    in turn j. Every ideal of eR is a sum of principal ideals, so found holds
+    them all.
     """
     if ring._lattice is not None:
         return ring._lattice
@@ -366,12 +376,10 @@ def all_ideals(ring) -> IdealLattice:
     rows = _add_rows(ring)
     combined = np.ones((1, ring.order), dtype=bool)
     for e in _primitive_idempotents(ring, principals):
-        found = [m for m in generator if m & ~principals[e] == 0]
-        known = set(found)
-        # found grows while it is walked: each ideal is summed once with
-        # every ideal found before it, and one found later meets it in its turn
-        for i, m1 in enumerate(found):
-            for m2 in found[:i]:
+        local = [m for m in generator if m & ~principals[e] == 0]
+        found, known = list(local), set(local)
+        for i, m1 in enumerate(found):  # found grows while it is walked
+            for m2 in local[:i]:
                 s = _mask_sum(rows, m1, m2)
                 if s not in known:
                     known.add(s)

@@ -9,6 +9,11 @@ full axiom check, so a document that parses but breaks an axiom still fails,
 with the axiom named. zn, boolean and product documents name rings the
 package builds by construction (a product's factors are documents checked
 the same way), so their tables need no check.
+
+This module is the only one that knows the format. Each ring it builds
+keeps the document it was parsed from, for document_for to write back; a
+ring built by calling a constructor directly keeps none and is written back
+as a table document.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ def _parse_combo(text: str, basis_names, p: int, where: str) -> list[int]:
     return vec
 
 
-def _algebra_from_document(doc: dict) -> FiniteRing:
+def _algebra_from_document(doc: dict) -> tuple[FiniteRing, dict]:
     p = _int_field(doc, "p", "algebra")
     basis_names = _require(doc, "basis_names", "algebra")
     if not isinstance(basis_names, list) or len(basis_names) < 1:
@@ -121,7 +126,8 @@ def _algebra_from_document(doc: dict) -> FiniteRing:
                 raise RingFileError(
                     f"algebra mul map is missing the product {basis_names[i]}*{basis_names[j]}"
                 )
-    return make_algebra(p, dim, _sc_with_unity(dim, parsed), basis_names=basis_names, label=doc.get("label"))
+    ring = make_algebra(p, dim, _sc_with_unity(dim, parsed), basis_names=basis_names, label=doc.get("label"))
+    return ring, {"kind": "algebra", "p": p, "basis_names": list(basis_names), "mul": dict(mul_map)}
 
 
 def _sc_with_unity(dim: int, entries: dict) -> list:
@@ -182,25 +188,30 @@ def _table_cells(rows: list, order: int, field: str) -> np.ndarray:
 
 
 def ring_from_document(doc: dict) -> FiniteRing:
-    """Build a validated ring from a parsed document."""
+    """Build a validated ring from a parsed document.
+
+    The ring keeps the document it was built from, minus the label, as
+    ring.source, which document_for writes back. A table ring keeps none,
+    since its tables are the document, and so does a product with a factor
+    that keeps none."""
     if not isinstance(doc, dict):
         raise RingFileError("ring document must be a JSON object")
     if not isinstance(doc.get("label", ""), str):
         raise RingFileError("ring document label must be a string")
-    kind = doc.get("kind")
+    kind, label = doc.get("kind"), doc.get("label")
     if kind == "zn":
         n = _int_field(doc, "n", "zn")
         if n < 2:
             raise RingFileError("zn requires n >= 2 (the zero ring is excluded)")
         _check_order("zn ring", n)
-        return make_zn(n, label=doc.get("label"))
-    if kind == "boolean":
+        ring, source = make_zn(n, label=label), {"kind": "zn", "n": n}
+    elif kind == "boolean":
         atoms = _int_field(doc, "atoms", "boolean")
         if atoms < 1:
             raise RingFileError("boolean requires atoms >= 1")
         _check_order("boolean ring", 2, atoms)
-        return make_boolean(atoms, label=doc.get("label"))
-    if kind == "product":
+        ring, source = make_boolean(atoms, label=label), {"kind": "boolean", "atoms": atoms}
+    elif kind == "product":
         factors = _require(doc, "factors", "product")
         if not isinstance(factors, list) or not factors:
             raise RingFileError("product requires a nonempty factors list")
@@ -208,12 +219,17 @@ def ring_from_document(doc: dict) -> FiniteRing:
         for f in factors:  # stop at the first factor that passes the limit
             rings.append(ring_from_document(f))
             _check_order(f"product ring, first {len(rings)} factors", prod(r.order for r in rings))
-        return make_product(rings, label=doc.get("label"))
-    if kind == "algebra":
-        return _algebra_from_document(doc)
-    if kind == "table":
-        return _table_from_document(doc)
-    raise RingFileError(f"unknown ring kind {kind!r}; expected one of {', '.join(RING_KINDS)}")
+        ring, source = make_product(rings, label=label), None
+        if all(r.source is not None for r in rings):
+            source = {"kind": "product", "factors": [r.source for r in rings]}
+    elif kind == "algebra":
+        ring, source = _algebra_from_document(doc)
+    elif kind == "table":
+        ring, source = _table_from_document(doc), None
+    else:
+        raise RingFileError(f"unknown ring kind {kind!r}; expected one of {', '.join(RING_KINDS)}")
+    ring.source = source
+    return ring
 
 
 def load_ring_file(path) -> FiniteRing:
@@ -228,7 +244,8 @@ def load_ring_file(path) -> FiniteRing:
 
 
 def document_for(ring: FiniteRing) -> dict:
-    """A document that reconstructs the ring; falls back to raw tables."""
+    """A document that reconstructs the ring: the one it was parsed from,
+    else a table document of its tables and element names."""
     if ring.source is not None:
         doc = dict(ring.source)
     else:

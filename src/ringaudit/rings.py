@@ -10,11 +10,12 @@ distributivity, nonzero unity. It is exact and costs O(order^2 log order)
 for tables that form a ring, since the cubic laws need checking only on an
 additive generating set (see validate_tables); a table that breaks one also
 pays for the O(order^3) slice-by-slice search up to its first witness. Z_n,
-B_k, direct products and quotients by ideals are rings by construction, so
-they skip that check and keep only the shape and zero/one range checks; the
+B_k, direct products and quotients by ideals are rings by construction:
+the tables they build are kept as built, with no copy and no check, and the
 tests re-validate their output. Either way every FiniteRing instance is a
 genuine commutative unital ring. The zero ring is excluded: order >= 2 and
-one != zero.
+one != zero. Ring documents are the business of ringfile, which attaches to
+each ring it builds the document it parsed.
 
 Instances are immutable after construction, bar one lazily filled slot for
 the ideal lattice, and are safe to share across threads.
@@ -184,14 +185,13 @@ class FiniteRing:
     """A finite commutative ring with unity, elements indexed 0..order-1.
 
     add_table and mul_table are read-only order x order numpy arrays, the
-    ring's only tables; element_names gives a display string per index. Identity semantics:
-    two instances are equal only if they are the same object. Calling the
-    class validates the tables; _trusted is the path for tables that form a
-    ring by construction.
+    ring's only tables; element_names gives a display string per index.
+    Identity semantics: two instances are equal only if they are the same
+    object. Calling the class copies the caller's tables and checks them in
+    full; _trusted keeps the tables a package constructor has just built.
 
-    source is the ring document a package constructor attached, which
-    ringfile.document_for writes back; rings built from caller tables keep
-    None, so a caller cannot make a ring describe another.
+    source is None, unless ringfile.ring_from_document attached the
+    document it parsed, which ringfile.document_for writes back.
 
     _lattice is the one lazily filled slot, where ideals.all_ideals keeps the
     ring's IdealLattice; threads racing to fill it recompute the same value.
@@ -207,23 +207,23 @@ class FiniteRing:
         label: str = "ring",
         element_names=None,
     ):
-        self._fill(order, add_table, mul_table, zero, one, label, element_names, None, validate=True)
-
-    @classmethod
-    def _trusted(cls, order, add_table, mul_table, zero, one, label, element_names=None, source=None):
-        """A ring whose tables are correct by construction: every check of
-        __init__ except the O(order^2 log order) validate_tables."""
-        ring = cls.__new__(cls)
-        ring._fill(order, add_table, mul_table, zero, one, label, element_names, source, validate=False)
-        return ring
-
-    def _fill(self, order, add_table, mul_table, zero, one, label, element_names, source, validate):
         add = _as_table(add_table, order, "add")
         mul = _as_table(mul_table, order, "mul")
         if not (0 <= zero < order and 0 <= one < order):
             raise ValueError("zero/one index out of range")
-        if validate:
-            validate_tables(order, add, mul, zero, one)
+        validate_tables(order, add, mul, zero, one)
+        self._fill(order, add, mul, zero, one, label, element_names)
+
+    @classmethod
+    def _trusted(cls, order, add_table, mul_table, zero, one, label, element_names=None):
+        """A ring from order x order int64 tables that a package constructor
+        has just built, correct by construction: they are kept as they are,
+        neither copied nor checked."""
+        ring = cls.__new__(cls)
+        ring._fill(order, add_table, mul_table, zero, one, label, element_names)
+        return ring
+
+    def _fill(self, order, add, mul, zero, one, label, element_names):
         add.setflags(write=False)
         mul.setflags(write=False)
         self.order = int(order)
@@ -237,7 +237,7 @@ class FiniteRing:
         if len(element_names) != order:
             raise ValueError("element_names length must equal order")
         self.element_names = tuple(str(s) for s in element_names)
-        self.source = source
+        self.source = None
         self._lattice = None
 
     def _check_index(self, a: int) -> int:
@@ -292,7 +292,7 @@ def make_zn(n: int, label: str | None = None) -> FiniteRing:
     idx = np.arange(n)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
-    return FiniteRing._trusted(n, add, mul, 0, 1, label or f"Z_{n}", source={"kind": "zn", "n": int(n)})
+    return FiniteRing._trusted(n, add, mul, 0, 1, label or f"Z_{n}")
 
 
 def make_boolean(k: int, label: str | None = None) -> FiniteRing:
@@ -308,10 +308,7 @@ def make_boolean(k: int, label: str | None = None) -> FiniteRing:
     add = idx[:, None] ^ idx[None, :]
     mul = idx[:, None] & idx[None, :]
     names = ["{" + ",".join(str(i + 1) for i in range(k) if s >> i & 1) + "}" for s in range(order)]
-    return FiniteRing._trusted(
-        order, add, mul, 0, order - 1, label or f"B_{k}", element_names=names,
-        source={"kind": "boolean", "atoms": int(k)},
-    )
+    return FiniteRing._trusted(order, add, mul, 0, order - 1, label or f"B_{k}", element_names=names)
 
 
 def make_product(factors, label: str | None = None) -> FiniteRing:
@@ -328,16 +325,12 @@ def make_product(factors, label: str | None = None) -> FiniteRing:
     add = sum(s * r.add_table[np.ix_(c, c)] for s, r, c in zip(strides, factors, coords))
     mul = sum(s * r.mul_table[np.ix_(c, c)] for s, r, c in zip(strides, factors, coords))
     names = ["(" + ",".join(t) + ")" for t in _cartesian(*(r.element_names for r in factors))]
-    source = None
-    if all(r.source is not None for r in factors):
-        source = {"kind": "product", "factors": [r.source for r in factors]}
     return FiniteRing._trusted(
         order, add, mul,
         np.ravel_multi_index([r.zero for r in factors], orders),
         np.ravel_multi_index([r.one for r in factors], orders),
         label or "x".join(r.label for r in factors),
         element_names=names,
-        source=source,
     )
 
 
@@ -388,22 +381,7 @@ def make_algebra(p: int, dim: int, sc, basis_names=None, label: str | None = Non
     add = ((vecs[:, None, :] + vecs[None, :, :]) % p) @ powers
     mul = (np.einsum("ai,bj,ijk->abk", vecs, vecs, sc) % p) @ powers
     names = [_combo_name(v, basis_names) for v in vecs]
-    ring = FiniteRing(
-        order, add, mul, 0, 1,
-        label=label or f"F{p}-algebra(dim={dim})",
-        element_names=names,
-    )
-    ring.source = {
-        "kind": "algebra",
-        "p": int(p),
-        "basis_names": list(basis_names),
-        "mul": {
-            f"{basis_names[i]}*{basis_names[j]}": _combo_name(sc[i][j], basis_names)
-            for i in range(1, dim)
-            for j in range(i, dim)
-        },
-    }
-    return ring
+    return FiniteRing(order, add, mul, 0, 1, label=label or f"F{p}-algebra(dim={dim})", element_names=names)
 
 
 def make_table_ring(
@@ -415,10 +393,7 @@ def make_table_ring(
     label: str | None = None,
     element_names=None,
 ) -> FiniteRing:
-    """Ring from raw Cayley tables; the axiom check decides admissibility.
-
-    The ring keeps no source document: ringfile.document_for writes it back
-    as a table document from its tables and element names."""
+    """Ring from raw Cayley tables; the axiom check decides admissibility."""
     return FiniteRing(
         order, add_table, mul_table, zero, one,
         label=label or f"table-ring-{order}",

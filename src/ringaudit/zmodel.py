@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product as _cartesian
 
 from .reports import REFUTED, VERIFIED, ClaimOutcome
 from .rings import is_prime_int
@@ -87,25 +86,23 @@ def z_principal_witness(ideal: ZProductIdeal) -> tuple[int, ...]:
     return ideal.gens
 
 
-def _box_members(ideal: ZProductIdeal, bound: int) -> set[tuple[int, ...]]:
-    axes = []
-    for g in ideal.gens:
-        axes.append([v for v in range(-bound, bound + 1) if _divides(g, v)])
-    return set(_cartesian(*axes))
+def _box_members(ideal: ZProductIdeal, bound: int) -> list[set[int]]:
+    """Per axis, the ideal's coordinates inside the box."""
+    return [{v for v in range(-bound, bound + 1) if _divides(g, v)} for g in ideal.gens]
 
 
-def _box_generated(witness: tuple[int, ...], bound: int) -> set[tuple[int, ...]]:
-    axes = []
-    for g in witness:
-        axes.append(sorted({g * r for r in range(-bound, bound + 1) if abs(g * r) <= bound}))
-    return set(_cartesian(*axes))
+def _box_generated(witness: tuple[int, ...], bound: int) -> list[set[int]]:
+    """Per axis, the coordinates of {witness * r} inside the box."""
+    return [{g * r for r in range(-bound, bound + 1) if abs(g * r) <= bound} for g in witness]
 
 
 def box_oracle_check(ideal: ZProductIdeal, witness: tuple[int, ...], bound: int | None = None) -> bool:
     """Compare {witness * r} with the ideal inside the box |coord| <= bound.
 
     Default bound is 10 * max(gens, 1), wide enough that a wrong witness
-    always produces a visible discrepancy.
+    always produces a visible discrepancy. Both sets are products of
+    per-axis sets, each holding 0, so they are equal exactly when their axes
+    are, and the box itself is never built.
     """
     if len(witness) != ideal.k:
         raise ValueError("witness arity differs from ideal arity")

@@ -289,6 +289,31 @@ def test_lattice_past_the_corpus_matches_closed_forms(moduli):
     assert pairs == CLOSED_FORMS["containment_pairs"](moduli)
 
 
+def _gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of F_q^n."""
+    top = bottom = 1
+    for i in range(k):
+        top *= q ** (n - i) - 1
+        bottom *= q ** (i + 1) - 1
+    return top // bottom
+
+
+@pytest.mark.parametrize("p, dim, count", [(2, 6, 375), (3, 4, 29)])
+def test_zero_product_algebra_lattice_matches_closed_form(p, dim, count):
+    # every product of two basis elements other than 1 is zero, so the ideals
+    # are R and the subspaces of the maximal ideal m, the one prime
+    zero = [0] * dim
+    names = ["1", *(f"a{i}" for i in range(1, dim))]
+    ring = make_algebra(p, dim, _sc_with_unity(dim, {(i, j): zero for i in range(1, dim) for j in range(i, dim)}), names)
+    lattice = all_ideals(ring)
+    sizes = sorted(len(ideal) for ideal in lattice.ideals)
+    expected = sorted([p ** dim] + [p ** k for k in range(dim) for _ in range(_gaussian_binomial(dim - 1, k, p))])
+    assert len(lattice) == count
+    assert sizes == expected
+    maximal = sum(1 << a for a in range(0, ring.order, p))  # the unity coefficient, the lowest digit, is 0
+    assert list(lattice.primes) == [maximal]
+
+
 def assert_classification_matches_oracles(ring):
     """Every classify_ring flag against its definition; is_pprir from the
     definitional primes and the first-generator oracle."""

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ringaudit.corpus import DOCUMENTS
 from ringaudit.ringfile import RingFileError, document_for, load_ring_file, ring_from_document
 from ringaudit.rings import RingAxiomError, make_product, make_zn
 
@@ -174,6 +175,23 @@ def test_named_table_ring_roundtrip():
         assert rebuilt.element_names == ring.element_names
         assert np.array_equal(rebuilt.add_table, ring.add_table)
         assert np.array_equal(rebuilt.mul_table, ring.mul_table)
+
+
+def test_a_ring_is_written_back_as_parsed_else_as_its_tables(corpus):
+    ring = make_zn(12)
+    doc = document_for(ring)
+    assert doc["kind"] == "table"
+    rebuilt = ring_from_document(doc)
+    assert (rebuilt.label, rebuilt.element_names) == (ring.label, ring.element_names)
+    assert np.array_equal(rebuilt.add_table, ring.add_table)
+    assert np.array_equal(rebuilt.mul_table, ring.mul_table)
+    assert document_for(ring_from_document({"kind": "zn", "n": 12})) == {"kind": "zn", "n": 12, "label": "Z_12"}
+    # the parser keeps a copy of what it read, not the caller's objects
+    before = json.dumps(DOCUMENTS)
+    doc = document_for(corpus.by_label("F_4"))
+    doc["mul"]["x*x"] = "0"
+    doc["basis_names"].append("y")
+    assert json.dumps(DOCUMENTS) == before
 
 
 def test_load_ring_file(tmp_path):

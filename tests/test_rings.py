@@ -13,7 +13,7 @@ from _oracles import product_tables, slice_loop_validate
 from ringaudit import rings
 from ringaudit.ideals import principal_ideal
 from ringaudit.quotients import quotient_ring
-from ringaudit.ringfile import load_ring_file
+from ringaudit.ringfile import load_ring_file, ring_from_document
 from ringaudit.rings import (
     FiniteRing,
     RingAxiomError,
@@ -262,6 +262,44 @@ def test_a_ring_holds_only_its_two_tables():
     # either would add tens of MiB more
     assert ring.order == 1024
     assert retained < 24 * 2**20
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: make_boolean(10), lambda: make_product([make_zn(4)] * 5)], ids=["B_10", "Z_4^5"],
+)
+def test_constructor_tables_are_kept_not_copied(build):
+    tracemalloc.start()
+    try:
+        ring = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two tables and the temporaries that build them; a copy of both
+    # tables on top of that reaches four tables
+    assert peak < 3.5 * ring.add_table.nbytes
+
+
+def test_every_constructor_returns_read_only_int64_tables():
+    z3, z12 = make_zn(3), make_zn(12)
+    z3_doc = {"kind": "table", "order": 3, "zero": 0, "one": 1,
+              "add": z3.add_table.tolist(), "mul": z3.mul_table.tolist()}
+    built = {
+        "make_zn": z12,
+        "make_boolean": make_boolean(3),
+        "make_product": make_product([make_zn(2), z3]),
+        "make_algebra": make_algebra(2, 2, _sc_with_unity(2, {(1, 1): (1, 1)})),
+        "make_table_ring": make_table_ring(3, z3_doc["add"], z3_doc["mul"], 0, 1),
+        "quotient_ring": quotient_ring(z12, principal_ideal(z12, 4)).quotient,
+        "table ring file": ring_from_document(z3_doc),
+        "algebra ring file": ring_from_document(
+            {"kind": "algebra", "p": 2, "basis_names": ["1", "x"], "mul": {"x*x": "0"}}
+        ),
+    }
+    for name, ring in built.items():
+        for table in (ring.add_table, ring.mul_table):
+            assert table.dtype == np.int64, name
+            assert table.shape == (ring.order, ring.order), name
+            assert not table.flags.writeable, name
 
 
 def test_is_prime_int():

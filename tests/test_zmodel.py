@@ -1,5 +1,6 @@
 """Symbolic Z^k ideals: containment, primality, the box oracle, EX2."""
 
+import tracemalloc
 from itertools import product as cartesian
 
 import pytest
@@ -103,6 +104,17 @@ def test_box_oracle_catches_wrong_witness():
     assert not box_oracle_check(ZProductIdeal((0, 1)), (1, 1))
     with pytest.raises(ValueError, match="arity"):
         box_oracle_check(ZProductIdeal((2,)), (2, 2))
+
+
+def test_box_oracle_never_builds_the_box():
+    tracemalloc.start()
+    try:
+        assert box_oracle_check(ZProductIdeal((1, 2000)), (1, 2000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the box holds 40001 x 41 points, far more than the two axes
+    assert peak < 20 * 2**20
 
 
 def test_render():
