@@ -178,26 +178,22 @@ _PER_RING_CHECKERS = {
 CLAIM_IDS = (*_PER_RING_CHECKERS, "EX2")
 
 
+def _timed_report(claim: str, label: str, check, *args) -> ClaimReport:
+    start = time.perf_counter()
+    outcome = check(*args)
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return ClaimReport(claim, label, outcome.status, outcome.witness, outcome.reason, outcome.detail, elapsed)
+
+
 def run_claim(claim: str, corpus: Corpus) -> list[ClaimReport]:
     """One report per (claim, ring), in corpus order; EX2 yields a single
     report against the symbolic model."""
     if claim == "EX2":
-        start = time.perf_counter()
-        outcome = audit_ex2()
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return [ClaimReport("EX2", "zmodel", outcome.status, outcome.witness, outcome.reason, outcome.detail, elapsed)]
+        return [_timed_report("EX2", "zmodel", audit_ex2)]
     checker = _PER_RING_CHECKERS.get(claim)
     if checker is None:
         raise ValueError(f"unknown claim id {claim!r}; expected one of {', '.join(CLAIM_IDS)}")
-    reports = []
-    for ring in corpus:
-        start = time.perf_counter()
-        outcome = checker(ring)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        reports.append(
-            ClaimReport(claim, ring.label, outcome.status, outcome.witness, outcome.reason, outcome.detail, elapsed)
-        )
-    return reports
+    return [_timed_report(claim, ring.label, checker, ring) for ring in corpus]
 
 
 def run_all_claims(corpus: Corpus) -> list[ClaimReport]:

@@ -290,11 +290,11 @@ def audit_thm1(ring: FiniteRing) -> ClaimOutcome:
     return ClaimOutcome(VERIFIED, detail=detail)
 
 
-def audit_thm3(ring: FiniteRing, cap: int | None = None) -> ClaimOutcome:
+def audit_thm3(ring: FiniteRing) -> ClaimOutcome:
     """Every surjective unital endomorphism must be injective (and, the
-    cardinality converse, every injective one surjective)."""
-    if cap is None:
-        cap = endomorphism_cap()
+    cardinality converse, every injective one surjective). Rings over
+    endomorphism_cap() are skipped, with the cap named."""
+    cap = endomorphism_cap()
     if ring.order > cap:
         return ClaimOutcome(SKIPPED, reason=f"order {ring.order} exceeds endomorphism cap {cap}")
     homs = endomorphisms(ring, cap=cap)

@@ -18,6 +18,7 @@ as a table document.
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 from contextlib import suppress
@@ -244,10 +245,10 @@ def load_ring_file(path) -> FiniteRing:
 
 
 def document_for(ring: FiniteRing) -> dict:
-    """A document that reconstructs the ring: the one it was parsed from,
-    else a table document of its tables and element names."""
+    """A document that reconstructs the ring: a copy of the one it was
+    parsed from, else a table document of its tables and element names."""
     if ring.source is not None:
-        doc = dict(ring.source)
+        doc = copy.deepcopy(ring.source)  # the caller may edit it
     else:
         doc = {
             "kind": "table",

@@ -23,7 +23,6 @@ the ideal lattice, and are safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from itertools import product as _cartesian
 
 import numpy as np
@@ -70,10 +69,14 @@ def is_prime_int(n: int) -> bool:
 
 
 def _as_table(table, order: int, name: str) -> np.ndarray:
-    arr = np.array(table, dtype=np.int64)
+    """A fresh int64 copy of the caller's table; cells that are not int64
+    integers (1.9, "1", 2**70) are refused, not cast."""
+    arr = np.array(table)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} table cells must be int64 integers, got dtype {arr.dtype}")
     if arr.shape != (order, order):
         raise ValueError(f"{name} table must be {order}x{order}, got shape {arr.shape}")
-    return arr
+    return arr.astype(np.int64, copy=False)  # a uint64 cell past int64 wraps negative: out of range
 
 
 def validate_tables(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one: int) -> None:
@@ -209,8 +212,8 @@ class FiniteRing:
     ):
         add = _as_table(add_table, order, "add")
         mul = _as_table(mul_table, order, "mul")
-        if not (0 <= zero < order and 0 <= one < order):
-            raise ValueError("zero/one index out of range")
+        if not all(isinstance(v, (int, np.integer)) and 0 <= v < order for v in (zero, one)):
+            raise ValueError(f"zero/one must be int indices in 0..{order - 1}, got {zero!r}/{one!r}")
         validate_tables(order, add, mul, zero, one)
         self._fill(order, add, mul, zero, one, label, element_names)
 
@@ -290,8 +293,10 @@ def make_zn(n: int, label: str | None = None) -> FiniteRing:
     if n < 2:
         raise ValueError("make_zn requires n >= 2 (the zero ring is excluded)")
     idx = np.arange(n)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    add = idx[:, None] + idx
+    add %= n  # in place: the build holds the two tables and no third
+    mul = idx[:, None] * idx
+    mul %= n
     return FiniteRing._trusted(n, add, mul, 0, 1, label or f"Z_{n}")
 
 
@@ -316,21 +321,18 @@ def make_product(factors, label: str | None = None) -> FiniteRing:
     factors = list(factors)
     if not factors:
         raise ValueError("make_product requires at least one factor")
-    orders = [r.order for r in factors]
-    order = math.prod(orders)
-    # element i has coordinates coords[f][i], last factor fastest, the order
-    # of itertools.product and of ravel_multi_index
-    coords = np.unravel_index(np.arange(order), orders)
-    strides = [math.prod(orders[f + 1:]) for f in range(len(factors))]
-    add = sum(s * r.add_table[np.ix_(c, c)] for s, r, c in zip(strides, factors, coords))
-    mul = sum(s * r.mul_table[np.ix_(c, c)] for s, r, c in zip(strides, factors, coords))
+    # one broadcast per factor R: (q, x) in (earlier factors) x R is q·|R| + x,
+    # last factor fastest as in itertools.product; no third table is built
+    add = mul = np.zeros((1, 1), dtype=np.int64)
+    zero = one = 0
+    for r in factors:
+        m = r.order
+        add = (add[:, None, :, None] * m + r.add_table[:, None, :]).reshape(len(add) * m, -1)
+        mul = (mul[:, None, :, None] * m + r.mul_table[:, None, :]).reshape(len(mul) * m, -1)
+        zero, one = zero * m + r.zero, one * m + r.one
     names = ["(" + ",".join(t) + ")" for t in _cartesian(*(r.element_names for r in factors))]
     return FiniteRing._trusted(
-        order, add, mul,
-        np.ravel_multi_index([r.zero for r in factors], orders),
-        np.ravel_multi_index([r.one for r in factors], orders),
-        label or "x".join(r.label for r in factors),
-        element_names=names,
+        len(add), add, mul, zero, one, label or "x".join(r.label for r in factors), element_names=names
     )
 
 
@@ -377,9 +379,13 @@ def make_algebra(p: int, dim: int, sc, basis_names=None, label: str | None = Non
 
     order = p ** dim
     powers = p ** np.arange(dim)
-    vecs = np.array([[(i // p**t) % p for t in range(dim)] for i in range(order)], dtype=np.int64)
-    add = ((vecs[:, None, :] + vecs[None, :, :]) % p) @ powers
-    mul = (np.einsum("ai,bj,ijk->abk", vecs, vecs, sc) % p) @ powers
+    vecs = np.arange(order)[:, None] // powers % p
+    # digit k of a+b and of ab = sum_ij a_i b_j sc[i,j,k]: a few tables, not order x order x dim
+    add = np.zeros((order, order), dtype=np.int64)
+    mul = np.zeros_like(add)
+    for k in range(dim):
+        add += (vecs[:, k, None] + vecs[:, k]) % p * powers[k]
+        mul += (vecs @ sc[..., k] @ vecs.T) % p * powers[k]
     names = [_combo_name(v, basis_names) for v in vecs]
     return FiniteRing(order, add, mul, 0, 1, label=label or f"F{p}-algebra(dim={dim})", element_names=names)
 

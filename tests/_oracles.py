@@ -13,6 +13,8 @@ idempotents: the pairwise closure of the principal ideals under sum, with
 pair_scan_up, the containment scan that built the up-sets before the
 containment product. whole_block_is_primary is is_primary as it stood
 before the chunked early-exit test, gathering its whole block at once.
+algebra_tables is make_algebra's table build as it stood before the
+digit-at-a-time build: one einsum over order x order x dim arrays.
 """
 
 from __future__ import annotations
@@ -333,3 +335,14 @@ def slice_loop_validate(order: int, add, mul, zero: int, one: int) -> None:
             if differ.any():
                 b, c = np.argwhere(differ)[0]
                 raise RingAxiomError(axiom, (a, b, c))
+
+
+def algebra_tables(p, sc):
+    """Cayley tables of the Z_p-algebra with structure constants sc, elements
+    encoded little-endian base p as make_algebra does, left unvalidated."""
+    dim = len(sc)
+    vecs = np.arange(p**dim)[:, None] // p ** np.arange(dim) % p
+    powers = p ** np.arange(dim)
+    add = (vecs[:, None, :] + vecs[None, :, :]) % p @ powers
+    mul = np.einsum("ai,bj,ijk->abk", vecs, vecs, np.array(sc)) % p @ powers
+    return add, mul

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringaudit import cli
 from ringaudit.cli import main
 from ringaudit.corpus import DOCUMENTS
 from ringaudit.quotients import ENDO_CAP_ENV
@@ -238,6 +239,22 @@ def test_audit_expect_verified_failure(capsys):
 
 def test_audit_expect_verified_success(capsys):
     assert main(["audit", "--claim", "PROP2", "--expect-verified", "PROP2"]) == 0
+
+
+def test_audit_expect_verified_all_covers_every_claim(capsys):
+    assert main(["audit", "--claim", "THM2", "--expect-verified", "all"]) == 1
+    assert "expectation failed: THM2 refuted on A=F2[x,y]/(x,y)^2" in capsys.readouterr().err
+    assert main(["audit", "--claim", "PROP1", "--expect-verified", "all"]) == 0
+
+
+def test_audit_unknown_expected_claim_exits_2_before_any_ring(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "default_corpus", lambda: pytest.fail("the corpus was built"))
+    with pytest.raises(SystemExit) as err:
+        main(["audit", "--expect-verified", "BOGUS"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'BOGUS'" in captured.err
 
 
 def test_audit_json(capsys):

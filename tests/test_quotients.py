@@ -377,8 +377,9 @@ def test_audit_thm3_verified_and_skipped(ring_a):
     assert "cap 16" in out.reason
 
 
-def test_audit_thm3_cap_override():
-    assert audit_thm3(make_zn(17), cap=32).status == VERIFIED
+def test_audit_thm3_cap_override(monkeypatch):
+    monkeypatch.setenv(ENDO_CAP_ENV, "32")
+    assert audit_thm3(make_zn(17)).status == VERIFIED
 
 
 def test_audit_thm3_refutes_on_planted_violation(monkeypatch):

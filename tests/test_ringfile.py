@@ -194,6 +194,19 @@ def test_a_ring_is_written_back_as_parsed_else_as_its_tables(corpus):
     assert json.dumps(DOCUMENTS) == before
 
 
+def test_a_written_back_document_is_the_callers_to_edit():
+    algebra = ring_from_document({"kind": "algebra", "p": 2, "basis_names": ["1", "x"], "mul": {"x*x": "0"}})
+    product = ring_from_document({"kind": "product", "factors": [{"kind": "zn", "n": 2}, {"kind": "zn", "n": 3}]})
+    edits = {algebra: lambda doc: doc["mul"].update({"x*x": "1+x"}), product: lambda doc: doc["factors"][0].update(n=5)}
+    for ring, edit in edits.items():
+        before = json.dumps(document_for(ring))
+        edit(document_for(ring))
+        assert json.dumps(document_for(ring)) == before, ring.label
+        rebuilt = ring_from_document(document_for(ring))
+        assert np.array_equal(rebuilt.add_table, ring.add_table), ring.label
+        assert np.array_equal(rebuilt.mul_table, ring.mul_table), ring.label
+
+
 def test_load_ring_file(tmp_path):
     path = tmp_path / "z8.json"
     path.write_text(json.dumps({"kind": "zn", "n": 8}))

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import product_tables, slice_loop_validate
-from ringaudit import rings
+from _oracles import algebra_tables, product_tables, slice_loop_validate
+from _strategies import fp_structure_constants
+from ringaudit import rings, ringfile
+from ringaudit.corpus import default_corpus
 from ringaudit.ideals import principal_ideal
 from ringaudit.quotients import quotient_ring
 from ringaudit.ringfile import load_ring_file, ring_from_document
@@ -279,6 +281,85 @@ def test_constructor_tables_are_kept_not_copied(build):
     assert peak < 3.5 * ring.add_table.nbytes
 
 
+def _peak_tables(build) -> float:
+    """tracemalloc peak of build(), in tables of the ring it returns."""
+    tracemalloc.start()
+    try:
+        ring = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / ring.add_table.nbytes
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: make_zn(2048), lambda: make_product([make_zn(4)] * 5)], ids=["Z_2048", "Z_4^5"],
+)
+def test_zn_and_product_tables_are_built_in_place(build):
+    # the two tables and factor-sized temporaries; one table-sized
+    # temporary on top of them reaches three tables
+    assert _peak_tables(build) < 2.5
+
+
+def test_make_algebra_builds_its_tables_one_digit_at_a_time():
+    # F_2[x]/(x^9), 512 elements: order x order x dim temporaries reach 19
+    # tables; the digit build and the axiom check stay under 10
+    dim = 9
+    sc = [[[int(i + j == k) for k in range(dim)] for j in range(dim)] for i in range(dim)]
+    names = ["1"] + [f"x{i}" for i in range(1, dim)]
+    assert _peak_tables(lambda: make_algebra(2, dim, sc, basis_names=names)) < 10
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(fp_structure_constants())
+def test_make_algebra_matches_the_einsum_build(constants):
+    p, dim, sc = constants
+    add, mul = algebra_tables(p, sc)
+    try:
+        ring = make_algebra(p, dim, sc)
+    except RingAxiomError as err:  # then the einsum tables break the same law
+        with pytest.raises(RingAxiomError) as oracle:
+            slice_loop_validate(p**dim, add, mul, 0, 1)
+        assert str(oracle.value) == str(err)
+        return
+    assert np.array_equal(ring.add_table, add)
+    assert np.array_equal(ring.mul_table, mul)
+
+
+def test_corpus_algebras_match_the_einsum_build(monkeypatch):
+    built = []
+
+    def recording(p, dim, sc, **kwargs):
+        built.append((make_algebra(p, dim, sc, **kwargs), p, sc))
+        return built[-1][0]
+
+    monkeypatch.setattr(ringfile, "make_algebra", recording)
+    default_corpus()
+    assert len(built) == 5
+    for ring, p, sc in built:
+        add, mul = algebra_tables(p, sc)
+        assert np.array_equal(ring.add_table, add), ring.label
+        assert np.array_equal(ring.mul_table, mul), ring.label
+
+
+Z2_ADD, Z2_MUL = [[0, 1], [1, 0]], [[0, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("cell", [1.9, 2**70, "1"], ids=["float", "past-int64", "str"])
+def test_table_cells_that_are_not_ints_are_refused(cell):
+    # int(1.9) == int("1") == 1 would make either a valid Z_2 table
+    with pytest.raises(ValueError, match="add table cells must be int64 integers"):
+        FiniteRing(2, [[0, 1], [cell, 0]], Z2_MUL, 0, 1)
+    with pytest.raises(ValueError, match="mul table cells must be int64 integers"):
+        make_table_ring(2, Z2_ADD, np.array(Z2_MUL, dtype=float), 0, 1)
+
+
+@pytest.mark.parametrize("zero, one", [(0.0, 1), (0, 1.0), ("0", 1)])
+def test_zero_and_one_must_be_int_indices(zero, one):
+    with pytest.raises(ValueError, match="zero/one must be int indices"):
+        make_table_ring(2, Z2_ADD, Z2_MUL, zero, one)
+
+
 def test_every_constructor_returns_read_only_int64_tables():
     z3, z12 = make_zn(3), make_zn(12)
     z3_doc = {"kind": "table", "order": 3, "zero": 0, "one": 1,
@@ -420,17 +501,6 @@ def test_validator_matches_slice_loop_on_corrupted_tables(corruption_bases, data
         a, b, value = data.draw(element), data.draw(element), data.draw(element)
         tables[which][a, b] = tables[which][b, a] = value
     assert_same_verdict(ring.order, tables["add"], tables["mul"], ring.zero, ring.one)
-
-
-def algebra_tables(p, sc):
-    """Cayley tables of the Z_p-algebra with structure constants sc, elements
-    encoded little-endian base p as make_algebra does, left unvalidated."""
-    dim = len(sc)
-    vecs = np.arange(p**dim)[:, None] // p ** np.arange(dim) % p
-    powers = p ** np.arange(dim)
-    add = (vecs[:, None, :] + vecs[None, :, :]) % p @ powers
-    mul = np.einsum("ai,bj,ijk->abk", vecs, vecs, np.array(sc)) % p @ powers
-    return add, mul
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
