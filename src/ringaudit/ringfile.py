@@ -2,13 +2,14 @@
 
 Five kinds are accepted (zn, boolean, product, algebra, table); the exact
 field names are fixed in docs/ring_format.md. Parsing is strict about the
-kind and about index ranges, and it rejects any ring of more than MAX_ORDER
+kind and about table cells, and it rejects any ring of more than MAX_ORDER
 elements before building its tables. A file is untrusted input: table and
-algebra documents go through make_table_ring and make_algebra, which run the
-full axiom check, so a document that parses but breaks an axiom still fails,
-with the axiom named. zn, boolean and product documents name rings the
-package builds by construction (a product's factors are documents checked
-the same way), so their tables need no check.
+algebra documents go through FiniteRing and make_algebra, which check the
+zero/one indices and run the full axiom check, so a document that parses
+but breaks an axiom still fails, with the axiom named. zn, boolean and
+product documents name rings the package builds by construction (a
+product's factors are documents checked the same way), so their tables
+need no check.
 
 This module is the only one that knows the format. Each ring it builds
 keeps the document it was parsed from, for document_for to write back; a
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rings import FiniteRing, make_algebra, make_boolean, make_product, make_table_ring, make_zn
+from .rings import FiniteRing, make_algebra, make_boolean, make_product, make_zn
 
 __all__ = ["MAX_ORDER", "RING_KINDS", "RingFileError", "document_for", "load_ring_file", "ring_from_document"]
 
@@ -159,15 +160,13 @@ def _table_from_document(doc: dict) -> FiniteRing:
         ):
             raise RingFileError(f"table {field} must be an {order}x{order} matrix")
         tables[field] = _table_cells(rows, order, field)
-    if not 0 <= zero < order or not 0 <= one < order:
-        raise RingFileError("table zero/one index out of range")
     names = doc.get("element_names")
     if "element_names" in doc and not (
         isinstance(names, list) and len(names) == order
         and all(isinstance(name, str) for name in names) and len(set(names)) == order
     ):
         raise RingFileError(f"table element_names must be a list of {order} distinct strings")
-    return make_table_ring(
+    return FiniteRing(
         order, tables["add"], tables["mul"], zero, one,
         label=doc.get("label"), element_names=names,
     )

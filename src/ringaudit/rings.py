@@ -2,20 +2,21 @@
 
 A ring here is the index set 0..order-1 together with full addition and
 multiplication tables, two read-only numpy arrays kept in no other form.
-Every constructor that takes tables from the caller (FiniteRing itself,
-make_table_ring, make_algebra, and through them the table and algebra ring
-files) runs the complete axiom check: closure, abelian-group laws for
-addition, commutativity and associativity of multiplication,
-distributivity, nonzero unity. It is exact and costs O(order^2 log order)
-for tables that form a ring, since the cubic laws need checking only on an
-additive generating set (see validate_tables); a table that breaks one also
-pays for the O(order^3) slice-by-slice search up to its first witness. Z_n,
-B_k, direct products and quotients by ideals are rings by construction:
-the tables they build are kept as built, with no copy and no check, and the
-tests re-validate their output. Either way every FiniteRing instance is a
-genuine commutative unital ring. The zero ring is excluded: order >= 2 and
-one != zero. Ring documents are the business of ringfile, which attaches to
-each ring it builds the document it parsed.
+FiniteRing(...) is the one constructor for caller tables (make_table_ring
+is the same class under its older name); it, and so make_algebra and the
+table and algebra ring files, runs the complete axiom check: closure,
+abelian-group laws for addition, commutativity and associativity of
+multiplication, distributivity, nonzero unity. It is exact and costs
+O(order^2 log order) for tables that form a ring, since the cubic laws need
+checking only on an additive generating set (see validate_tables); a table
+that breaks one also pays for the O(order^3) slice-by-slice search up to its
+first witness. Z_n, B_k, direct products and quotients by ideals are rings
+by construction: the tables they build are kept as built, with no copy and
+no check, and the tests re-validate their output. Either way every
+FiniteRing instance is a genuine commutative unital ring, with distinct
+element names. The zero ring is excluded: order >= 2 and one != zero. Ring
+documents are the business of ringfile, which attaches to each ring it
+builds the document it parsed.
 
 Instances are immutable after construction, bar one lazily filled slot for
 the ideal lattice, and are safe to share across threads.
@@ -23,6 +24,7 @@ the ideal lattice, and are safe to share across threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product as _cartesian
 
 import numpy as np
@@ -70,12 +72,16 @@ def is_prime_int(n: int) -> bool:
 
 def _as_table(table, order: int, name: str) -> np.ndarray:
     """A fresh int64 copy of the caller's table; cells that are not int64
-    integers (1.9, "1", 2**70) are refused, not cast."""
+    integers (1.9, "1", 2**70, True) are refused, not cast. numpy reads a
+    bool among ints as 0 or 1, so nested Python cells are scanned for bools;
+    an ndarray's dtype already tells."""
     arr = np.array(table)
     if arr.dtype.kind not in "iu":
         raise ValueError(f"{name} table cells must be int64 integers, got dtype {arr.dtype}")
     if arr.shape != (order, order):
         raise ValueError(f"{name} table must be {order}x{order}, got shape {arr.shape}")
+    if not isinstance(table, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for row in table for v in row):
+        raise ValueError(f"{name} table cells must be int64 integers, got a bool")
     return arr.astype(np.int64, copy=False)  # a uint64 cell past int64 wraps negative: out of range
 
 
@@ -191,7 +197,8 @@ class FiniteRing:
     ring's only tables; element_names gives a display string per index.
     Identity semantics: two instances are equal only if they are the same
     object. Calling the class copies the caller's tables and checks them in
-    full; _trusted keeps the tables a package constructor has just built.
+    full, and labels the ring table-ring-<order> unless given a label;
+    _trusted keeps the tables a package constructor has just built.
 
     source is None, unless ringfile.ring_from_document attached the
     document it parsed, which ringfile.document_for writes back.
@@ -207,7 +214,7 @@ class FiniteRing:
         mul_table,
         zero: int,
         one: int,
-        label: str = "ring",
+        label: str | None = None,
         element_names=None,
     ):
         add = _as_table(add_table, order, "add")
@@ -215,7 +222,7 @@ class FiniteRing:
         if not all(isinstance(v, (int, np.integer)) and 0 <= v < order for v in (zero, one)):
             raise ValueError(f"zero/one must be int indices in 0..{order - 1}, got {zero!r}/{one!r}")
         validate_tables(order, add, mul, zero, one)
-        self._fill(order, add, mul, zero, one, label, element_names)
+        self._fill(order, add, mul, zero, one, label or f"table-ring-{order}", element_names)
 
     @classmethod
     def _trusted(cls, order, add_table, mul_table, zero, one, label, element_names=None):
@@ -240,6 +247,9 @@ class FiniteRing:
         if len(element_names) != order:
             raise ValueError("element_names length must equal order")
         self.element_names = tuple(str(s) for s in element_names)
+        if len(set(self.element_names)) != order:  # names must parse back to one element each
+            (repeated, count), = Counter(self.element_names).most_common(1)
+            raise ValueError(f"element_names must be distinct, {repeated!r} names {count} elements")
         self.source = None
         self._lattice = None
 
@@ -390,18 +400,4 @@ def make_algebra(p: int, dim: int, sc, basis_names=None, label: str | None = Non
     return FiniteRing(order, add, mul, 0, 1, label=label or f"F{p}-algebra(dim={dim})", element_names=names)
 
 
-def make_table_ring(
-    order: int,
-    add_table,
-    mul_table,
-    zero: int,
-    one: int,
-    label: str | None = None,
-    element_names=None,
-) -> FiniteRing:
-    """Ring from raw Cayley tables; the axiom check decides admissibility."""
-    return FiniteRing(
-        order, add_table, mul_table, zero, one,
-        label=label or f"table-ring-{order}",
-        element_names=element_names,
-    )
+make_table_ring = FiniteRing  # the same constructor under its older name

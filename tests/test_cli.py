@@ -141,6 +141,15 @@ def test_ideals_dot(z6_file, capsys):
     assert out.startswith('digraph "Z_6"')
 
 
+def test_ideals_json_and_dot_together_exit_2(z6_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["ideals", z6_file, "--json", "--dot"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument --json" in captured.err
+
+
 def test_ideals_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
     doc = {
         "kind": "table",
@@ -255,6 +264,14 @@ def test_audit_unknown_expected_claim_exits_2_before_any_ring(monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid choice: 'BOGUS'" in captured.err
+
+
+def test_audit_expectation_on_an_unselected_claim_exits_2_before_any_ring(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "default_corpus", lambda: pytest.fail("the corpus was built"))
+    assert main(["audit", "--claim", "PROP1", "--expect-verified", "THM2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --expect-verified THM2 names a claim that --claim PROP1 does not run\n"
 
 
 def test_audit_json(capsys):

@@ -111,6 +111,14 @@ def test_table_rejects_out_of_range_entry():
         ring_from_document(doc)
 
 
+@pytest.mark.parametrize("zero, one", [(0, 5), (-1, 1)])
+def test_table_zero_or_one_out_of_range_is_refused_by_the_ring(zero, one):
+    doc = {"kind": "table", "order": 2, "zero": zero, "one": one, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+    with pytest.raises(ValueError) as err:
+        ring_from_document(doc)
+    assert str(err.value) == f"zero/one must be int indices in 0..1, got {zero}/{one}"
+
+
 @pytest.mark.parametrize("cells, message", [
     ({("mul", 1, 1): 9}, "table mul[1][1] = 9 out of range 0..1"),
     ({("add", 1, 0): -1, ("add", 1, 1): 5}, "table add[1][0] = -1 out of range 0..1"),

@@ -345,13 +345,36 @@ def test_corpus_algebras_match_the_einsum_build(monkeypatch):
 Z2_ADD, Z2_MUL = [[0, 1], [1, 0]], [[0, 0], [0, 1]]
 
 
-@pytest.mark.parametrize("cell", [1.9, 2**70, "1"], ids=["float", "past-int64", "str"])
+@pytest.mark.parametrize(
+    "cell", [1.9, 2**70, "1", True, np.True_], ids=["float", "past-int64", "str", "bool", "numpy-bool"]
+)
 def test_table_cells_that_are_not_ints_are_refused(cell):
-    # int(1.9) == int("1") == 1 would make either a valid Z_2 table
+    # int(1.9) == int("1") == 1 would make either a valid Z_2 table, and
+    # numpy reads a bool among ints as 0 or 1
     with pytest.raises(ValueError, match="add table cells must be int64 integers"):
         FiniteRing(2, [[0, 1], [cell, 0]], Z2_MUL, 0, 1)
     with pytest.raises(ValueError, match="mul table cells must be int64 integers"):
         make_table_ring(2, Z2_ADD, np.array(Z2_MUL, dtype=float), 0, 1)
+
+
+def test_make_table_ring_is_finite_ring_with_its_default_label():
+    z3 = make_zn(3)
+    assert make_table_ring is FiniteRing
+    assert FiniteRing(3, z3.add_table, z3.mul_table, 0, 1).label == "table-ring-3"
+    assert FiniteRing(3, z3.add_table, z3.mul_table, 0, 1, label="t").label == "t"
+
+
+def test_duplicate_element_names_are_refused():
+    with pytest.raises(ValueError, match="element_names must be distinct, 'a' names 2 elements"):
+        make_table_ring(2, Z2_ADD, Z2_MUL, 0, 1, element_names=["a", "a"])
+
+
+def test_product_names_that_collide_are_refused():
+    # ("x,", "y") and ("x", ",y") both render as "(x,,y)"
+    left = make_table_ring(2, Z2_ADD, Z2_MUL, 0, 1, element_names=["x,", "x"])
+    right = make_table_ring(2, Z2_ADD, Z2_MUL, 0, 1, element_names=["y", ",y"])
+    with pytest.raises(ValueError, match=r"element_names must be distinct, '\(x,,y\)' names 2 elements"):
+        make_product([left, right])
 
 
 @pytest.mark.parametrize("zero, one", [(0.0, 1), (0, 1.0), ("0", 1)])
