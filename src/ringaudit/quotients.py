@@ -16,12 +16,17 @@ only once check_hom has verified the preservation laws exhaustively, which
 makes its kernel an ideal without a second check, while
 endomorphisms returns maps that are homomorphisms by construction: each is
 written additively from the images of an additive generating set that
-preserve the generators' products (the proof is in its docstring).
+preserve the generators' products (the proof is in its docstring). Both
+work on blocks of maps, one map to a row of a numpy array: the search
+extends a block of partial maps a generator at a time, and one law check
+over a block serves check_hom (one row) and audit_thm3 (every
+endomorphism, a block at a time).
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +61,9 @@ __all__ = [
 
 DEFAULT_ENDO_CAP = 16
 ENDO_CAP_ENV = "RINGAUDIT_ENDO_CAP"
+# int64 cells in one block: rows x order for the endomorphism search, maps x
+# order x order for the law check; small enough to stay in cache
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -128,14 +136,29 @@ def check_hom(hom: RingHom) -> bool:
         raise ValueError("map length does not match source order")
     if any(not 0 <= v < tgt.order for v in f):
         raise ValueError("map image out of target range")
-    if f[src.one] != tgt.one:
-        return False
-    f = np.array(f)
-    # cell (a, b) compares f(a op b) with f(a) op f(b)
-    return bool(
-        (f[src.add_table] == tgt.add_table[f][:, f]).all()
-        and (f[src.mul_table] == tgt.mul_table[f][:, f]).all()
-    )
+    return bool(_law_check(src, tgt)(np.array([f]))[0])
+
+
+def _law_check(source: FiniteRing, target: FiniteRing):
+    """The exhaustive homomorphism check for maps source -> target, as a
+    function of a K x source.order block of maps: row f passes iff
+    f(one) = one, and f(a + b) = f(a) + f(b) and f(ab) = f(a)f(b) for every
+    pair (a, b). Both operations commute in both rings, so (b, a) holds
+    with (a, b), and the pairs with a <= b are the ones compared."""
+    a, b = np.triu_indices(source.order)
+    laws = [(table[a, b], target_table.ravel()) for table, target_table in
+            ((source.add_table, target.add_table), (source.mul_table, target.mul_table))]
+
+    def check(maps: np.ndarray) -> np.ndarray:
+        ok = maps[:, source.one] == target.one
+        # f(a)*target.order + f(b) is the cell f(a) op f(b) of a flattened
+        # target table
+        pairs = np.take(maps, a, axis=1) * target.order + np.take(maps, b, axis=1)
+        for src, tgt in laws:
+            ok &= (np.take(maps, src, axis=1) == np.take(tgt, pairs)).all(axis=1)
+        return ok
+
+    return check
 
 
 def kernel(hom: RingHom) -> Ideal:
@@ -180,6 +203,14 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
     for each generator pair as soon as its three values are known; a
     failure prunes the branch. A complete map costs O(order) to write.
 
+    Partial maps travel in blocks, one map per row of a K x order array, and
+    each generator step is a few numpy operations on a whole block: every
+    row is expanded by its candidates v_i, read from a padded table indexed
+    by f(b_i); rows failing a generator-pair check are dropped; layer i is
+    written with one add-table gather per multiple m. The search recurses
+    over row blocks of about _BLOCK_CELLS cells, so memory holds one block
+    per generator besides the maps found.
+
     Why the maps found are exactly the unital endomorphisms:
       - None is missed: every unital homomorphism f has f(s_1) = one,
         c_i*f(s_i) = f(b_i) and f(s_a)f(s_b) = f(s_a*s_b), and, being
@@ -203,63 +234,86 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
             f"ring order {n} exceeds endomorphism search cap {cap}; "
             f"set {ENDO_CAP_ENV} to raise it"
         )
-    add, mul = ring.add_table.tolist(), ring.mul_table.tolist()
+    add, mul = ring.add_table, ring.mul_table
     level: list[int | None] = [None] * n  # the layer of each reached element
     level[ring.zero] = 0
-    reached, gens, layers = [ring.zero], [], []  # layers[i]: c_i, b_i, [(x, x - s_i)]
+    reached, gens, layers = [ring.zero], [], []  # layers[i]: c_i, b_i, multiples
     s = ring.one
     while s is not None:
-        layer, row = [], reached
-        # row_next[0] is m*s, as reached[0] is zero; m = c_i ends the loop
-        while level[(row_next := [add[x][s] for x in row])[0]] is None:
-            layer += zip(row_next, row)
-            row = row_next
-        for x, _ in layer:
+        # multiples[m] lists h + m*s for h in H_{i-1}, in the order of
+        # reached; m = c_i, which ends the loop, gives b_i first
+        multiples = [reached]
+        while level[(row := add[multiples[-1], s].tolist())[0]] is None:
+            multiples.append(row)
+        layer = [x for row_m in multiples[1:] for x in row_m]
+        for x in layer:
             level[x] = len(layers)
         gens.append(s)
-        layers.append((len(layer) // len(reached) + 1, row_next[0], layer))
-        reached = reached + [x for x, _ in layer]
+        layers.append((len(multiples), row[0], np.array(multiples)))
+        reached = reached + layer
         s = level.index(None) if len(reached) < n else None
     # a pair is checked at the layer of its later factor or of its product,
     # whichever is later: before writing it if the product lies below it
     checks = [([], []) for _ in gens]
     for j, sb in enumerate(gens):
         for sa in gens[:j + 1]:
-            x = mul[sa][sb]
+            x = int(mul[sa, sb])
             i = max(j, level[x])
             checks[i][level[x] == i].append((sa, sb, x))
-    candidates: dict[int, dict[int, list[int]]] = {}  # c -> c*v -> [v]
+    # each side's triples as three index arrays: sa, sb, x
+    checks = [tuple(np.array(side, dtype=np.intp).reshape(-1, 3).T for side in step) for step in checks]
+    candidates = {}  # c -> row w lists the v with c*v = w, padded with -1
     for c in {c for c, _, _ in layers[1:]}:
-        multiple = [ring.zero] * n
+        multiple = np.full(n, ring.zero)
         for _ in range(c):
-            multiple = [add[w][v] for v, w in enumerate(multiple)]
-        candidates[c] = {}
-        for v, w in enumerate(multiple):
-            candidates[c].setdefault(w, []).append(v)
+            multiple = add[multiple, np.arange(n)]
+        # the v sorted by c*v, then by v; each lands in its row's next column
+        by_multiple = np.argsort(multiple, kind="stable")
+        count = np.bincount(multiple, minlength=n)
+        column = np.arange(n) - np.repeat(np.cumsum(count) - count, count)
+        candidates[c] = np.full((n, count.max()), -1)
+        candidates[c][multiple[by_multiple], column] = by_multiple
 
-    f = [ring.zero] * n
+    rows_per_block = max(1, _BLOCK_CELLS // n)
     found: list[tuple[int, ...]] = []
 
-    def extend(i: int) -> None:
-        if i == len(layers):
-            found.append(tuple(f))
-            return
-        c, b, layer = layers[i]
+    def holds(block: np.ndarray, triples) -> np.ndarray:
+        sa, sb, x = triples
+        return (mul[block[:, sa], block[:, sb]] == block[:, x]).all(axis=1)
+
+    def write_layer(block: np.ndarray, multiples: np.ndarray, v: np.ndarray) -> None:
+        for m in range(1, len(multiples)):
+            block[:, multiples[m]] = add[block[:, multiples[m - 1]], v[:, None]]
+
+    def grow(i: int, block: np.ndarray) -> np.ndarray:
+        """The rows of block, each given every candidate v_i in turn, that
+        pass the checks of generator i, with layer i written."""
+        c, b, multiples = layers[i]
         before, after = checks[i]
-        for v in candidates[c].get(f[b], ()):
-            f[gens[i]] = v
-            if not all(mul[f[sa]][f[sb]] == f[x] for sa, sb, x in before):
-                continue
-            for x, prev in layer:
-                f[x] = add[f[prev]][v]
-            if all(mul[f[sa]][f[sb]] == f[x] for sa, sb, x in after):
-                extend(i + 1)
+        options = candidates[c][block[:, b]]
+        keep = options >= 0
+        block = block[np.nonzero(keep)[0]]
+        block[:, gens[i]] = options[keep]
+        block = block[holds(block, before)]
+        write_layer(block, multiples, block[:, gens[i]])
+        return block[holds(block, after)]
+
+    def extend(i: int, block: np.ndarray) -> None:
+        if i == len(layers):
+            found.extend(map(tuple, block.tolist()))
+            return
+        # a slice of rows whose expansion fits the block budget
+        rows = max(1, rows_per_block // candidates[layers[i][0]].shape[1])
+        for start in range(0, len(block), rows):
+            grown = grow(i, block[start:start + rows])
+            if len(grown):
+                extend(i + 1, grown)
 
     # v_1 = one fixes layer 0, the multiples of one; its one check,
     # one*one = one, holds
-    for x, prev in layers[0][2]:
-        f[x] = add[f[prev]][ring.one]
-    extend(1)
+    first = np.full((1, n), ring.zero)
+    write_layer(first, layers[0][2], np.array([ring.one]))
+    extend(1, first)
     found.sort()
     return [RingHom(ring, ring, m) for m in found]
 
@@ -293,13 +347,32 @@ def audit_thm1(ring: FiniteRing) -> ClaimOutcome:
 def audit_thm3(ring: FiniteRing) -> ClaimOutcome:
     """Every surjective unital endomorphism must be injective (and, the
     cardinality converse, every injective one surjective). Rings over
-    endomorphism_cap() are skipped, with the cap named."""
+    endomorphism_cap() are skipped, with the cap named. Every map found is
+    checked exhaustively before it is classified; the witness is the first
+    map, in increasing order, whose two flags differ."""
     cap = endomorphism_cap()
     if ring.order > cap:
         return ClaimOutcome(SKIPPED, reason=f"order {ring.order} exceeds endomorphism cap {cap}")
     homs = endomorphisms(ring, cap=cap)
-    for hom in homs:
-        flags = classify_hom(hom)
-        if flags["surjective"] != flags["injective"]:
+    for hom, (injective, surjective) in zip(homs, _hom_flags(homs)):
+        if surjective != injective:
             return ClaimOutcome(REFUTED, witness=hom.render())
     return ClaimOutcome(VERIFIED, detail=f"endomorphisms checked: {len(homs)}")
+
+
+def _hom_flags(homs: list[RingHom]) -> Iterator[tuple[bool, bool]]:
+    """Yield (injective, surjective) for each of homs, maps between one
+    source and one target, read from its count of distinct images. Each
+    block of about _BLOCK_CELLS cells is first checked exhaustively; a map
+    that is not a homomorphism raises ValueError."""
+    source, target = homs[0].source, homs[0].target
+    check = _law_check(source, target)
+    step = max(1, _BLOCK_CELLS // source.order**2)
+    for start in range(0, len(homs), step):
+        maps = np.array([hom.mapping for hom in homs[start:start + step]])
+        bad = np.flatnonzero(~check(maps))
+        if len(bad):
+            raise ValueError(f"not a ring homomorphism: {homs[start + bad[0]].render()}")
+        maps.sort(axis=1)
+        distinct = 1 + (maps[:, 1:] != maps[:, :-1]).sum(axis=1)
+        yield from zip((distinct == source.order).tolist(), (distinct == target.order).tolist())

@@ -73,14 +73,17 @@ def is_prime_int(n: int) -> bool:
 def _as_table(table, order: int, name: str) -> np.ndarray:
     """A fresh int64 copy of the caller's table; cells that are not int64
     integers (1.9, "1", 2**70, True) are refused, not cast. numpy reads a
-    bool among ints as 0 or 1, so nested Python cells are scanned for bools;
-    an ndarray's dtype already tells."""
+    bool among ints as 0 or 1, so nested Python cells are scanned for bools,
+    a bool held as a numpy scalar or 0-d array included; an ndarray table's
+    dtype already tells."""
     arr = np.array(table)
     if arr.dtype.kind not in "iu":
         raise ValueError(f"{name} table cells must be int64 integers, got dtype {arr.dtype}")
     if arr.shape != (order, order):
         raise ValueError(f"{name} table must be {order}x{order}, got shape {arr.shape}")
-    if not isinstance(table, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for row in table for v in row):
+    if not isinstance(table, np.ndarray) and any(
+        isinstance(v, bool) or getattr(v, "dtype", None) == bool for row in table for v in row
+    ):
         raise ValueError(f"{name} table cells must be int64 integers, got a bool")
     return arr.astype(np.int64, copy=False)  # a uint64 cell past int64 wraps negative: out of range
 

@@ -15,6 +15,10 @@ containment product. whole_block_is_primary is is_primary as it stood
 before the chunked early-exit test, gathering its whole block at once.
 algebra_tables is make_algebra's table build as it stood before the
 digit-at-a-time build: one einsum over order x order x dim arrays.
+depth_first_endomorphisms is the generator-image search as it stood before
+it moved to blocks of partial maps: one map at a time, depth first.
+map_by_map_check_hom is check_hom as it stood before the block law check,
+one map and two order x order comparisons at a time.
 """
 
 from __future__ import annotations
@@ -346,3 +350,80 @@ def algebra_tables(p, sc):
     add = (vecs[:, None, :] + vecs[None, :, :]) % p @ powers
     mul = np.einsum("ai,bj,ijk->abk", vecs, vecs, np.array(sc)) % p @ powers
     return add, mul
+
+
+def depth_first_endomorphisms(ring) -> list[tuple[int, ...]]:
+    """Every unital endomorphism's mapping, in increasing order, by the
+    generator-image search one partial map at a time (the proof is in the
+    docstring of quotients.endomorphisms). Kept as it stood, minus the
+    order cap, returning the mappings."""
+    n = ring.order
+    add, mul = ring.add_table.tolist(), ring.mul_table.tolist()
+    level: list[int | None] = [None] * n  # the layer of each reached element
+    level[ring.zero] = 0
+    reached, gens, layers = [ring.zero], [], []  # layers[i]: c_i, b_i, [(x, x - s_i)]
+    s = ring.one
+    while s is not None:
+        layer, row = [], reached
+        # row_next[0] is m*s, as reached[0] is zero; m = c_i ends the loop
+        while level[(row_next := [add[x][s] for x in row])[0]] is None:
+            layer += zip(row_next, row)
+            row = row_next
+        for x, _ in layer:
+            level[x] = len(layers)
+        gens.append(s)
+        layers.append((len(layer) // len(reached) + 1, row_next[0], layer))
+        reached = reached + [x for x, _ in layer]
+        s = level.index(None) if len(reached) < n else None
+    checks = [([], []) for _ in gens]
+    for j, sb in enumerate(gens):
+        for sa in gens[:j + 1]:
+            x = mul[sa][sb]
+            i = max(j, level[x])
+            checks[i][level[x] == i].append((sa, sb, x))
+    candidates: dict[int, dict[int, list[int]]] = {}  # c -> c*v -> [v]
+    for c in {c for c, _, _ in layers[1:]}:
+        multiple = [ring.zero] * n
+        for _ in range(c):
+            multiple = [add[w][v] for v, w in enumerate(multiple)]
+        candidates[c] = {}
+        for v, w in enumerate(multiple):
+            candidates[c].setdefault(w, []).append(v)
+
+    f = [ring.zero] * n
+    found: list[tuple[int, ...]] = []
+
+    def extend(i: int) -> None:
+        if i == len(layers):
+            found.append(tuple(f))
+            return
+        c, b, layer = layers[i]
+        before, after = checks[i]
+        for v in candidates[c].get(f[b], ()):
+            f[gens[i]] = v
+            if not all(mul[f[sa]][f[sb]] == f[x] for sa, sb, x in before):
+                continue
+            for x, prev in layer:
+                f[x] = add[f[prev]][v]
+            if all(mul[f[sa]][f[sb]] == f[x] for sa, sb, x in after):
+                extend(i + 1)
+
+    for x, prev in layers[0][2]:
+        f[x] = add[f[prev]][ring.one]
+    extend(1)
+    found.sort()
+    return found
+
+
+def map_by_map_check_hom(source, target, mapping: tuple[int, ...]) -> bool:
+    """Does the well-formed map from source to target send one to one and
+    preserve sums and products of every pair: two order x order
+    comparisons for the one map."""
+    if mapping[source.one] != target.one:
+        return False
+    f = np.array(mapping)
+    # cell (a, b) compares f(a op b) with f(a) op f(b)
+    return bool(
+        (f[source.add_table] == target.add_table[f][:, f]).all()
+        and (f[source.mul_table] == target.mul_table[f][:, f]).all()
+    )

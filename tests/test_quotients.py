@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_endos, closure_endomorphisms, is_unital_hom, quotient_tables
+import ringaudit.quotients as quotients
+from _oracles import (
+    brute_force_endos,
+    closure_endomorphisms,
+    depth_first_endomorphisms,
+    is_unital_hom,
+    map_by_map_check_hom,
+    quotient_tables,
+)
 from _strategies import fp_algebras
 from ringaudit.ideals import (
     Ideal,
@@ -142,6 +150,8 @@ def test_check_hom_basics():
     assert check_hom(identity)
     shift = RingHom(z6, z6, tuple((a + 1) % 6 for a in range(6)))
     assert not check_hom(shift)
+    # only the pair (1, 1) breaks a law: 1 + 1 is 0 in Z_2 and 2 in Z_3
+    assert not check_hom(RingHom(make_zn(2), make_zn(3), (0, 1)))
     with pytest.raises(ValueError, match="length"):
         check_hom(RingHom(z6, z6, (0, 1)))
     with pytest.raises(ValueError, match="range"):
@@ -170,6 +180,40 @@ def test_check_hom_matches_oracle_on_altered_projections(corpus):
             for a in ring.elements():
                 g = (*f[:a], (f[a] + 1) % q.order, *f[a + 1:])
                 assert check_hom(RingHom(ring, q, g)) == is_unital_hom(ring, g, q), (ring.label, str(ideal), a)
+
+
+def _with_one_image_moved(maps, order):
+    """Each map, then each map that sends one element to the index after
+    its image."""
+    return [
+        m
+        for f in maps
+        for m in (f, *((*f[:a], (f[a] + 1) % order, *f[a + 1:]) for a in range(len(f))))
+    ]
+
+
+def test_law_check_rows_match_the_map_by_map_oracle(corpus):
+    """Blocks that mix homomorphisms with maps one image away from them:
+    the endomorphisms of each corpus ring of order <= 16, and each corpus
+    projection R -> R/I; and every map of each corpus ring of order <= 4,
+    unital additive maps that break a product among them."""
+    verdicts = set()
+    for ring in corpus:
+        blocks = []
+        if ring.order <= 4:
+            blocks.append((ring, list(cartesian(range(ring.order), repeat=ring.order))))
+        if ring.order <= 16:
+            blocks.append((ring, _with_one_image_moved([h.mapping for h in endomorphisms(ring)], ring.order)))
+        for ideal in all_ideals(ring).ideals:
+            if ideal.is_proper:
+                pres = quotient_ring(ring, ideal)
+                q = pres.quotient
+                blocks.append((q, _with_one_image_moved([pres.projection.mapping], q.order)))
+        for target, maps in blocks:
+            got = quotients._law_check(ring, target)(np.array(maps)).tolist()
+            assert got == [map_by_map_check_hom(ring, target, m) for m in maps], (ring.label, target.label)
+            verdicts.update(got)
+    assert verdicts == {True, False}
 
 
 def test_kernel_and_classify():
@@ -305,6 +349,26 @@ def test_endomorphisms_match_closure_search(ring):
     assert all(check_hom(hom) for hom in homs)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(endo_rings())
+def test_block_search_matches_the_depth_first_search(ring):
+    expected = depth_first_endomorphisms(ring)
+    assert [h.mapping for h in endomorphisms(ring, cap=ring.order)] == expected
+    # one row to a block, then blocks of 3*order rows, which split into
+    # slices of several rows where a generator has many candidates
+    for cells in (1, 3 * ring.order**2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quotients, "_BLOCK_CELLS", cells)
+            assert [h.mapping for h in endomorphisms(ring, cap=ring.order)] == expected, cells
+
+
+def test_one_row_blocks_match_the_depth_first_search_on_the_corpus(corpus, monkeypatch):
+    monkeypatch.setattr(quotients, "_BLOCK_CELLS", 1)
+    for ring in corpus:
+        if ring.order <= 16:
+            assert [h.mapping for h in endomorphisms(ring)] == depth_first_endomorphisms(ring), ring.label
+
+
 @pytest.mark.parametrize("build, primes, count", [
     (lambda: make_boolean(5), (2,) * 5, 5**5),
     (lambda: make_product([make_zn(2)] * 4 + [make_zn(3)]), (2, 2, 2, 2, 3), 4**4),
@@ -384,12 +448,27 @@ def test_audit_thm3_cap_override(monkeypatch):
 
 def test_audit_thm3_refutes_on_planted_violation(monkeypatch):
     # force a fake non-injective surjection to prove the refuted path works
-    import ringaudit.quotients as q
-
     z4 = make_zn(4)
     fake = RingHom(z4, z4, (0, 1, 2, 3))
-    monkeypatch.setattr(q, "endomorphisms", lambda ring, cap=None: [fake])
-    monkeypatch.setattr(q, "classify_hom", lambda hom: {"injective": False, "surjective": True})
-    out = q.audit_thm3(z4)
+    monkeypatch.setattr(quotients, "endomorphisms", lambda ring, cap=None: [fake])
+    monkeypatch.setattr(quotients, "_hom_flags", lambda homs: iter([(False, True)]))
+    out = quotients.audit_thm3(z4)
     assert out.status == REFUTED
     assert out.witness == fake.render()
+
+
+@pytest.mark.parametrize("block_cells", [1, quotients._BLOCK_CELLS], ids=["one-map-blocks", "default-blocks"])
+@pytest.mark.parametrize("position", [0, 13, 27])
+def test_audit_thm3_raises_on_a_planted_non_homomorphism(monkeypatch, block_cells, position):
+    # every map is checked, in whichever block it falls: a non-homomorphism
+    # among the 27 endomorphisms of B_3 is named
+    b3 = make_boolean(3)
+    homs = endomorphisms(b3)
+    f = homs[-1].mapping
+    planted = RingHom(b3, b3, (*f[:-1], (f[-1] + 1) % 8))
+    assert not is_unital_hom(b3, planted.mapping)
+    monkeypatch.setattr(quotients, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(quotients, "endomorphisms", lambda ring, cap=None: homs[:position] + [planted] + homs[position:])
+    with pytest.raises(ValueError) as err:
+        quotients.audit_thm3(b3)
+    assert str(err.value) == f"not a ring homomorphism: {planted.render()}"

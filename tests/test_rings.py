@@ -346,11 +346,13 @@ Z2_ADD, Z2_MUL = [[0, 1], [1, 0]], [[0, 0], [0, 1]]
 
 
 @pytest.mark.parametrize(
-    "cell", [1.9, 2**70, "1", True, np.True_], ids=["float", "past-int64", "str", "bool", "numpy-bool"]
+    "cell",
+    [1.9, 2**70, "1", True, np.True_, np.array(True)],
+    ids=["float", "past-int64", "str", "bool", "numpy-bool", "0-d-bool-array"],
 )
 def test_table_cells_that_are_not_ints_are_refused(cell):
     # int(1.9) == int("1") == 1 would make either a valid Z_2 table, and
-    # numpy reads a bool among ints as 0 or 1
+    # numpy reads a bool among ints as 0 or 1, a 0-d bool array too
     with pytest.raises(ValueError, match="add table cells must be int64 integers"):
         FiniteRing(2, [[0, 1], [cell, 0]], Z2_MUL, 0, 1)
     with pytest.raises(ValueError, match="mul table cells must be int64 integers"):
