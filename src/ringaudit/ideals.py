@@ -410,7 +410,10 @@ def radical(ring, ideal: Ideal) -> Ideal:
     return Ideal(ring, mask)
 
 
-_BLOCK_CELLS = 1 << 16  # a ring of order <= 256 is one block
+# Cells in one block of a chunked numpy step, small enough to stay in cache:
+# rows x order in _product_lands and quotients' endomorphism search, maps x
+# order x order in quotients' homomorphism law check.
+_BLOCK_CELLS = 1 << 16
 
 
 def _product_lands(ring, inside: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> bool:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ideals import (
+    _BLOCK_CELLS,
     Ideal,
     _checked_members,
     _pack,
@@ -61,9 +62,6 @@ __all__ = [
 
 DEFAULT_ENDO_CAP = 16
 ENDO_CAP_ENV = "RINGAUDIT_ENDO_CAP"
-# int64 cells in one block: rows x order for the endomorphism search, maps x
-# order x order for the law check; small enough to stay in cache
-_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Ring description files: JSON documents with a "kind" discriminator.
 
 Five kinds are accepted (zn, boolean, product, algebra, table); the exact
-field names are fixed in docs/ring_format.md. Parsing is strict about the
-kind and about table cells, and it rejects any ring of more than MAX_ORDER
-elements before building its tables. A file is untrusted input: table and
-algebra documents go through FiniteRing and make_algebra, which check the
-zero/one indices and run the full axiom check, so a document that parses
+field names are fixed in docs/ring_format.md. This module checks what only
+the format knows: the kind, that each field is present and of its form, and
+that no ring has more than MAX_ORDER elements, before any table is built.
+A file is untrusted input. A table document's add, mul, zero and one go to
+FiniteRing as parsed, and FiniteRing checks the tables' shape and cells,
+the zero/one indices and every axiom; an algebra document goes through
+make_algebra, which runs the same axiom check. So a document that parses
 but breaks an axiom still fails, with the axiom named. zn, boolean and
 product documents name rings the package builds by construction (a
 product's factors are documents checked the same way), so their tables
@@ -22,12 +24,8 @@ from __future__ import annotations
 import copy
 import json
 import re
-from contextlib import suppress
-from itertools import chain
 from math import prod
 from pathlib import Path
-
-import numpy as np
 
 from .rings import FiniteRing, make_algebra, make_boolean, make_product, make_zn
 
@@ -150,16 +148,6 @@ def _table_from_document(doc: dict) -> FiniteRing:
     if order < 2:
         raise RingFileError("table order must be >= 2 (the zero ring is excluded)")
     _check_order("table ring", order)
-    zero = _int_field(doc, "zero", "table")
-    one = _int_field(doc, "one", "table")
-    tables = {}
-    for field in ("add", "mul"):
-        rows = _require(doc, field, "table")
-        if not isinstance(rows, list) or len(rows) != order or any(
-            not isinstance(row, list) or len(row) != order for row in rows
-        ):
-            raise RingFileError(f"table {field} must be an {order}x{order} matrix")
-        tables[field] = _table_cells(rows, order, field)
     names = doc.get("element_names")
     if "element_names" in doc and not (
         isinstance(names, list) and len(names) == order
@@ -167,24 +155,10 @@ def _table_from_document(doc: dict) -> FiniteRing:
     ):
         raise RingFileError(f"table element_names must be a list of {order} distinct strings")
     return FiniteRing(
-        order, tables["add"], tables["mul"], zero, one,
+        order, _require(doc, "add", "table"), _require(doc, "mul", "table"),
+        _require(doc, "zero", "table"), _require(doc, "one", "table"),
         label=doc.get("label"), element_names=names,
     )
-
-
-def _table_cells(rows: list, order: int, field: str) -> np.ndarray:
-    """The order x order matrix as an array, once every cell is an int (not a
-    bool) in 0..order-1; a cell that is not is named by a scan run only then."""
-    if set(map(type, chain.from_iterable(rows))) == {int}:
-        with suppress(OverflowError):  # an int beyond int64 is out of range too
-            cells = np.array(rows, dtype=np.int64)
-            if cells.min() >= 0 and cells.max() < order:
-                return cells
-    for a, row in enumerate(rows):
-        for b, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
-                raise RingFileError(f"table {field}[{a}][{b}] = {v!r} out of range 0..{order - 1}")
-    return np.array(rows, dtype=np.int64)  # cells of an int subclass other than bool
 
 
 def ring_from_document(doc: dict) -> FiniteRing:

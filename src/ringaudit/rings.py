@@ -3,14 +3,17 @@
 A ring here is the index set 0..order-1 together with full addition and
 multiplication tables, two read-only numpy arrays kept in no other form.
 FiniteRing(...) is the one constructor for caller tables (make_table_ring
-is the same class under its older name); it, and so make_algebra and the
-table and algebra ring files, runs the complete axiom check: closure,
-abelian-group laws for addition, commutativity and associativity of
-multiplication, distributivity, nonzero unity. It is exact and costs
-O(order^2 log order) for tables that form a ring, since the cubic laws need
-checking only on an additive generating set (see validate_tables); a table
-that breaks one also pays for the O(order^3) slice-by-slice search up to its
-first witness. Z_n, B_k, direct products and quotients by ideals are rings
+is the same class under its older name), and the one check of them: it
+takes an ndarray or nested rows (a table ring file's rows as parsed among
+them), checks the shape, the cells and the zero/one indices, and makes the
+one int64 copy it keeps. It, and so make_algebra and the table and algebra
+ring files, runs the complete axiom check: closure, abelian-group laws for
+addition, commutativity and associativity of multiplication,
+distributivity, nonzero unity. It is exact and costs O(order^2 log order)
+for tables that form a ring, since the cubic laws need checking only on an
+additive generating set (see validate_tables); a table that breaks one also
+pays for the O(order^3) slice-by-slice search up to its first witness.
+Z_n, B_k, direct products and quotients by ideals are rings
 by construction: the tables they build are kept as built, with no copy and
 no check, and the tests re-validate their output. Either way every
 FiniteRing instance is a genuine commutative unital ring, with distinct
@@ -25,7 +28,8 @@ the ideal lattice, and are safe to share across threads.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product as _cartesian
+from contextlib import suppress
+from itertools import chain, product as _cartesian
 
 import numpy as np
 
@@ -71,21 +75,34 @@ def is_prime_int(n: int) -> bool:
 
 
 def _as_table(table, order: int, name: str) -> np.ndarray:
-    """A fresh int64 copy of the caller's table; cells that are not int64
-    integers (1.9, "1", 2**70, True) are refused, not cast. numpy reads a
-    bool among ints as 0 or 1, so nested Python cells are scanned for bools,
-    a bool held as a numpy scalar or 0-d array included; an ndarray table's
-    dtype already tells."""
-    arr = np.array(table)
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"{name} table cells must be int64 integers, got dtype {arr.dtype}")
-    if arr.shape != (order, order):
-        raise ValueError(f"{name} table must be {order}x{order}, got shape {arr.shape}")
-    if not isinstance(table, np.ndarray) and any(
-        isinstance(v, bool) or getattr(v, "dtype", None) == bool for row in table for v in row
+    """The caller's table as one fresh int64 array, checked for shape and
+    cells; the range of each cell is validate_tables' closure check.
+
+    An ndarray's dtype tells whether its cells are integers. A nested list
+    or tuple of rows (each a list, tuple or ndarray) is read at C speed when
+    every cell is a Python int within int64; otherwise a scan names the first
+    cell that is not an int64 integer (1.9, "1", None, 2**70, True, np.True_,
+    a 0-d array), since numpy would cast it or read a bool as 0 or 1."""
+    if isinstance(table, np.ndarray):
+        if table.dtype.kind not in "iu":
+            raise ValueError(f"{name} table cells must be int64 integers, got dtype {table.dtype}")
+        if table.shape != (order, order):
+            raise ValueError(f"{name} table must be {order}x{order}, got shape {table.shape}")
+        return table.astype(np.int64)  # a uint64 cell past int64 wraps negative: out of range
+    if not isinstance(table, (list, tuple)) or len(table) != order or not all(
+        isinstance(row, (list, tuple)) and len(row) == order
+        or isinstance(row, np.ndarray) and row.shape == (order,)
+        for row in table
     ):
-        raise ValueError(f"{name} table cells must be int64 integers, got a bool")
-    return arr.astype(np.int64, copy=False)  # a uint64 cell past int64 wraps negative: out of range
+        raise ValueError(f"{name} table must be {order}x{order}: {order} rows of {order} cells each")
+    if set(map(type, chain.from_iterable(table))) <= {int}:
+        with suppress(OverflowError):  # a cell past int64 is named by the scan
+            return np.array(table, dtype=np.int64)
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not -(1 << 63) <= v < 1 << 63:
+                raise ValueError(f"{name} table cells must be int64 integers, got {name}[{a}][{b}] = {v!r}")
+    return np.array(table, dtype=np.int64)  # numpy integer cells, or an int subclass other than bool
 
 
 def validate_tables(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one: int) -> None:
@@ -222,7 +239,9 @@ class FiniteRing:
     ):
         add = _as_table(add_table, order, "add")
         mul = _as_table(mul_table, order, "mul")
-        if not all(isinstance(v, (int, np.integer)) and 0 <= v < order for v in (zero, one)):
+        if not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < order for v in (zero, one)
+        ):
             raise ValueError(f"zero/one must be int indices in 0..{order - 1}, got {zero!r}/{one!r}")
         validate_tables(order, add, mul, zero, one)
         self._fill(order, add, mul, zero, one, label or f"table-ring-{order}", element_names)

@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import product_tables
 from ringaudit.corpus import DOCUMENTS
 from ringaudit.ringfile import RingFileError, document_for, load_ring_file, ring_from_document
 from ringaudit.rings import RingAxiomError, make_product, make_zn
@@ -107,8 +110,9 @@ def test_table_rejects_out_of_range_entry():
         "add": [[0, 1], [1, 0]],
         "mul": [[0, 0], [0, 9]],
     }
-    with pytest.raises(RingFileError, match="out of range"):
+    with pytest.raises(RingAxiomError) as err:
         ring_from_document(doc)
+    assert str(err.value) == "closure(mul): entry [1][1] = 9 out of range"
 
 
 @pytest.mark.parametrize("zero, one", [(0, 5), (-1, 1)])
@@ -120,20 +124,60 @@ def test_table_zero_or_one_out_of_range_is_refused_by_the_ring(zero, one):
 
 
 @pytest.mark.parametrize("cells, message", [
-    ({("mul", 1, 1): 9}, "table mul[1][1] = 9 out of range 0..1"),
-    ({("add", 1, 0): -1, ("add", 1, 1): 5}, "table add[1][0] = -1 out of range 0..1"),
-    ({("mul", 0, 1): True}, "table mul[0][1] = True out of range 0..1"),
-    ({("add", 0, 0): 0.0}, "table add[0][0] = 0.0 out of range 0..1"),
-    ({("add", 1, 1): "0"}, "table add[1][1] = '0' out of range 0..1"),
-    ({("add", 0, 1): None, ("mul", 0, 0): 7}, "table add[0][1] = None out of range 0..1"),
-    ({("mul", 1, 0): 10**30}, f"table mul[1][0] = {10**30} out of range 0..1"),
-    ({("mul", 1, 1): -(10**30)}, f"table mul[1][1] = {-(10**30)} out of range 0..1"),
+    ({("mul", 1, 1): 9}, "closure(mul): entry [1][1] = 9 out of range"),
+    ({("add", 1, 0): -1, ("add", 1, 1): 5}, "closure(add): entry [1][0] = -1 out of range"),
+    ({("mul", 0, 1): True}, "mul table cells must be int64 integers, got mul[0][1] = True"),
+    ({("add", 0, 0): 0.0}, "add table cells must be int64 integers, got add[0][0] = 0.0"),
+    ({("add", 1, 1): "0"}, "add table cells must be int64 integers, got add[1][1] = '0'"),
+    ({("add", 0, 1): None, ("mul", 0, 0): 7}, "add table cells must be int64 integers, got add[0][1] = None"),
+    ({("mul", 1, 0): 10**30}, f"mul table cells must be int64 integers, got mul[1][0] = {10**30}"),
+    ({("mul", 1, 1): -(10**30)}, f"mul table cells must be int64 integers, got mul[1][1] = {-(10**30)}"),
 ])
 def test_table_cell_errors_name_the_first_bad_cell(cells, message):
     doc = {"kind": "table", "order": 2, "zero": 0, "one": 1, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
     for (field, a, b), value in cells.items():
         doc[field][a][b] = value
-    with pytest.raises(RingFileError) as err:
+    with pytest.raises(ValueError) as err:
+        ring_from_document(doc)
+    assert str(err.value) == message
+
+
+@st.composite
+def mutated_table_documents(draw):
+    """A table document of a relabelled product of Z_n with one change, and
+    the exact message that must refuse it: one cell set to a value that is
+    not an int64 index, one row shortened, or one row replaced by a non-list."""
+    factors = draw(st.lists(st.integers(2, 5), min_size=1, max_size=2))
+    add, mul, zero, one = product_tables([make_zn(n) for n in factors])
+    order = len(add)
+    perm = draw(st.permutations(range(order)))
+    doc = {"kind": "table", "order": order, "zero": perm[zero], "one": perm[one]}
+    for field, table in (("add", add), ("mul", mul)):
+        doc[field] = [[0] * order for _ in range(order)]
+        for a in range(order):
+            for b in range(order):
+                doc[field][perm[a]][perm[b]] = perm[table[a][b]]
+    field, a = draw(st.sampled_from(("add", "mul"))), draw(st.integers(0, order - 1))
+    change = draw(st.sampled_from(("cell", "short row", "non-list row")))
+    if change == "cell":
+        b = draw(st.integers(0, order - 1))
+        value = draw(st.sampled_from((0.0, "1", None, True, 2**70, -1, order)))
+        doc[field][a][b] = value
+        if value in (-1, order):
+            return doc, f"closure({field}): entry [{a}][{b}] = {value} out of range"
+        return doc, f"{field} table cells must be int64 integers, got {field}[{a}][{b}] = {value!r}"
+    if change == "short row":
+        doc[field][a] = doc[field][a][:draw(st.integers(0, order - 1))]
+    else:
+        doc[field][a] = draw(st.sampled_from((0, None, "0" * order, {"0": 0})))
+    return doc, f"{field} table must be {order}x{order}: {order} rows of {order} cells each"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_table_documents())
+def test_mutated_table_documents_name_the_bad_cell_or_row(case):
+    doc, message = case
+    with pytest.raises(ValueError) as err:
         ring_from_document(doc)
     assert str(err.value) == message
 

@@ -385,6 +385,38 @@ def test_zero_and_one_must_be_int_indices(zero, one):
         make_table_ring(2, Z2_ADD, Z2_MUL, zero, one)
 
 
+def test_bool_zero_or_one_is_refused():
+    # Z_3 relabelled by [1, 2, 0]: zero is element 1, one is element 2;
+    # add[False] is an empty row, so zero=False passed the identity check
+    p = [1, 2, 0]
+    add, mul = [[0] * 3 for _ in range(3)], [[0] * 3 for _ in range(3)]
+    for a in range(3):
+        for b in range(3):
+            add[p[a]][p[b]], mul[p[a]][p[b]] = p[(a + b) % 3], p[a * b % 3]
+    assert FiniteRing(3, add, mul, 1, 2).zero == 1
+    for zero, one in ((False, 2), (1, True), (np.False_, 2)):
+        with pytest.raises(ValueError) as err:
+            FiniteRing(3, add, mul, zero, one)
+        assert str(err.value) == f"zero/one must be int indices in 0..2, got {zero!r}/{one!r}"
+
+
+def test_tuple_ndarray_and_list_of_ndarray_rows_give_the_list_rows_table():
+    z6 = make_zn(6)
+    add, mul = z6.add_table.tolist(), z6.mul_table.tolist()
+    expected = FiniteRing(6, add, mul, 0, 1)
+    for shape in (
+        lambda rows: tuple(tuple(row) for row in rows),
+        lambda rows: [np.array(row) for row in rows],
+        lambda rows: [np.array(row, dtype=np.uint8) for row in rows],
+        lambda rows: np.array(rows),
+        lambda rows: np.array(rows, dtype=np.int32),
+    ):
+        ring = FiniteRing(6, shape(add), shape(mul), 0, 1)
+        for got, want in ((ring.add_table, expected.add_table), (ring.mul_table, expected.mul_table)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
 def test_every_constructor_returns_read_only_int64_tables():
     z3, z12 = make_zn(3), make_zn(12)
     z3_doc = {"kind": "table", "order": 3, "zero": 0, "one": 1,
