@@ -4,22 +4,18 @@ A ring here is the index set 0..order-1 together with full addition and
 multiplication tables, two read-only numpy arrays kept in no other form.
 FiniteRing(...) is the one constructor for caller tables (make_table_ring
 is the same class under its older name), and the one check of them: it
-takes an ndarray or nested rows (a table ring file's rows as parsed among
-them), checks the shape, the cells and the zero/one indices, and makes the
-one int64 copy it keeps. It, and so make_algebra and the table and algebra
-ring files, runs the complete axiom check: closure, abelian-group laws for
-addition, commutativity and associativity of multiplication,
-distributivity, nonzero unity. It is exact and costs O(order^2 log order)
-for tables that form a ring, since the cubic laws need checking only on an
-additive generating set (see validate_tables); a table that breaks one also
-pays for the O(order^3) slice-by-slice search up to its first witness.
-Z_n, B_k, direct products and quotients by ideals are rings
-by construction: the tables they build are kept as built, with no copy and
-no check, and the tests re-validate their output. Either way every
-FiniteRing instance is a genuine commutative unital ring, with distinct
-element names. The zero ring is excluded: order >= 2 and one != zero. Ring
-documents are the business of ringfile, which attaches to each ring it
-builds the document it parsed.
+refuses an order below 2 before it reads a table, takes an ndarray or nested
+rows (a table ring file's rows as parsed among them), checks the shape, the
+cells and the zero/one indices, and keeps one int64 copy. It, and
+make_algebra on the tables it builds from caller structure constants, run
+the exact axiom check of validate_tables, O(order^2 log order) for tables
+that form a ring. Z_n, B_k, direct products and quotients by ideals are
+rings by construction: their tables are kept as built, with no copy and no
+check, and the tests re-validate them. Every FiniteRing is thus a genuine
+commutative unital ring, not the zero ring, whose element names are
+distinct, nonempty and free of surrounding spaces, so each reads back as its
+element. Each constructor checks its own preconditions once and names the
+value it refuses; ringfile checks only the format of ring documents.
 
 Instances are immutable after construction, bar one lazily filled slot for
 the ideal lattice, and are safe to share across threads.
@@ -143,8 +139,6 @@ def validate_tables(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one
     first witness in slice order. A rejected table thus pays for that
     O(order^3) search up to its first failing slice.
     """
-    if order < 2:
-        raise ValueError("ring order must be >= 2 (the zero ring is excluded)")
     for axiom, table in (("closure(add)", add), ("closure(mul)", mul)):
         bad = np.argwhere((table < 0) | (table >= order))
         if len(bad):
@@ -237,6 +231,8 @@ class FiniteRing:
         label: str | None = None,
         element_names=None,
     ):
+        if order < 2:
+            raise ValueError(f"ring order must be >= 2 (the zero ring is excluded), got {order!r}")
         add = _as_table(add_table, order, "add")
         mul = _as_table(mul_table, order, "mul")
         if not all(
@@ -248,9 +244,9 @@ class FiniteRing:
 
     @classmethod
     def _trusted(cls, order, add_table, mul_table, zero, one, label, element_names=None):
-        """A ring from order x order int64 tables that a package constructor
-        has just built, correct by construction: they are kept as they are,
-        neither copied nor checked."""
+        """A ring from order x order int64 tables the package has just built,
+        kept uncopied; they are checked where their contents come from
+        outside, as make_algebra checks those built from caller constants."""
         ring = cls.__new__(cls)
         ring._fill(order, add_table, mul_table, zero, one, label, element_names)
         return ring
@@ -267,11 +263,14 @@ class FiniteRing:
         if element_names is None:
             element_names = [str(i) for i in range(order)]
         if len(element_names) != order:
-            raise ValueError("element_names length must equal order")
+            raise ValueError(f"element_names must hold {order} names, got {len(element_names)}")
         self.element_names = tuple(str(s) for s in element_names)
         if len(set(self.element_names)) != order:  # names must parse back to one element each
             (repeated, count), = Counter(self.element_names).most_common(1)
             raise ValueError(f"element_names must be distinct, {repeated!r} names {count} elements")
+        for name in self.element_names:
+            if not name or name != name.strip():
+                raise ValueError(f"element names must be nonempty, without leading or trailing spaces, got {name!r}")
         self.source = None
         self._lattice = None
 
@@ -323,7 +322,7 @@ def additive_order(ring: FiniteRing, a: int) -> int:
 def make_zn(n: int, label: str | None = None) -> FiniteRing:
     """The integers mod n. Rejects n < 2 (the zero ring has no nonzero unity)."""
     if n < 2:
-        raise ValueError("make_zn requires n >= 2 (the zero ring is excluded)")
+        raise ValueError(f"make_zn requires n >= 2 (the zero ring is excluded), got {n}")
     idx = np.arange(n)
     add = idx[:, None] + idx
     add %= n  # in place: the build holds the two tables and no third
@@ -339,7 +338,7 @@ def make_boolean(k: int, label: str | None = None) -> FiniteRing:
     atoms, so index 0 is "{}" and the unity is the full set.
     """
     if k < 1:
-        raise ValueError("make_boolean requires k >= 1 (the zero ring is excluded)")
+        raise ValueError(f"make_boolean requires k >= 1 (the zero ring is excluded), got {k}")
     order = 1 << k
     idx = np.arange(order)
     add = idx[:, None] ^ idx[None, :]
@@ -352,7 +351,7 @@ def make_product(factors, label: str | None = None) -> FiniteRing:
     """Direct product of rings with componentwise operations."""
     factors = list(factors)
     if not factors:
-        raise ValueError("make_product requires at least one factor")
+        raise ValueError("make_product requires at least one factor, got none")
     # one broadcast per factor R: (q, x) in (earlier factors) x R is q·|R| + x,
     # last factor fastest as in itertools.product; no third table is built
     add = mul = np.zeros((1, 1), dtype=np.int64)
@@ -394,10 +393,10 @@ def make_algebra(p: int, dim: int, sc, basis_names=None, label: str | None = Non
     distributive with e_0 as identity; all of that is verified on the full
     tables (a bad sc raises RingAxiomError with the violating triple).
     """
+    if dim < 1:  # before p: with no basis, p is unbounded and a prime one slow to test
+        raise ValueError(f"make_algebra requires dim >= 1, got {dim}")
     if not is_prime_int(p):
         raise ValueError(f"make_algebra requires prime p, got {p}")
-    if dim < 1:
-        raise ValueError("make_algebra requires dim >= 1")
     sc = np.array(sc, dtype=np.int64) % p
     if sc.shape != (dim, dim, dim):
         raise ValueError(f"structure constants must have shape ({dim},{dim},{dim})")
@@ -419,7 +418,8 @@ def make_algebra(p: int, dim: int, sc, basis_names=None, label: str | None = Non
         add += (vecs[:, k, None] + vecs[:, k]) % p * powers[k]
         mul += (vecs @ sc[..., k] @ vecs.T) % p * powers[k]
     names = [_combo_name(v, basis_names) for v in vecs]
-    return FiniteRing(order, add, mul, 0, 1, label=label or f"F{p}-algebra(dim={dim})", element_names=names)
+    validate_tables(order, add, mul, 0, 1)
+    return FiniteRing._trusted(order, add, mul, 0, 1, label or f"F{p}-algebra(dim={dim})", element_names=names)
 
 
 make_table_ring = FiniteRing  # the same constructor under its older name

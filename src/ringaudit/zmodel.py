@@ -16,6 +16,7 @@ from .reports import REFUTED, VERIFIED, ClaimOutcome
 from .rings import is_prime_int
 
 __all__ = [
+    "MAX_Z_GENERATOR",
     "ZProductIdeal",
     "audit_ex2",
     "box_oracle_check",
@@ -26,6 +27,8 @@ __all__ = [
     "z_is_prime",
     "z_principal_witness",
 ]
+
+MAX_Z_GENERATOR = 50_000  # the box oracle scans ~20x the largest generator per axis: under a second
 
 _LITERAL = re.compile(r"^Z(?:\^(\d+))?:\(([0-9,\s]*)\)$")
 
@@ -128,7 +131,7 @@ def render_z_ideal(ideal: ZProductIdeal) -> str:
 
 
 def parse_z_ideal(text: str) -> ZProductIdeal:
-    """Parse the CLI literal syntax, e.g. "Z^2:(1,0)" or "Z:(6)"."""
+    """Parse the CLI literal syntax, e.g. "Z^2:(1,0)" or "Z:(6)", with generators up to MAX_Z_GENERATOR."""
     m = _LITERAL.match(text.strip())
     if not m:
         raise ValueError(f"bad ideal literal {text!r}; expected e.g. Z^2:(1,0)")
@@ -137,6 +140,8 @@ def parse_z_ideal(text: str) -> ZProductIdeal:
     gens = tuple(int(tok) for tok in body.split(",")) if body else ()
     if len(gens) != k:
         raise ValueError(f"literal declares Z^{k} but lists {len(gens)} generators")
+    if max(gens, default=0) > MAX_Z_GENERATOR:
+        raise ValueError(f"generator {max(gens)} exceeds MAX_Z_GENERATOR = {MAX_Z_GENERATOR}")
     return ZProductIdeal(gens)
 
 

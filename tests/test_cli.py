@@ -89,7 +89,7 @@ Z3_TABLE = {
     "kind": "table", "order": 3, "zero": 0, "one": 1,
     "add": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
 }
-NAMES_ERROR = "table element_names must be a list of 3 distinct strings"
+NAMES_ERROR = "table element_names must be a list of strings"
 X_SQUARED_ZERO = {"kind": "algebra", "p": 3, "basis_names": ["1", "x"], "mul": {"x*x": "0"}}
 
 
@@ -98,7 +98,8 @@ X_SQUARED_ZERO = {"kind": "algebra", "p": 3, "basis_names": ["1", "x"], "mul": {
     [
         (json.dumps({**Z3_TABLE, "element_names": 5}), NAMES_ERROR),
         (json.dumps({**Z3_TABLE, "element_names": "xyz"}), NAMES_ERROR),
-        (json.dumps({**Z3_TABLE, "element_names": ["a", "a", "b"]}), NAMES_ERROR),
+        (json.dumps({**Z3_TABLE, "element_names": ["a", "a", "b"]}),
+         "element_names must be distinct, 'a' names 2 elements"),
         (json.dumps({**Z3_TABLE, "element_names": ["a", "b", 2]}), NAMES_ERROR),
         (json.dumps({"kind": "zn", "n": 6, "label": 7}), "ring document label must be a string"),
         (json.dumps({"kind": "product", "factors": [{"kind": "zn", "n": 2, "label": None}]}),
@@ -122,6 +123,49 @@ def test_malformed_ring_file_exits_2(tmp_path, capsys, text, reason):
     assert main(["describe", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and reason in err
+
+
+# each document breaks a precondition that the parser leaves to the ring
+# constructor that owns it; that constructor's message is the one error line
+OWNED_CHECKS = {
+    "zn-1": ({"kind": "zn", "n": 1}, "make_zn requires n >= 2 (the zero ring is excluded), got 1"),
+    "zn-negative": ({"kind": "zn", "n": -5}, "make_zn requires n >= 2 (the zero ring is excluded), got -5"),
+    "boolean-0": ({"kind": "boolean", "atoms": 0}, "make_boolean requires k >= 1 (the zero ring is excluded), got 0"),
+    "product-empty": ({"kind": "product", "factors": []}, "make_product requires at least one factor, got none"),
+    "algebra-no-basis": ({**X_SQUARED_ZERO, "basis_names": [], "mul": {}}, "make_algebra requires dim >= 1, got 0"),
+    # refused before p, a prime that trial division would take hours over
+    "algebra-no-basis-large-p": (
+        {**X_SQUARED_ZERO, "p": 10**18 + 3, "basis_names": [], "mul": {}}, "make_algebra requires dim >= 1, got 0"
+    ),
+    **{
+        f"table-order-{order}": (
+            {**Z3_TABLE, "order": order}, f"ring order must be >= 2 (the zero ring is excluded), got {order}"
+        )
+        for order in (1, 0, -3)
+    },
+    "names-short": ({**Z3_TABLE, "element_names": ["a", "b"]}, "element_names must hold 3 names, got 2"),
+    "names-repeated": (
+        {**Z3_TABLE, "element_names": ["a", "b", "a"]}, "element_names must be distinct, 'a' names 2 elements"
+    ),
+    "names-spaced": (
+        {**Z3_TABLE, "element_names": ["a", " a", "b"]},
+        "element names must be nonempty, without leading or trailing spaces, got ' a'",
+    ),
+    "names-empty": (
+        {**Z3_TABLE, "element_names": ["", "a", "b"]},
+        "element names must be nonempty, without leading or trailing spaces, got ''",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, message", OWNED_CHECKS.values(), ids=OWNED_CHECKS.keys())
+def test_constructor_checks_refuse_ring_files(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["describe", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_ideals_text_and_json(z6_file, capsys):

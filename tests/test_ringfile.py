@@ -132,6 +132,9 @@ def test_table_zero_or_one_out_of_range_is_refused_by_the_ring(zero, one):
     ({("add", 0, 1): None, ("mul", 0, 0): 7}, "add table cells must be int64 integers, got add[0][1] = None"),
     ({("mul", 1, 0): 10**30}, f"mul table cells must be int64 integers, got mul[1][0] = {10**30}"),
     ({("mul", 1, 1): -(10**30)}, f"mul table cells must be int64 integers, got mul[1][1] = {-(10**30)}"),
+], ids=[
+    "mul-1-1-out-of-range", "add-1-0-negative", "mul-0-1-bool", "add-0-0-float", "add-1-1-str", "add-0-1-none",
+    "mul-1-0-past-int64", "mul-1-1-below-int64",
 ])
 def test_table_cell_errors_name_the_first_bad_cell(cells, message):
     doc = {"kind": "table", "order": 2, "zero": 0, "one": 1, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}

@@ -371,6 +371,24 @@ def test_duplicate_element_names_are_refused():
         make_table_ring(2, Z2_ADD, Z2_MUL, 0, 1, element_names=["a", "a"])
 
 
+@pytest.mark.parametrize(
+    "names, bad", [(["a", " a"], " a"), (["a ", "b"], "a "), (["", "a"], ""), (["a", "\tb"], "\tb")]
+)
+def test_names_that_do_not_read_back_are_refused(names, bad):
+    # element lists are read with the spaces around each name stripped, so
+    # " a" would read back as "a", and a zero named "" prints its ideal as "{}"
+    with pytest.raises(ValueError) as err:
+        make_table_ring(2, Z2_ADD, Z2_MUL, 0, 1, element_names=names)
+    assert str(err.value) == f"element names must be nonempty, without leading or trailing spaces, got {bad!r}"
+
+
+@pytest.mark.parametrize("order", [1, 0, -3])
+def test_order_below_two_is_refused_before_the_tables_are_read(order):
+    with pytest.raises(ValueError) as err:
+        FiniteRing(order, [], [], 0, 1)
+    assert str(err.value) == f"ring order must be >= 2 (the zero ring is excluded), got {order}"
+
+
 def test_product_names_that_collide_are_refused():
     # ("x,", "y") and ("x", ",y") both render as "(x,,y)"
     left = make_table_ring(2, Z2_ADD, Z2_MUL, 0, 1, element_names=["x,", "x"])

@@ -133,6 +133,14 @@ def test_parse_literals():
             parse_z_ideal(bad)
 
 
+def test_parse_refuses_a_generator_past_the_limit():
+    # the box oracle scans about 20 times the largest generator per axis
+    assert parse_z_ideal("Z^3:(1,1,50000)").gens == (1, 1, 50000)
+    for literal in ("Z:(1000000000000)", "Z^2:(50001,1)"):
+        with pytest.raises(ValueError, match="exceeds MAX_Z_GENERATOR = 50000"):
+            parse_z_ideal(literal)
+
+
 def test_audit_ex2_chain():
     out = audit_ex2()
     assert out.status == VERIFIED
