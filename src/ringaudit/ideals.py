@@ -6,17 +6,20 @@ ideal_from_members and quotient_ring share. The full lattice of a ring is
 built one local factor eR at a time, for the primitive idempotents e: the
 ideals inside eR are the closure under sum of the principal ideals there,
 and an ideal of R is the intersection of the preimages {x : ex in J} of one
-such J per factor. A sum I+J is the union of the cosets g+I over members g
-of J, built one new coset at a time. The lattice lives with its ring and
-holds every fact derived from it (containment, principal generators, the
-prime spectrum), each computed once, so the predicates that ask for them
-are lookups, and a radical is the intersection of the primes over its
-ideal. The predicates test their definitions on blocks of the numpy
-tables; only the coset sum reads rows as lists.
-is_prime and is_primary share one question, whether some product of an x
-from one set and a y from another lands in the ideal, and one helper,
-_product_lands, answers it a few table rows at a time, stopping at the
-first chunk that holds such a product.
+such J per factor. Sums run on bool rows over the elements: X + <t> is
+reached by doubling, one gather through the addition table a step, and
+I + aR is the join of I with the cyclic subgroups <a*s> for s in an
+additive generating set of R; the closure, sum_ideals and ideal_generated
+share that one join. The lattice lives with its ring, holds its ideals as
+one ideals-by-elements bool block, and computes each fact derived from it
+(the prime spectrum, the containment up-sets) from that block on first
+use, so the predicates that ask for them are lookups, and a radical is the
+intersection of the primes over its ideal.
+is_prime, is_primary and the lattice's primes share one question, whether
+some product of an x from one set and a y from another lands in the ideal,
+and one helper, _product_lands, answers it for a block of ideals a few
+table rows at a time; an ideal leaves the block at the first chunk that
+holds such a product.
 Canonical order is lexicographic on the sorted member-index tuples;
 wherever a witness is chosen it is the first candidate in canonical order.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -59,6 +62,14 @@ __all__ = [
 ]
 
 
+# Cells in one block of a chunked numpy step, small enough to stay in cache:
+# ideals x rows x order in _product_lands, frontier rows x principal
+# ideals x order in the lattice closure, rows x ideals x words in the
+# containment up-sets, rows x order in quotients' endomorphism search, maps
+# x order x order in quotients' homomorphism law check.
+_BLOCK_CELLS = 1 << 16
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -66,32 +77,62 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _row_bytes(inside: np.ndarray) -> list[bytes]:
+    """The packed bytes of each row of a 2-d bool array, entry i at bit i
+    (little-endian)."""
+    packed = np.packbits(inside, axis=1, bitorder="little")
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+
+
 def _pack(inside: np.ndarray) -> list[int]:
     """The bitmask of each row of a 2-d bool array."""
-    packed = np.packbits(inside, axis=1, bitorder="little")
-    width, data = packed.shape[1], packed.tobytes()
-    return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
+    return [int.from_bytes(row, "little") for row in _row_bytes(inside)]
+
+
+def _unpack(rows: list[bytes], count: int) -> np.ndarray:
+    """The len(rows) x count bool array whose row k holds the bits of
+    rows[k], packed as _row_bytes packs them: its inverse, in one unpack."""
+    packed = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), (count + 7) // 8)
+    return np.unpackbits(packed, axis=1, count=count, bitorder="little").view(bool)
+
+
+def _words(inside: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d bool array packed into 64-bit words, for subset
+    tests: a row lies in another when none of its words has a bit outside
+    the other's."""
+    packed = np.packbits(inside, axis=1)
+    words = np.zeros((len(inside), -(-inside.shape[1] // 64)), dtype=np.uint64)
+    words.view(np.uint8)[:, :packed.shape[1]] = packed
+    return words
+
+
+def _strays(words: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """strays[i, j] is nonzero when the set packed in words[i] has a member
+    outside set j, given outside[w, j], word w of the complement of set j:
+    one pass per word, over whole rows."""
+    strays = words[:, :1] & outside[0]
+    for w in range(1, len(outside)):
+        strays |= words[:, w:w + 1] & outside[w]
+    return strays
+
+
+def _rows_of(ring, rows: np.ndarray) -> np.ndarray:
+    """The 2-d bool array whose row k marks the entries of row k of a 2-d
+    index array."""
+    inside = np.zeros((len(rows), ring.order), dtype=bool)
+    inside[np.arange(len(rows))[:, None], rows] = True
+    return inside
 
 
 def _masks_of(ring, rows: np.ndarray) -> list[int]:
     """The bitmask of the set of entries of each row of a 2-d index array."""
-    inside = np.zeros((len(rows), ring.order), dtype=bool)
-    inside[np.arange(len(rows))[:, None], rows] = True
-    return _pack(inside)
+    return _pack(_rows_of(ring, rows))
 
 
 def _flags_of(ring, mask: int) -> np.ndarray:
     """The bool array over the ring's elements with entry i = bit i of mask."""
     packed = np.frombuffer(mask.to_bytes((ring.order + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(packed, count=ring.order, bitorder="little").view(bool)
-
-
-def _unpack(ring, masks: list[int]) -> np.ndarray:
-    """The 2-d bool array whose row k holds the bits of masks[k]: the
-    inverse of _pack, in one unpack."""
-    width = (ring.order + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=ring.order, bitorder="little").view(bool)
 
 
 def _full_mask(ring) -> int:
@@ -136,9 +177,6 @@ class Ideal:
     def __str__(self) -> str:
         return "{" + ",".join(self.member_names()) + "}"
 
-    def sort_key(self) -> tuple[int, ...]:
-        return self.indices()
-
 
 def ideal_from_members(ring, members) -> Ideal:
     """Build an Ideal after verifying the closure laws.
@@ -156,11 +194,30 @@ def ideal_from_members(ring, members) -> Ideal:
 
 def _checked_members(ring, mask: int) -> np.ndarray:
     """The member indices of an in-range mask, in increasing order, once the
-    ideal laws hold for it; raises ValueError naming the first violated law."""
+    ideal laws hold for it; raises ValueError naming the first violated law.
+
+    The check asks for zero, for a+b in I for every two members, and for
+    a*s in I for every member a and every s in the ring's additive
+    generating set S. That is enough: a finite set that holds zero and is
+    closed under + is a subgroup, so it holds each -a, a multiple of a; and
+    each r is a sum of elements of S, so a*r is a sum of the a*s by
+    distributivity. Only a mask that fails pays for _name_violation's scan
+    of the whole block, which names the witness."""
     if not mask >> ring.zero & 1:
         raise ValueError("not an ideal: zero is missing")
     inside = _flags_of(ring, mask)
     idx = np.flatnonzero(inside)
+    if not (
+        inside[ring.add_table[idx[:, None], idx]].all()
+        and inside[ring.mul_table[ring.generators[:, None], idx]].all()
+    ):
+        _name_violation(ring, inside, idx)
+    return idx
+
+
+def _name_violation(ring, inside: np.ndarray, idx: np.ndarray) -> None:
+    """Raise ValueError naming the first ideal law that the members idx,
+    flagged in inside, break; at least one must be broken."""
     # row k holds member idx[k]'s violations: its negative, then a+b over
     # the members b, then a*r over the ring; the first row with one names
     # the least offending member, and within it the first law it breaks
@@ -168,17 +225,14 @@ def _checked_members(ring, mask: int) -> np.ndarray:
     neg_out = ~inside[(sums == ring.zero).argmax(axis=1)]
     add_out = ~inside[sums[:, idx]]
     mul_out = ~inside[ring.mul_table[idx]]
-    bad = np.flatnonzero(neg_out | add_out.any(axis=1) | mul_out.any(axis=1))
-    if len(bad):
-        k = bad[0]
-        name = ring.element_names
-        a = name[idx[k]]
-        if neg_out[k]:
-            raise ValueError(f"not an ideal: missing -{a}")
-        if add_out[k].any():
-            raise ValueError(f"not an ideal: {a}+{name[idx[add_out[k].argmax()]]} escapes")
-        raise ValueError(f"not an ideal: {a}*{name[mul_out[k].argmax()]} escapes")
-    return idx
+    k = np.flatnonzero(neg_out | add_out.any(axis=1) | mul_out.any(axis=1))[0]
+    name = ring.element_names
+    a = name[idx[k]]
+    if neg_out[k]:
+        raise ValueError(f"not an ideal: missing -{a}")
+    if add_out[k].any():
+        raise ValueError(f"not an ideal: {a}+{name[idx[add_out[k].argmax()]]} escapes")
+    raise ValueError(f"not an ideal: {a}*{name[mul_out[k].argmax()]} escapes")
 
 
 def parse_ideal(ring, text: str) -> Ideal:
@@ -228,49 +282,62 @@ def principal_ideal(ring, a: int) -> Ideal:
     return Ideal(ring, _masks_of(ring, ring.mul_table[a:a + 1])[0])
 
 
+def _doublings(ring, t: np.ndarray) -> list[np.ndarray]:
+    """The steps of _join with the cyclic subgroups <t[k]>, k < K, as flat
+    gather indices over a K x order row: step d takes X to X | (X - u),
+    u = 2^d t, where X - u = {y : y + u in X} is a gather through row u of
+    the addition table. The steps stop once u is zero for every k, or at
+    ceil(log2 order) of them, which reach every multiple of t, as the
+    additive order of t is at most the order."""
+    n = ring.order
+    offsets = np.arange(0, len(t) * n, n)[:, None]
+    steps = []
+    while (t != ring.zero).any() and len(steps) < (n - 1).bit_length():
+        steps.append((ring.add_table[t] + offsets).ravel())
+        t = ring.add_table[t, t]
+    return steps
+
+
+def _join(rows: np.ndarray, steps: list[np.ndarray]) -> np.ndarray:
+    """rows[:, k] + <t[k]> for each k, where rows is an R x K x order bool
+    block (or R x order, when K = 1) and steps = _doublings(ring, t).
+
+    X + <t> is reached by doubling: after d steps X has grown to
+    X + {0, -t, ..., -(2^d - 1)t}. That is X + <t> once 2^d t is zero, or
+    d reaches log2 of the order, and also once a step adds nothing: then X
+    is closed under -t, since x - 2^d t lies in X for each x in it."""
+    flat = rows.reshape(len(rows), -1)
+    for d, index in enumerate(steps, 1):
+        grown = flat | np.take(flat, index, axis=1)
+        if d == len(steps) or not (grown != flat).any():
+            return grown.reshape(rows.shape)
+        flat = grown
+    return rows
+
+
 def ideal_generated(ring, elements) -> Ideal:
     """Smallest ideal containing the given elements: the sum of their
-    principal ideals."""
-    mask = 1 << ring.zero
-    rows = _add_rows(ring)
+    principal ideals, each aR joined as the cyclic subgroups <a*s> for s in
+    the ring's additive generating set, which generate it additively by
+    distributivity."""
+    row = _flags_of(ring, 1 << ring.zero)[None]
     for a in elements:
-        mask = _mask_sum(rows, mask, principal_ideal(ring, a).members)
-    return Ideal(ring, mask)
+        for t in ring.mul_table[ring._check_index(a), ring.generators]:
+            row = _join(row, _doublings(ring, t[None]))
+    return Ideal(ring, _pack(row)[0])
 
 
 def sum_ideals(ring, left: Ideal, right: Ideal) -> Ideal:
-    """Ideal sum I+J = {i+j}; already an ideal, no further closure needed."""
+    """Ideal sum I+J = {i+j}: I joined with <g> for the least member g of J
+    not yet in the sum, until J is covered. Each join at least doubles the
+    sum, an additive subgroup, so there are at most log2(order) of them."""
     _same_ring(ring, left)
     _same_ring(ring, right)
-    return Ideal(ring, _mask_sum(_add_rows(ring), left.members, right.members))
-
-
-def _add_rows(ring):
-    """rows(g) is row g of the addition table as a list, converted the first
-    time it is asked for and kept as long as the caller keeps rows."""
-    return cache(lambda g: ring.add_table[g].tolist())
-
-
-def _mask_sum(rows, m1: int, m2: int) -> int:
-    """The sum of ideals m1 and m2 as a union of cosets g+I.
-
-    Both must be ideals, as every caller's are. Of comparable ideals the sum
-    is the larger one. Otherwise m1, an additive subgroup, makes each g+I a
-    whole coset, so a member of m2 already in the sum brings nothing new and
-    the loop reads O(|I+J|) table cells."""
-    if m1 & ~m2 == 0:
-        return m2
-    out = m1
-    rest = m2 & ~out
-    if not rest:
-        return out
-    members = tuple(_bits(m1))
-    while rest:
-        row = rows((rest & -rest).bit_length() - 1)
-        for i in members:
-            out |= 1 << row[i]
-        rest &= ~out
-    return out
+    row = _flags_of(ring, left.members)[None]
+    inside_right = _flags_of(ring, right.members)
+    while (missing := np.flatnonzero(inside_right & ~row[0])).size:
+        row = _join(row, _doublings(ring, missing[:1]))
+    return Ideal(ring, _pack(row)[0])
 
 
 def _dot_escape(text: str) -> str:
@@ -284,17 +351,18 @@ class IdealLattice:
 
     index maps each ideal's member mask to its position in ideals, and
     generator maps the mask of each principal ideal to its first generator.
-    up[i] is the bitset of the positions j with ideals[i] a subset of
-    ideals[j], i itself included; it is read off one matrix product, as
-    ideals[i] lies in ideals[j] exactly when none of the members of i is
-    outside j. The primes are found on first use.
+    inside is the ideals-by-elements bool block, read-only: inside[i, x]
+    holds when element x lies in ideals[i]. The primes and the containment
+    up-sets are computed from it on first use. up has three readers,
+    is_maximal, containment_edges and to_dot, so describe never builds it,
+    nor does audit unless PROP1's hypothesis holds or the ring is Boolean.
     """
 
     ring: "FiniteRing"
     ideals: tuple[Ideal, ...]
     index: dict[int, int]
     generator: dict[int, int]
-    up: tuple[int, ...]
+    inside: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ideals)
@@ -307,16 +375,44 @@ class IdealLattice:
 
     @cached_property
     def primes(self) -> dict[int, Ideal]:
-        """The prime ideals keyed by member mask, in canonical order."""
-        return {ideal.members: ideal for ideal in self.ideals if is_prime(self.ring, ideal)}
+        """The prime ideals keyed by member mask, in canonical order: every
+        proper ideal tested at once, by the definition, with _product_lands."""
+        proper = np.flatnonzero(~self.inside.all(axis=1))
+        outside = ~self.inside[proper]
+        lands = _product_lands(self.ring, ~outside, outside, outside)
+        return {self.ideals[k].members: self.ideals[k] for k in proper[~lands].tolist()}
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """up[i] is the bitset of the positions j with ideals[i] a subset of
+        ideals[j], i itself included: no member of i strays outside j. It
+        is built a block of rows at a time, each block within about
+        _BLOCK_CELLS 64-bit words and packed as it comes, so it holds
+        L^2/8 bytes for L ideals, plus one block."""
+        words = _words(self.inside)
+        outside = np.ascontiguousarray(~words.T)
+        step = max(1, _BLOCK_CELLS // outside.size)
+        up: list[int] = []
+        for start in range(0, len(words), step):
+            up += _pack(_strays(words[start:start + step], outside) == 0)
+        return tuple(up)
 
     def _above(self, i: int) -> int:
         """Bitset of the positions of the ideals strictly containing ideals[i]."""
         return self.up[i] & ~(1 << i)
 
     def containment_edges(self) -> list[tuple[int, int]]:
-        """Non-reflexive containment pairs (i, j): ideals[i] < ideals[j]."""
-        return [(i, j) for i in range(len(self.ideals)) for j in _bits(self._above(i))]
+        """Non-reflexive containment pairs (i, j): ideals[i] < ideals[j], in
+        order, read off up a block of rows at a time."""
+        count = len(self.ideals)
+        width, step = (count + 7) // 8, max(1, _BLOCK_CELLS // count)
+        edges: list[tuple[int, int]] = []
+        for start in range(0, count, step):
+            above = _unpack([up.to_bytes(width, "little") for up in self.up[start:start + step]], count)
+            i, j = divmod(np.flatnonzero(above), count)  # faster than a 2-d nonzero
+            strict = start + i != j
+            edges += zip((start + i[strict]).tolist(), j[strict].tolist())
+        return edges
 
     def to_dot(self) -> str:
         """DOT digraph of the covering relation, for offline graphing."""
@@ -344,6 +440,64 @@ def _primitive_idempotents(ring, principals: list[int]) -> list[int]:
     return [e for e in idempotents if (principals[e] & among).bit_count() == 2]
 
 
+def _closure(ring, rows: np.ndarray, joins: list[int]) -> np.ndarray:
+    """Every sum of one or more of the ideals aR for a in joins, given as
+    the bool rows, as a bool block.
+
+    Each round joins the whole frontier, the sums first found in the round
+    before (the rows themselves, at first), with every aR, as the cyclic
+    subgroups <a*s> for s in the ring's additive generating set: a
+    K x P x order block per chunk of K frontier rows, for P = len(joins),
+    within about _BLOCK_CELLS cells, joined with one s at a time through
+    gather indices made once, so a chunk costs a fixed number of gathers
+    whatever P is. I + aR is I when a lies in I, and aR when I lies in aR;
+    both are known, so a frontier row whose sums are all of these two kinds
+    skips the block. The rows whose packed bytes are new make the next
+    frontier.
+    """
+    if not joins:
+        return rows
+    found, frontier, outside = [rows], rows, ~rows
+    known, doublings = None, None
+    joins = np.array(joins)
+    chunk = max(1, _BLOCK_CELLS // (len(joins) * ring.order))
+    while True:
+        fresh = []
+        for k in range(0, len(frontier), chunk):
+            part = frontier[k:k + chunk]
+            grows = (~part[:, joins] & (part[:, None] & outside).any(axis=2)).any(axis=1)
+            if not grows.any():
+                continue
+            if doublings is None:  # only now are the generators needed
+                products = ring.mul_table[joins[:, None], ring.generators]
+                doublings = [_doublings(ring, t) for t in products[:, (products != ring.zero).any(axis=0)].T]
+                known = set(_row_bytes(np.concatenate(found)))
+            block = np.repeat(part[grows, None], len(joins), axis=1)
+            for steps in doublings:
+                block = _join(block, steps)
+            new = [row for row in dict.fromkeys(_row_bytes(block.reshape(-1, ring.order))) if row not in known]
+            known.update(new)
+            fresh += new
+        if not fresh:
+            return np.concatenate(found)
+        frontier = _unpack(fresh, ring.order)
+        found.append(frontier)
+
+
+def _canonical_order(inside: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the distinct rows of a bool block into
+    canonical order, by one sort of byte keys. Where two sets first differ,
+    at element x, the one holding x comes first unless the other has no
+    member past x, and so is a prefix of it. So x is keyed 1 in a set that
+    holds it, 2 in one that holds a later element only, 0 in one that holds
+    neither, and the key rows compare bytewise as the index tuples do."""
+    n = inside.shape[1]
+    last = n - 1 - inside[:, ::-1].argmax(axis=1)  # every row holds zero
+    key = (np.arange(n) <= last[:, None]).view(np.uint8) << 1
+    key -= inside
+    return np.argsort(key.view(np.dtype((np.void, key.shape[1]))).ravel())
+
+
 def all_ideals(ring) -> IdealLattice:
     """Every ideal, built one local factor at a time on first use and kept on
     the ring, so it lives exactly as long.
@@ -360,41 +514,38 @@ def all_ideals(ring) -> IdealLattice:
     identity. (Atiyah-Macdonald, Thm 8.7; McDonald, Finite Rings with
     Identity, 1974.)
 
-    The closure in eR sums the ideal at each position i of found only with
-    the principal ideals before position i, p_0..p_{i-1}, which found starts
-    with. That makes found closed under adding any principal p_j: to an
-    ideal at i > j it is added in turn i, and p_i + p_j with i < j is formed
-    in turn j. Every ideal of eR is a sum of principal ideals, so found holds
-    them all.
+    The closure in eR starts from its principal ideals and, round by round,
+    adds I + aR for each ideal I first found in the round before and each
+    principal aR of eR other than {0} and eR, which add nothing new. An
+    ideal that is a sum of k principal ideals is thus found by round k - 1,
+    so the closure holds every ideal of eR. I + aR is a join of cyclic
+    subgroups: each r is a sum of elements of an additive generating set S
+    of R, so by distributivity aR = {a*r} is generated additively by the
+    a*s, s in S, and I + aR is I joined with each <a*s> in turn. I + <t>
+    = I + <-t> is reached in ceil(log2 ord t) doublings
+    X -> X | (X - 2^d t), one gather through the addition table each (see
+    _join).
     """
     if ring._lattice is not None:
         return ring._lattice
-    principals = _masks_of(ring, ring.mul_table)
+    principal_rows = _rows_of(ring, ring.mul_table)
+    principals = _pack(principal_rows)
     generator: dict[int, int] = {}
     for a, principal in enumerate(principals):
         generator.setdefault(principal, a)
-    rows = _add_rows(ring)
     combined = np.ones((1, ring.order), dtype=bool)
     for e in _primitive_idempotents(ring, principals):
-        local = [m for m in generator if m & ~principals[e] == 0]
-        found, known = list(local), set(local)
-        for i, m1 in enumerate(found):  # found grows while it is walked
-            for m2 in local[:i]:
-                s = _mask_sum(rows, m1, m2)
-                if s not in known:
-                    known.add(s)
-                    found.append(s)
-        lifts = _unpack(ring, found)[:, ring.mul_table[e]]
-        combined = (combined[:, None] & lifts).reshape(-1, ring.order)
-    masks = _pack(combined)
-    order = sorted(range(len(masks)), key=lambda k: tuple(_bits(masks[k])))
-    ideals = tuple(Ideal(ring, masks[k]) for k in order)
-    # ideals[i] lies in ideals[j] when none of its members is outside j; the
-    # counts are at most the order, far below float32's exact range of 2**24
-    inside = combined[order].astype(np.float32)
-    up = tuple(_pack(inside @ (1 - inside).T == 0))
+        # the sums of the principal ideals of eR other than {0} and eR; eR
+        # is local, so none of them is eR
+        joins = [a for m, a in generator.items() if m & ~principals[e] == 0 and m not in (1 << ring.zero, principals[e])]
+        sums = _closure(ring, principal_rows[joins], joins)
+        found = np.concatenate([principal_rows[[ring.zero, e]], sums])
+        combined = (combined[:, None] & found[:, ring.mul_table[e]]).reshape(-1, ring.order)
+    inside = combined[_canonical_order(combined)]
+    inside.setflags(write=False)
+    ideals = tuple(Ideal(ring, mask) for mask in _pack(inside))
     index = {ideal.members: i for i, ideal in enumerate(ideals)}
-    ring._lattice = IdealLattice(ring, ideals, index, generator, up)
+    ring._lattice = IdealLattice(ring, ideals, index, generator, inside)
     return ring._lattice
 
 
@@ -410,27 +561,38 @@ def radical(ring, ideal: Ideal) -> Ideal:
     return Ideal(ring, mask)
 
 
-# Cells in one block of a chunked numpy step, small enough to stay in cache:
-# rows x order in _product_lands and quotients' endomorphism search, maps x
-# order x order in quotients' homomorphism law check.
-_BLOCK_CELLS = 1 << 16
+def _product_lands(ring, inside: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """For each row k of the K x order bool blocks inside, xs and ys, whether
+    some x with xs[k, x] and y with ys[k, y] have xy in inside[k].
 
-
-def _product_lands(ring, inside: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> bool:
-    """Whether some x with xs[x] and y with ys[y] have xy inside, all three
-    given as bool arrays over the elements.
-
-    is_prime and is_primary both ask this of every pair in a block of the
-    multiplication table. The block is tested a few rows at a time, at most
-    _BLOCK_CELLS cells each, and the first chunk that holds such a product
-    answers, so an ideal that fails its predicate is usually settled by its
-    first rows and memory stays at one chunk whatever the order."""
-    step = max(1, _BLOCK_CELLS // ring.order)
-    for start in range(0, ring.order, step):
-        rows = slice(start, start + step)
-        if inside[ring.mul_table[rows][xs[rows]][:, ys]].any():
-            return True
-    return False
+    is_prime, is_primary and the lattice's primes all ask this of every
+    pair in a block of the multiplication table. The block is tested a few
+    table rows at a time for a group of ideals, at most about _BLOCK_CELLS
+    cells each step, and an ideal leaves the block at the first chunk of
+    rows that holds such a product for it. So an ideal that fails its
+    predicate is usually settled by its first rows, the rows per step grow
+    as ideals leave, and memory stays at one step whatever the order or the
+    number of ideals."""
+    n = ring.order
+    lands = np.zeros(len(inside), dtype=bool)
+    open_ = np.arange(len(inside))  # inside, xs and ys keep the open rows only
+    start = 0
+    while start < n and len(open_):
+        rows = max(1, _BLOCK_CELLS // (n * len(open_)))
+        group = max(1, _BLOCK_CELLS // (n * rows))
+        products = ring.mul_table[start:start + rows]
+        hit = np.empty(len(open_), dtype=bool)
+        for g in range(0, len(open_), group):
+            cells = np.take(inside[g:g + group], products, axis=1)
+            cells &= xs[g:g + group, start:start + rows, None]
+            cells &= ys[g:g + group, None]
+            hit[g:g + group] = np.logical_or.reduce(cells.reshape(len(cells), -1), axis=1)
+        lands[open_] = hit
+        start += rows
+        if start < n and hit.any():
+            keep = ~hit
+            open_, inside, xs, ys = open_[keep], inside[keep], xs[keep], ys[keep]
+    return lands
 
 
 def is_prime(ring, ideal: Ideal) -> bool:
@@ -438,8 +600,8 @@ def is_prime(ring, ideal: Ideal) -> bool:
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         return False
-    inside = _flags_of(ring, ideal.members)
-    return not _product_lands(ring, inside, ~inside, ~inside)
+    inside = _flags_of(ring, ideal.members)[None]
+    return not _product_lands(ring, inside, ~inside, ~inside)[0]
 
 
 def is_maximal(ring, ideal: Ideal) -> bool:
@@ -464,9 +626,9 @@ def is_primary(ring, ideal: Ideal) -> bool:
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         return False
-    inside = _flags_of(ring, ideal.members)
-    in_radical = _flags_of(ring, radical(ring, ideal).members)
-    return not _product_lands(ring, inside, ~inside, ~in_radical)
+    inside = _flags_of(ring, ideal.members)[None]
+    in_radical = _flags_of(ring, radical(ring, ideal).members)[None]
+    return not _product_lands(ring, inside, ~inside, ~in_radical)[0]
 
 
 def is_principal(ring, ideal: Ideal) -> tuple[bool, Optional[int]]:

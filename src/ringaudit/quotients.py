@@ -1,8 +1,9 @@
 """Quotient rings, ring homomorphisms, endomorphism search, and the two
 structural audits that depend on them.
 
-Quotients are presented as coset partitions with minimal-index
-representatives. The Ideal type keeps a mask in range; quotient_ring
+Quotients are presented by the projection onto minimal-index coset
+representatives; the coset partition is read off it only when asked
+for. The Ideal type keeps a mask in range; quotient_ring
 checks the ideal laws once, on the mask, and by the correspondence theorem
 the induced tables then form a ring, the projection is a surjective
 homomorphism and its kernel is the ideal, so none of that is re-verified
@@ -28,6 +29,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,17 +83,23 @@ class RingHom:
 
 @dataclass(frozen=True)
 class QuotientPresentation:
-    """A quotient R/I: coset partition, the quotient ring, the projection.
+    """A quotient R/I: the quotient ring, the projection, the coset partition.
 
-    cosets[i] is the bitmask of base elements in coset i; coset order is by
-    minimal member index, which is also the representative.
+    cosets[i] is the bitmask of base elements in coset i, read off the
+    projection on first use; coset order is by minimal member index, which
+    is also the representative.
     """
 
     base: FiniteRing
     ideal: Ideal
-    cosets: tuple[int, ...]
     quotient: FiniteRing
     projection: RingHom
+
+    @cached_property
+    def cosets(self) -> tuple[int, ...]:
+        inside = np.zeros((self.quotient.order, self.base.order), dtype=bool)
+        inside[self.projection.mapping, np.arange(self.base.order)] = True
+        return tuple(_pack(inside))
 
 
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
@@ -108,19 +116,16 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
     rep_of = ring.add_table[members].min(axis=0)
     reps = np.flatnonzero(rep_of == np.arange(ring.order))
     coset_of = np.searchsorted(reps, rep_of)
-    inside = np.zeros((len(reps), ring.order), dtype=bool)
-    inside[coset_of, np.arange(ring.order)] = True
-    cosets = tuple(_pack(inside))
     quotient = FiniteRing._trusted(
         len(reps),
-        coset_of[ring.add_table[np.ix_(reps, reps)]],
-        coset_of[ring.mul_table[np.ix_(reps, reps)]],
+        coset_of[ring.add_table[reps[:, None], reps]],
+        coset_of[ring.mul_table[reps[:, None], reps]],
         coset_of[ring.zero], coset_of[ring.one],
         f"{ring.label}/{ideal}",
         element_names=[f"[{ring.element_names[r]}]" for r in reps.tolist()],
     )
     projection = RingHom(ring, quotient, tuple(coset_of.tolist()))
-    return QuotientPresentation(ring, ideal, cosets, quotient, projection)
+    return QuotientPresentation(ring, ideal, quotient, projection)
 
 
 def check_hom(hom: RingHom) -> bool:

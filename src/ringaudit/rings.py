@@ -17,14 +17,16 @@ distinct, nonempty and free of surrounding spaces, so each reads back as its
 element. Each constructor checks its own preconditions once and names the
 value it refuses; ringfile checks only the format of ring documents.
 
-Instances are immutable after construction, bar one lazily filled slot for
-the ideal lattice, and are safe to share across threads.
+Instances are immutable after construction, bar two lazily filled slots for
+the ideal lattice and an additive generating set, and are safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from contextlib import suppress
+from functools import cached_property
 from itertools import chain, product as _cartesian
 
 import numpy as np
@@ -217,8 +219,9 @@ class FiniteRing:
     source is None, unless ringfile.ring_from_document attached the
     document it parsed, which ringfile.document_for writes back.
 
-    _lattice is the one lazily filled slot, where ideals.all_ideals keeps the
-    ring's IdealLattice; threads racing to fill it recompute the same value.
+    Two slots are filled lazily: _lattice, where ideals.all_ideals keeps the
+    ring's IdealLattice, and generators; threads racing to fill either
+    recompute the same value.
     """
 
     def __init__(
@@ -273,6 +276,24 @@ class FiniteRing:
                 raise ValueError(f"element names must be nonempty, without leading or trailing spaces, got {name!r}")
         self.source = None
         self._lattice = None
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """The indices of an additive generating set, found on first use:
+        each pick s is the first element outside the subgroup H reached so
+        far, as validate_tables picks them, and H + <s> is reached by
+        doubling, H | (H - u) for u = s, 2s, 4s, ..., until a step adds
+        nothing, which leaves H closed under -s. Each pick at least doubles
+        H, so there are at most log2(order) of them."""
+        add, reached, picks = self.add_table, np.zeros(self.order, dtype=bool), []
+        reached[self.zero] = True
+        while not reached.all():
+            u = int(reached.argmin())
+            picks.append(u)
+            while not ((grown := reached | reached[add[u]]).all() or (grown == reached).all()):
+                reached, u = grown, add[u, u]
+            reached = grown
+        return np.array(picks)
 
     def _check_index(self, a: int) -> int:
         if not 0 <= a < self.order:

@@ -9,10 +9,14 @@ engine's RingAxiomError so that messages compare. closure_endomorphisms is
 the endomorphism search as it stood before the generator-image search,
 kept as the reference that search must match map for map. closure_lattice
 is the ideal-lattice enumeration as it stood before the split by primitive
-idempotents: the pairwise closure of the principal ideals under sum, with
-pair_scan_up, the containment scan that built the up-sets before the
-containment product. whole_block_is_primary is is_primary as it stood
-before the chunked early-exit test, gathering its whole block at once.
+idempotents: the pairwise closure of the principal ideals under sum, each
+sum built coset by coset (coset_sum, the sum before the join of cyclic
+subgroups on bool rows). pair_scan_up is the containment scan that built
+the up-sets before they were read off the lattice's bool block.
+whole_block_checked_members is the ideal-law check as it stood before
+absorption was checked on an additive generating set.
+whole_block_is_primary is is_primary as it stood before the chunked
+early-exit test, gathering its whole block at once.
 algebra_tables is make_algebra's table build as it stood before the
 digit-at-a-time build: one einsum over order x order x dim arrays.
 depth_first_endomorphisms is the generator-image search as it stood before
@@ -23,11 +27,12 @@ one map and two order x order comparisons at a time.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product as cartesian
 
 import numpy as np
 
-from ringaudit.ideals import Ideal, IdealLattice, _add_rows, _flags_of, _mask_sum, _masks_of, radical
+from ringaudit.ideals import Ideal, IdealLattice, _flags_of, radical
 from ringaudit.rings import RingAxiomError, additive_order
 
 
@@ -186,32 +191,80 @@ def closure_endomorphisms(ring) -> list[tuple[int, ...]]:
 
 def closure_lattice(ring) -> IdealLattice:
     """Every ideal as the closure of the principal ideals under sum, each
-    unordered pair summed once; the lattice is returned, not kept on the
-    ring."""
+    unordered pair summed once with the coset-by-coset sum; the lattice is
+    returned, not kept on the ring."""
     generator: dict[int, int] = {}
-    for a, principal in enumerate(_masks_of(ring, ring.mul_table)):
-        generator.setdefault(principal, a)
+    for a in range(ring.order):
+        generator.setdefault(sum(1 << x for x in set(ring.mul_table[a].tolist())), a)
     found = list(generator)
     known = set(found)
-    rows = _add_rows(ring)
+    rows = cache(lambda g: ring.add_table[g].tolist())
     # found grows while it is walked: each ideal is summed once with every
     # ideal found before it, and one found later meets it in its own turn
     for i, m1 in enumerate(found):
         for m2 in found[:i]:
-            s = _mask_sum(rows, m1, m2)
+            s = coset_sum(rows, m1, m2)
             if s not in known:
                 known.add(s)
                 found.append(s)
-    ideals = tuple(sorted((Ideal(ring, m) for m in known), key=Ideal.sort_key))
-    masks = [ideal.members for ideal in ideals]
-    index = {m: i for i, m in enumerate(masks)}
-    return IdealLattice(ring, ideals, index, generator, pair_scan_up(masks))
+    ideals = tuple(sorted((Ideal(ring, m) for m in known), key=Ideal.indices))
+    inside = np.array([[ideal.members >> x & 1 for x in range(ring.order)] for ideal in ideals], dtype=bool)
+    return IdealLattice(ring, ideals, {ideal.members: i for i, ideal in enumerate(ideals)}, generator, inside)
+
+
+def coset_sum(rows, m1: int, m2: int) -> int:
+    """The sum of ideals m1 and m2 as a union of cosets g+I, rows(g) being
+    row g of the addition table as a list.
+
+    Both must be ideals. Of comparable ideals the sum is the larger one.
+    Otherwise m1, an additive subgroup, makes each g+I a whole coset, so a
+    member of m2 already in the sum brings nothing new."""
+    if m1 & ~m2 == 0:
+        return m2
+    out = m1
+    rest = m2 & ~out
+    if not rest:
+        return out
+    members = [x for x in range(m1.bit_length()) if m1 >> x & 1]
+    while rest:
+        row = rows((rest & -rest).bit_length() - 1)
+        for i in members:
+            out |= 1 << row[i]
+        rest &= ~out
+    return out
 
 
 def pair_scan_up(masks: list[int]) -> tuple[int, ...]:
     """up[i] is the bitset of the positions j with masks[i] a subset of
     masks[j], by testing every pair."""
     return tuple(sum(1 << j for j, o in enumerate(masks) if m & ~o == 0) for m in masks)
+
+
+def whole_block_checked_members(ring, mask: int) -> np.ndarray:
+    """The ideal-law check of a mask as it stood before absorption was
+    checked on an additive generating set: the member indices once the laws
+    hold, else ValueError naming the least offending member and the first
+    law it breaks (its negative, then a+b over the members b, then a*r over
+    the ring), all read off the whole |I| x order blocks."""
+    if not mask >> ring.zero & 1:
+        raise ValueError("not an ideal: zero is missing")
+    inside = _flags_of(ring, mask)
+    idx = np.flatnonzero(inside)
+    sums = ring.add_table[idx]
+    neg_out = ~inside[(sums == ring.zero).argmax(axis=1)]
+    add_out = ~inside[sums[:, idx]]
+    mul_out = ~inside[ring.mul_table[idx]]
+    bad = np.flatnonzero(neg_out | add_out.any(axis=1) | mul_out.any(axis=1))
+    if len(bad):
+        k = bad[0]
+        name = ring.element_names
+        a = name[idx[k]]
+        if neg_out[k]:
+            raise ValueError(f"not an ideal: missing -{a}")
+        if add_out[k].any():
+            raise ValueError(f"not an ideal: {a}+{name[idx[add_out[k].argmax()]]} escapes")
+        raise ValueError(f"not an ideal: {a}*{name[mul_out[k].argmax()]} escapes")
+    return idx
 
 
 def whole_block_is_primary(ring, ideal) -> bool:

@@ -179,6 +179,20 @@ def test_ideals_text_and_json(z6_file, capsys):
     assert all(len(e) == 2 for e in doc["containment"])
 
 
+@pytest.mark.parametrize(
+    "label, ideals, pairs",
+    [
+        ("Z_6", ["{0}", "{0,1,2,3,4,5}"], [(0, 1)]),
+        ('q"u\\o\tte é ☃ \u2028', ['{"a",\\}', "{}"], [(1, 0), (0, 1)]),
+        ("empty", [], []),
+        ("no pairs", ["{0}"], []),
+    ],
+)
+def test_ideals_json_writes_what_json_dumps_writes(label, ideals, pairs):
+    doc = {"ring": label, "ideals": ideals, "containment": [list(p) for p in pairs]}
+    assert cli._ideals_json(label, ideals, pairs) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+
 def test_ideals_dot(z6_file, capsys):
     assert main(["ideals", z6_file, "--dot"]) == 0
     out = capsys.readouterr().out

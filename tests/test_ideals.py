@@ -32,6 +32,7 @@ from _oracles import (
     pair_scan_up,
     pairwise_sum,
     power_in,
+    whole_block_checked_members,
     whole_block_is_primary,
 )
 from _strategies import fp_algebras
@@ -57,7 +58,8 @@ from ringaudit.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from ringaudit.ideals import _masks_of, _primitive_idempotents
+import ringaudit.ideals as ideals
+from ringaudit.ideals import _checked_members, _masks_of, _primitive_idempotents
 from ringaudit.quotients import quotient_ring
 from ringaudit.ringfile import _sc_with_unity
 from ringaudit.rings import (
@@ -157,6 +159,15 @@ def test_ideal_generated_matches_principal_on_singletons(small_corpus_rings):
             assert ideal_generated(ring, [a]).members == principal_ideal(ring, a).members
 
 
+def test_ideal_generated_matches_pairwise_sums(small_corpus_rings):
+    for ring in small_corpus_rings:
+        multiples = [{ring.mul(a, r) for r in ring.elements()} for a in ring.elements()]
+        for a in ring.elements():
+            for b in ring.elements():
+                expected = pairwise_sum(ring, multiples[a], multiples[b])
+                assert members(ideal_generated(ring, [a, b])) == expected, (ring.label, a, b)
+
+
 def test_sum_ideals_examples(ring_a):
     z12 = make_zn(12)
     four = principal_ideal(z12, 4)
@@ -248,13 +259,59 @@ def test_lattice_by_factors_matches_pairwise_closure(ring):
     assert [i.members for i in lattice.ideals] == [i.members for i in oracle.ideals]
     assert lattice.index == oracle.index
     assert lattice.generator == oracle.generator
-    assert lattice.up == oracle.up
+    assert np.array_equal(lattice.inside, oracle.inside)
+    assert_primes_and_up_match_oracles(ring)
+
+
+def assert_primes_and_up_match_oracles(ring):
+    """The lattice's primes against the definition, ideal by ideal, and its
+    up-sets against the pair-by-pair scan."""
+    lattice = all_ideals(ring)
+    masks = [ideal.members for ideal in lattice.ideals]
+    assert list(lattice.primes) == [m for m in masks if is_prime_subset(ring, set(Ideal(ring, m).indices()))], ring.label
+    assert lattice.up == pair_scan_up(masks), ring.label
+
+
+@pytest.fixture(scope="module")
+def spectrum_rings(corpus):
+    """Every corpus ring, every proper quotient of each, B_5, Z_2^4 x Z_3
+    and Z_4^3."""
+    quotients = [quotient_ring(ring, i).quotient for ring in corpus for i in all_ideals(ring).ideals if i.is_proper]
+    beyond = [make_boolean(5), make_product([*[make_zn(2)] * 4, make_zn(3)]), make_product([make_zn(4)] * 3)]
+    return [*corpus, *quotients, *beyond]
+
+
+def test_primes_and_up_match_definitional_oracles(spectrum_rings):
+    for ring in spectrum_rings:
+        assert_primes_and_up_match_oracles(ring)
 
 
 def test_up_matches_pair_scan(corpus):
     for ring in [*corpus, make_boolean(8), make_product([make_zn(4)] * 3)]:
         lattice = all_ideals(ring)
         assert lattice.up == pair_scan_up([ideal.members for ideal in lattice.ideals]), ring.label
+
+
+def _zero_product_algebra(p, dim):
+    """F_p[a_1..a_{dim-1}]/(a_1..a_{dim-1})^2: every product of two basis
+    elements other than 1 is zero."""
+    zero = [0] * dim
+    names = ["1", *(f"a{i}" for i in range(1, dim))]
+    return make_algebra(p, dim, _sc_with_unity(dim, {(i, j): zero for i in range(1, dim) for j in range(i, dim)}), names)
+
+
+@pytest.mark.parametrize("cells", [1, 97, 4096])
+def test_blocks_of_any_size_give_the_same_lattice(monkeypatch, cells):
+    # a block budget this small splits the closure's frontier, the prime
+    # test's ideals and rows, and the up-set rows into many steps
+    monkeypatch.setattr(ideals, "_BLOCK_CELLS", cells)
+    for ring in (make_boolean(5), make_product([make_zn(4)] * 3), make_zn(96), _zero_product_algebra(2, 5)):
+        lattice, oracle = all_ideals(ring), closure_lattice(ring)
+        assert [i.members for i in lattice.ideals] == [i.members for i in oracle.ideals], ring.label
+        assert_primes_and_up_match_oracles(ring)
+        up = pair_scan_up([ideal.members for ideal in lattice.ideals])
+        expected = [(i, j) for i in range(len(up)) for j in range(len(up)) if i != j and up[i] >> j & 1]
+        assert lattice.containment_edges() == expected, ring.label
 
 
 def assert_primitive_idempotents_split_one(ring):
@@ -300,11 +357,8 @@ def _gaussian_binomial(n, k, q):
 
 @pytest.mark.parametrize("p, dim, count", [(2, 6, 375), (3, 4, 29)])
 def test_zero_product_algebra_lattice_matches_closed_form(p, dim, count):
-    # every product of two basis elements other than 1 is zero, so the ideals
-    # are R and the subspaces of the maximal ideal m, the one prime
-    zero = [0] * dim
-    names = ["1", *(f"a{i}" for i in range(1, dim))]
-    ring = make_algebra(p, dim, _sc_with_unity(dim, {(i, j): zero for i in range(1, dim) for j in range(i, dim)}), names)
+    # the ideals are R and the subspaces of the maximal ideal m, the one prime
+    ring = _zero_product_algebra(p, dim)
     lattice = all_ideals(ring)
     sizes = sorted(len(ideal) for ideal in lattice.ideals)
     expected = sorted([p ** dim] + [p ** k for k in range(dim) for _ in range(_gaussian_binomial(dim - 1, k, p))])
@@ -339,6 +393,7 @@ def test_lattice_of_random_fp_algebras(ring):
     if ring.order <= 13:
         assert found == brute_force_ideals(ring)
     assert_classification_matches_oracles(ring)
+    assert_primes_and_up_match_oracles(ring)
     # correspondence theorem: the ideals of R/I are the ideals of R over I,
     # and the primes of R/I the primes of R over I
     for ideal in lattice.ideals:
@@ -423,6 +478,37 @@ def test_ideal_from_members_names_the_first_violation(named_rings, label, subset
     with pytest.raises(ValueError) as err:
         ideal_from_members(named_rings[label], subset)
     assert str(err.value) == f"not an ideal: {law}"
+
+
+# rings whose lattice ideals are mutated below; built once, at import
+CHECKED_RINGS = (
+    make_zn(12),
+    make_boolean(3),
+    make_product([make_zn(2), make_zn(4)]),
+    make_product([make_zn(4), make_zn(4)]),
+    _square_zero_algebra(2),
+    _square_zero_algebra(3),
+    _relabelled_z3_squared(),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_ideal_check_matches_the_whole_block_oracle(data):
+    # a lattice ideal with a few member bits flipped: the generator-set check
+    # must give the whole-block check's verdict, member indices or message
+    ring = data.draw(st.sampled_from(CHECKED_RINGS))
+    mask = data.draw(st.sampled_from(all_ideals(ring).ideals)).members
+    for bit in data.draw(st.lists(st.integers(0, ring.order - 1), max_size=3)):
+        mask ^= 1 << bit
+
+    def verdict(check):
+        try:
+            return check(ring, mask).tolist()
+        except ValueError as err:
+            return str(err)
+
+    assert verdict(_checked_members) == verdict(whole_block_checked_members)
 
 
 def test_parse_ideal_roundtrip(ring_a):
@@ -718,8 +804,13 @@ def test_lattice_is_built_once_and_spectrum_on_demand():
     lattice = all_ideals(ring)
     assert all_ideals(ring) is lattice
     assert "primes" not in vars(lattice)
+    classify_ring(ring)
     prime_spectrum(ring)
     assert "primes" in vars(lattice)
+    # up has three readers, and neither the flags nor the spectrum is one
+    assert "up" not in vars(lattice)
+    is_maximal(ring, principal_ideal(ring, 2))
+    assert "up" in vars(lattice)
 
 
 def test_lattice_dies_with_its_ring():

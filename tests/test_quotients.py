@@ -97,6 +97,22 @@ def test_quotient_invariants(small_corpus_rings):
             assert kernel(pres.projection).members == ideal.members
 
 
+def test_cosets_are_read_off_the_projection_when_asked_for(small_corpus_rings):
+    for ring in small_corpus_rings:
+        for ideal in all_ideals(ring).ideals:
+            if not ideal.is_proper:
+                continue
+            pres = quotient_ring(ring, ideal)
+            assert "cosets" not in vars(pres)
+            # coset i holds the b with a + b in I for its representative a,
+            # the least member, and cosets go in representative order
+            by_rep = {}
+            for b in ring.elements():
+                rep = min(a for a in ring.elements() if ring.add(a, ring.neg(b)) in ideal.indices())
+                by_rep[rep] = by_rep.get(rep, 0) | 1 << b
+            assert pres.cosets == tuple(by_rep[rep] for rep in sorted(by_rep)), (ring.label, str(ideal))
+
+
 def test_every_corpus_quotient_is_a_ring_with_the_ideal_as_kernel(corpus):
     # quotient_ring trusts the correspondence theorem; re-check it here
     for ring in corpus:

@@ -95,6 +95,26 @@ def test_additive_orders_in_zn():
             assert additive_order(ring, k) == n // math.gcd(n, k)
 
 
+def _additive_span(ring, elements) -> set[int]:
+    """The subgroup generated by the elements: zero, closed under adding
+    each of them."""
+    span = {ring.zero}
+    while (grown := span | {ring.add(a, g) for a in span for g in elements}) != span:
+        span = grown
+    return span
+
+
+def test_generators_are_the_greedy_additive_generating_set():
+    # each pick is the least element outside the subgroup the earlier picks
+    # generate, and the picks generate the whole additive group
+    for ring in [*default_corpus(), make_boolean(6), make_product([make_zn(4)] * 3), make_zn(210)]:
+        picks: list[int] = []
+        while len(span := _additive_span(ring, picks)) < ring.order:
+            picks.append(min(set(ring.elements()) - span))
+        assert ring.generators.tolist() == picks, ring.label
+        assert len(picks) <= ring.order.bit_length(), ring.label
+
+
 def test_make_boolean_structure():
     b3 = make_boolean(3)
     assert b3.order == 8
