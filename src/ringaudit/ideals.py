@@ -6,15 +6,15 @@ ideal_from_members and quotient_ring share. The full lattice of a ring is
 built one local factor eR at a time, for the primitive idempotents e: the
 ideals inside eR are the closure under sum of the principal ideals there,
 and an ideal of R is the intersection of the preimages {x : ex in J} of one
-such J per factor. Sums run on bool rows over the elements: X + <t> is
-reached by doubling, one gather through the addition table a step, and
-I + aR is the join of I with the cyclic subgroups <a*s> for s in an
-additive generating set of R; the closure, sum_ideals and ideal_generated
-share that one join. The lattice lives with its ring, holds its ideals as
-one ideals-by-elements bool block, and computes each fact derived from it
-(the prime spectrum, the containment up-sets) from that block on first
-use, so the predicates that ask for them are lookups, and a radical is the
-intersection of the primes over its ideal.
+such J per factor. Sums run on bool rows over the elements: I + aR is the
+join of I with the cyclic subgroups <a*s> for s in ring.generators, and the
+closure, sum_ideals and ideal_generated share that one join; the pick rule
+of the generators and the doubling join are defined once, in rings
+(_picks, _doublings, _join). The lattice lives with its ring, holds its
+ideals as one ideals-by-elements bool block, and computes each fact
+derived from it (the prime spectrum, the containment up-sets) from that
+block on first use, so the predicates that ask for them are lookups, and a
+radical is the intersection of the primes over its ideal.
 is_prime, is_primary and the lattice's primes share one question, whether
 some product of an x from one set and a y from another lands in the ideal,
 and one helper, _product_lands, answers it for a block of ideals a few
@@ -29,12 +29,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .rings import FiniteRing
+from .rings import FiniteRing, _doublings, _join
 
 __all__ = [
     "Classification",
@@ -163,10 +162,6 @@ class Ideal:
     def __len__(self) -> int:
         return self.members.bit_count()
 
-    def contains(self, a: int) -> bool:
-        self.ring._check_index(a)
-        return self.members >> a & 1 == 1
-
     @property
     def is_proper(self) -> bool:
         return self.members != _full_mask(self.ring)
@@ -282,39 +277,6 @@ def principal_ideal(ring, a: int) -> Ideal:
     return Ideal(ring, _masks_of(ring, ring.mul_table[a:a + 1])[0])
 
 
-def _doublings(ring, t: np.ndarray) -> list[np.ndarray]:
-    """The steps of _join with the cyclic subgroups <t[k]>, k < K, as flat
-    gather indices over a K x order row: step d takes X to X | (X - u),
-    u = 2^d t, where X - u = {y : y + u in X} is a gather through row u of
-    the addition table. The steps stop once u is zero for every k, or at
-    ceil(log2 order) of them, which reach every multiple of t, as the
-    additive order of t is at most the order."""
-    n = ring.order
-    offsets = np.arange(0, len(t) * n, n)[:, None]
-    steps = []
-    while (t != ring.zero).any() and len(steps) < (n - 1).bit_length():
-        steps.append((ring.add_table[t] + offsets).ravel())
-        t = ring.add_table[t, t]
-    return steps
-
-
-def _join(rows: np.ndarray, steps: list[np.ndarray]) -> np.ndarray:
-    """rows[:, k] + <t[k]> for each k, where rows is an R x K x order bool
-    block (or R x order, when K = 1) and steps = _doublings(ring, t).
-
-    X + <t> is reached by doubling: after d steps X has grown to
-    X + {0, -t, ..., -(2^d - 1)t}. That is X + <t> once 2^d t is zero, or
-    d reaches log2 of the order, and also once a step adds nothing: then X
-    is closed under -t, since x - 2^d t lies in X for each x in it."""
-    flat = rows.reshape(len(rows), -1)
-    for d, index in enumerate(steps, 1):
-        grown = flat | np.take(flat, index, axis=1)
-        if d == len(steps) or not (grown != flat).any():
-            return grown.reshape(rows.shape)
-        flat = grown
-    return rows
-
-
 def ideal_generated(ring, elements) -> Ideal:
     """Smallest ideal containing the given elements: the sum of their
     principal ideals, each aR joined as the cyclic subgroups <a*s> for s in
@@ -323,7 +285,7 @@ def ideal_generated(ring, elements) -> Ideal:
     row = _flags_of(ring, 1 << ring.zero)[None]
     for a in elements:
         for t in ring.mul_table[ring._check_index(a), ring.generators]:
-            row = _join(row, _doublings(ring, t[None]))
+            row = _join(row, _doublings(ring.add_table, ring.zero, t[None]))
     return Ideal(ring, _pack(row)[0])
 
 
@@ -336,7 +298,7 @@ def sum_ideals(ring, left: Ideal, right: Ideal) -> Ideal:
     row = _flags_of(ring, left.members)[None]
     inside_right = _flags_of(ring, right.members)
     while (missing := np.flatnonzero(inside_right & ~row[0])).size:
-        row = _join(row, _doublings(ring, missing[:1]))
+        row = _join(row, _doublings(ring.add_table, ring.zero, missing[:1]))
     return Ideal(ring, _pack(row)[0])
 
 
@@ -470,7 +432,8 @@ def _closure(ring, rows: np.ndarray, joins: list[int]) -> np.ndarray:
                 continue
             if doublings is None:  # only now are the generators needed
                 products = ring.mul_table[joins[:, None], ring.generators]
-                doublings = [_doublings(ring, t) for t in products[:, (products != ring.zero).any(axis=0)].T]
+                products = products[:, (products != ring.zero).any(axis=0)]
+                doublings = [_doublings(ring.add_table, ring.zero, t) for t in products.T]
                 known = set(_row_bytes(np.concatenate(found)))
             block = np.repeat(part[grows, None], len(joins), axis=1)
             for steps in doublings:
@@ -521,10 +484,8 @@ def all_ideals(ring) -> IdealLattice:
     so the closure holds every ideal of eR. I + aR is a join of cyclic
     subgroups: each r is a sum of elements of an additive generating set S
     of R, so by distributivity aR = {a*r} is generated additively by the
-    a*s, s in S, and I + aR is I joined with each <a*s> in turn. I + <t>
-    = I + <-t> is reached in ceil(log2 ord t) doublings
-    X -> X | (X - 2^d t), one gather through the addition table each (see
-    _join).
+    a*s, s in S, and I + aR is I joined with each <a*s> in turn, by the
+    doubling join of rings (_join).
     """
     if ring._lattice is not None:
         return ring._lattice

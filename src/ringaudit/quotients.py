@@ -16,12 +16,12 @@ Homomorphisms are total index maps; a map given by the caller is trusted
 only once check_hom has verified the preservation laws exhaustively, which
 makes its kernel an ideal without a second check, while
 endomorphisms returns maps that are homomorphisms by construction: each is
-written additively from the images of an additive generating set that
-preserve the generators' products (the proof is in its docstring). Both
-work on blocks of maps, one map to a row of a numpy array: the search
-extends a block of partial maps a generator at a time, and one law check
-over a block serves check_hom (one row) and audit_thm3 (every
-endomorphism, a block at a time).
+written additively from images of ring.generators (picked once, in
+rings) that preserve the generators' products (the proof is in its
+docstring). Both work on blocks of maps, one map to a row of a numpy
+array: the search extends a block of partial maps a generator at a time,
+and one law check over a block serves check_hom (one row) and audit_thm3
+(every endomorphism, a block at a time).
 """
 
 from __future__ import annotations
@@ -195,11 +195,11 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
     """All unital ring endomorphisms, in increasing order of their mappings,
     by a search over the images of an additive generating set.
 
-    Generators: s_1 = one, and each later s_i is the first index outside the
-    subgroup H_{i-1} reached so far (H_0 = {zero}); each at least doubles it,
-    so there are at most log2(order) + 1. c_i is the least m > 0 with
-    m*s_i in H_{i-1}, and b_i = c_i*s_i. Layer i lists each element of H_i
-    outside H_{i-1} once, as h + m*s_i with h in H_{i-1} and 1 <= m < c_i.
+    Generators: s_1 = one, s_2, ... are ring.generators (the pick rule is
+    rings._picks), and H_i is the subgroup generated by s_1..s_i, H_0 =
+    {zero}. c_i is the least m > 0 with m*s_i in H_{i-1}, and b_i = c_i*s_i.
+    Layer i lists each element of H_i outside H_{i-1} once, as h + m*s_i
+    with h in H_{i-1} and 1 <= m < c_i.
     The search branches on v_i = f(s_i): v_1 = one, and each later v_i runs
     over the v with c_i*v = f(b_i). Layer i is written as
     f(h + m*s_i) = f(h) + m*v_i, and f(s_a)f(s_b) = f(s_a*s_b) is checked
@@ -237,12 +237,11 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
             f"ring order {n} exceeds endomorphism search cap {cap}; "
             f"set {ENDO_CAP_ENV} to raise it"
         )
-    add, mul = ring.add_table, ring.mul_table
+    add, mul, gens = ring.add_table, ring.mul_table, ring.generators.tolist()
     level: list[int | None] = [None] * n  # the layer of each reached element
     level[ring.zero] = 0
-    reached, gens, layers = [ring.zero], [], []  # layers[i]: c_i, b_i, multiples
-    s = ring.one
-    while s is not None:
+    reached, layers = [ring.zero], []  # layers[i]: c_i, b_i, multiples
+    for s in gens:
         # multiples[m] lists h + m*s for h in H_{i-1}, in the order of
         # reached; m = c_i, which ends the loop, gives b_i first
         multiples = [reached]
@@ -251,10 +250,8 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
         layer = [x for row_m in multiples[1:] for x in row_m]
         for x in layer:
             level[x] = len(layers)
-        gens.append(s)
         layers.append((len(multiples), row[0], np.array(multiples)))
         reached = reached + layer
-        s = level.index(None) if len(reached) < n else None
     # a pair is checked at the layer of its later factor or of its product,
     # whichever is later: before writing it if the product lies below it
     checks = [([], []) for _ in gens]

@@ -17,6 +17,10 @@ distinct, nonempty and free of surrounding spaces, so each reads back as its
 element. Each constructor checks its own preconditions once and names the
 value it refuses; ringfile checks only the format of ring documents.
 
+The additive generating set (_picks) and the subgroup join (_doublings,
+_join) are defined here once; validation, FiniteRing.generators,
+additive_order, the ideal code and the endomorphism search all read them.
+
 Instances are immutable after construction, bar two lazily filled slots for
 the ideal lattice and an additive generating set, and are safe to share
 across threads.
@@ -109,8 +113,9 @@ def validate_tables(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one
     Raises RingAxiomError naming the first violated axiom and a witness
     tuple. First come the O(order^2) laws: closure, nonzero unity,
     commutativity of + and *, additive identity and inverses, unity. The
-    three cubic laws are then checked only at the elements s of an additive
-    generating set S, each as one order x order comparison over all x, z:
+    three cubic laws are then checked only at each pick s of _picks, an
+    additive generating set, each as one order x order comparison over all
+    x, z:
 
       (a) (x+s)+z = x+(s+z)    (b) x(s+z) = xs+xz    (c) (xs)z = x(sz)
 
@@ -125,16 +130,22 @@ def validate_tables(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one
       (c) Given (b) and commutativity, which supplies the right-hand
           distributive law: (x(s+t))z = (xs)z+(xt)z = x(sz)+x(tz)
           = x(sz+tz) = x((s+t)z).
-    S is picked greedily: the first index outside the set reached so far
-    (which starts as {zero}), then that set is closed under + with the table,
-    O(order^2) for all picks together. Every element other than zero is thus
-    a sum of generators; zero satisfies (a) outright as the identity, and
-    once (a) holds it is a sum of generators too, a multiple of any one of
-    them in the finite group. Each pick is checked before the reached set is
-    closed with it. While (a) holds at every pick so far, the reached set H
-    is a subgroup, and a pick s that passes (a) gives a coset s+H disjoint
-    from H; so each closure at least doubles H, and at most log2(order)
-    picks pass, whatever the table.
+    So (a) holds at every sum of one or more picks; once every element is
+    such a sum, (a) holds everywhere, and then (b) and (c) do too.
+
+    Why _picks' doubling, which assumes a group, is sound on a table not
+    yet known to form one: it closes the reached set X, {zero} at first,
+    over a pick only after this check has seen the pick, so (a) has passed
+    at every pick so far. Light's test then gives (a) at every sum u of
+    picks, and so y = (y+u)+w for every y, where w is the entry with
+    u+w = zero that the additive-inverse check guarantees: y -> y+u is
+    injective. The sums of picks then form a finite cancellative
+    commutative semigroup, associative by (a), hence a group M. Its
+    identity e has e+e = e = zero+e, so e = zero, and the inverse of u in M
+    is w, as both give zero when added to u. So every y with y+u in X is a
+    sum of picks, (y+u)+w: the doubling marks nothing the proof above does
+    not cover, and within M it reaches exactly the subgroup that _picks'
+    docstring names, so at most log2(order) picks pass, whatever the table.
 
     A failed check at s is an instance of a law that _search_witness checks
     exhaustively, slice by slice; it runs only then, and raises with the
@@ -166,26 +177,67 @@ def validate_tables(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one
     if len(bad):
         raise RingAxiomError("unity", (bad[0],))
 
-    reached = np.zeros(order, dtype=bool)
-    reached[zero] = True
-    while not reached.all():
-        s = int(reached.argmin())
-        # (a), (b), (c) with x down the rows and z across; row s stands for
-        # column s by commutativity, and np.take is the fast column gather
-        if not (
-            np.array_equal(add[add[s]], np.take(add, add[s], axis=1))
-            and np.array_equal(np.take(mul, add[s], axis=1), np.take_along_axis(add[mul[s]], mul, axis=1))
-            and np.array_equal(mul[mul[s]], np.take(mul, mul[s], axis=1))
-        ):
+    for s in _picks(add, zero, one):
+        if not _cubic_laws_hold(add, mul, s):
             _search_witness(order, add, mul)  # raises: the failed law is one it checks
-            return
-        reached[s] = True
-        new = np.array([s])
-        while len(new):  # each element meets every reached one once: O(order^2) in all
-            sums = np.zeros(order, dtype=bool)
-            sums[add[new][:, reached]] = True
-            new = np.flatnonzero(sums & ~reached)
-            reached |= sums
+
+
+def _cubic_laws_hold(add: np.ndarray, mul: np.ndarray, s: int) -> bool:
+    """(a), (b) and (c) of validate_tables at s, with x down the rows and z
+    across; row s stands for column s by commutativity, and np.take is the
+    fast column gather."""
+    return (
+        np.array_equal(add[add[s]], np.take(add, add[s], axis=1))
+        and np.array_equal(np.take(mul, add[s], axis=1), np.take_along_axis(add[mul[s]], mul, axis=1))
+        and np.array_equal(mul[mul[s]], np.take(mul, mul[s], axis=1))
+    )
+
+
+def _picks(add: np.ndarray, zero: int, one: int):
+    """Yield the ring's additive generating set: one, then each least index
+    outside the subgroup H reached so far (H = {zero} at first). Only once
+    the caller has seen a pick s is H closed over it, to H + <s>, by _join.
+    Each pick s outside H gives a coset s+H disjoint from H, so each closure
+    at least doubles H, and there are at most log2(order) picks."""
+    reached = (np.arange(len(add)) == zero)[None]
+    s = one
+    while not reached[0, s]:  # argmin is the least index outside H, or one in H once H is all
+        yield s
+        reached = _join(reached, _doublings(add, zero, np.array([s])))
+        s = int(reached.argmin())
+
+
+def _doublings(add: np.ndarray, zero: int, t: np.ndarray) -> np.ndarray:
+    """The steps of _join with the cyclic subgroups <t[k]>, k < K, one row
+    of flat gather indices over a K x order row each: step d takes X to
+    X | (X - u), u = 2^d t, where X - u = {y : y + u in X} is a gather
+    through row u of the addition table. The steps stop once u is zero for
+    every k, or at ceil(log2 order) of them, which reach every multiple of
+    t, as the additive order of t is at most the order."""
+    n, double = len(add), add.diagonal()
+    u = [t]
+    for _ in range((n - 1).bit_length() - 1):
+        u.append(double[u[-1]])
+    u = np.array(u)
+    u = u[(u != zero).any(axis=1)]  # a prefix of the rows: twice zero is zero
+    return (add[u] + np.arange(0, len(t) * n, n)[:, None]).reshape(len(u), len(t) * n)
+
+
+def _join(rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """rows[:, k] + <t[k]> for each k, where rows is an R x K x order bool
+    block (or R x order, when K = 1) and steps = _doublings(add, zero, t).
+
+    X + <t> is reached by doubling: after d steps X has grown to
+    X + {0, -t, ..., -(2^d - 1)t}. That is X + <t> once 2^d t is zero, or
+    d reaches log2 of the order, and also once a step adds nothing: then X
+    is closed under -t, since x - 2^d t lies in X for each x in it."""
+    flat = rows.reshape(len(rows), -1)
+    for d, index in enumerate(steps, 1):
+        grown = flat | np.take(flat, index, axis=1)
+        if d == len(steps) or not np.count_nonzero(grown != flat):
+            return grown.reshape(rows.shape)
+        flat = grown
+    return rows
 
 
 def _search_witness(order: int, add: np.ndarray, mul: np.ndarray) -> None:
@@ -279,21 +331,9 @@ class FiniteRing:
 
     @cached_property
     def generators(self) -> np.ndarray:
-        """The indices of an additive generating set, found on first use:
-        each pick s is the first element outside the subgroup H reached so
-        far, as validate_tables picks them, and H + <s> is reached by
-        doubling, H | (H - u) for u = s, 2s, 4s, ..., until a step adds
-        nothing, which leaves H closed under -s. Each pick at least doubles
-        H, so there are at most log2(order) of them."""
-        add, reached, picks = self.add_table, np.zeros(self.order, dtype=bool), []
-        reached[self.zero] = True
-        while not reached.all():
-            u = int(reached.argmin())
-            picks.append(u)
-            while not ((grown := reached | reached[add[u]]).all() or (grown == reached).all()):
-                reached, u = grown, add[u, u]
-            reached = grown
-        return np.array(picks)
+        """The picks of _picks, found on first use: an additive generating
+        set of at most log2(order) elements, one first."""
+        return np.array(list(_picks(self.add_table, self.zero, self.one)))
 
     def _check_index(self, a: int) -> int:
         if not 0 <= a < self.order:
@@ -330,14 +370,9 @@ class FiniteRing:
 
 
 def additive_order(ring: FiniteRing, a: int) -> int:
-    """Order of a in the additive group of the ring."""
-    plus_a = ring.add_table[:, ring._check_index(a)].tolist()
-    n = 1
-    x = a
-    while x != ring.zero:
-        x = plus_a[x]
-        n += 1
-    return n
+    """Order of a in the additive group of the ring: the size of <a>."""
+    zero_row = (np.arange(ring.order) == ring.zero)[None]
+    return int(_join(zero_row, _doublings(ring.add_table, ring.zero, np.array([ring._check_index(a)]))).sum())
 
 
 def make_zn(n: int, label: str | None = None) -> FiniteRing:

@@ -1,12 +1,15 @@
 """Claim checkers over the default corpus, and report serialization."""
 
+import dataclasses
 import json
 
 import pytest
 
+import ringaudit.claims as claims
+import ringaudit.zmodel as zmodel
 from ringaudit.claims import CLAIM_IDS, run_all_claims, run_claim
 from ringaudit.corpus import Corpus
-from ringaudit.ideals import is_prime, is_principal, parse_ideal
+from ringaudit.ideals import is_prime, is_principal, parse_ideal, prime_spectrum, zero_ideal
 from ringaudit.reports import (
     REFUTED,
     SKIPPED,
@@ -15,7 +18,7 @@ from ringaudit.reports import (
     parse_report_json,
     render_report,
 )
-from ringaudit.rings import make_boolean
+from ringaudit.rings import make_boolean, make_zn
 
 ALWAYS_VERIFIED = ("THM1", "PROP1", "PROP2", "PROP3", "PROP4", "PROPRAD", "THM6", "EX1FIELD")
 
@@ -145,3 +148,70 @@ def test_thm5_checks_every_subset_of_a_large_spectrum(atoms, subsets):
     [row] = run_claim("THM5", Corpus((make_boolean(atoms),)))
     assert row.status == VERIFIED
     assert row.detail == f"subsets checked: {subsets}"
+
+
+def _never(*args, **kwargs):
+    return False
+
+
+_classify_ring = claims.classify_ring
+
+
+# each claim's refutation, forced on a small ring by replacing a predicate
+# that its checker consults: (claim, ring, name in claims, stand-in, witness,
+# detail); B_2's ideal {{},{1}} is the first of its two principal primes
+PLANTED = {
+    "PROP1": ("PROP1", make_zn(4), "is_ppri", _never, "{0,2}", None),
+    "PROP2-principal-prime-not-maximal": (
+        "PROP2", make_boolean(2), "is_maximal", _never, "{{},{1}}", "principal prime, not maximal",
+    ),
+    "PROP2-maximal-not-principal-prime": (
+        "PROP2", make_boolean(2), "is_ppri", _never, "{{},{1}}", "maximal, not a principal prime",
+    ),
+    "PROP3": ("PROP3", make_zn(4), "is_semiprime", _never, "{0,2}", None),
+    "PROP4": ("PROP4", make_zn(4), "is_ppri", _never, "{0}", "radical is not a principal prime"),
+    "PROPRAD-moved": (
+        "PROPRAD", make_zn(4), "radical", lambda ring, ideal: zero_ideal(ring), "{0,2}", "radical moved a prime",
+    ),
+    "PROPRAD-not-principal-prime": (
+        "PROPRAD", make_zn(4), "is_ppri", _never, "{0,2}", "radical of a prime is not a principal prime",
+    ),
+    "THM5-a": ("THM5", make_zn(4), "_strictly_inside", lambda p, q: True, "[{0,2}, {0,2}]", "no maximal member"),
+    "THM6-duplicate": (
+        "THM6", make_zn(4), "minimal_primes_over", lambda ring, ideal: prime_spectrum(ring) * 2, "{0}",
+        "duplicate minimal primes",
+    ),
+    "THM6-not-containing": (
+        "THM6", make_zn(4), "minimal_primes_over", lambda ring, ideal: [zero_ideal(ring)], "{0,2}",
+        "minimal prime does not contain the ideal",
+    ),
+    "EX1FIELD": (
+        "EX1FIELD", make_zn(3), "classify_ring",
+        lambda ring: dataclasses.replace(_classify_ring(ring), is_pprir=False, witness=zero_ideal(ring)), "{0}", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("claim, ring, name, planted, witness, detail", PLANTED.values(), ids=PLANTED.keys())
+def test_planted_violations_are_refuted_with_a_revalidatable_witness(
+    monkeypatch, claim, ring, name, planted, witness, detail
+):
+    monkeypatch.setattr(claims, name, planted)
+    [row] = run_claim(claim, Corpus((ring,)))
+    assert (row.status, row.witness, row.detail) == (REFUTED, witness, detail)
+    # each ideal the witness names reads back as an ideal of the ring
+    for text in witness.strip("[]").split(", "):
+        assert str(parse_ideal(ring, text)) == text
+
+
+@pytest.mark.parametrize("name, planted, detail", [
+    ("z_is_prime", _never, "expected prime"),
+    ("box_oracle_check", _never, "principal witness failed box oracle"),
+    ("z_is_maximal", lambda ideal: True, "expected a strict chain above the prime"),
+])
+def test_planted_ex2_violations_are_refuted(monkeypatch, name, planted, detail):
+    monkeypatch.setattr(zmodel, name, planted)
+    [row] = run_claim("EX2", Corpus(()))
+    assert (row.status, row.witness, row.detail) == (REFUTED, "Z×{0}", detail)
+    # the witness is the ideal that the CLI literal Z^2:(1,0) names
+    assert str(zmodel.parse_z_ideal("Z^2:(1,0)")) == row.witness

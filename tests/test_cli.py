@@ -89,6 +89,7 @@ Z3_TABLE = {
     "kind": "table", "order": 3, "zero": 0, "one": 1,
     "add": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
 }
+Z2_TABLE = {"kind": "table", "order": 2, "zero": 0, "one": 1, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
 NAMES_ERROR = "table element_names must be a list of strings"
 X_SQUARED_ZERO = {"kind": "algebra", "p": 3, "basis_names": ["1", "x"], "mul": {"x*x": "0"}}
 
@@ -111,10 +112,13 @@ X_SQUARED_ZERO = {"kind": "algebra", "p": 3, "basis_names": ["1", "x"], "mul": {
          "algebra basis name '2x' must match [A-Za-z_][A-Za-z_0-9]*"),
         (json.dumps({**X_SQUARED_ZERO, "basis_names": ["1", "x y"], "mul": {"x y*x y": "0"}}),
          "algebra basis name 'x y' must match"),
+        (json.dumps({**X_SQUARED_ZERO, "mul": {"x*x": "x-1"}}), "error: bad combination term 'x-1' in mul['x*x']\n"),
+        (json.dumps({**X_SQUARED_ZERO, "mul": {"x*y": "0"}}),
+         'error: bad mul key \'x*y\'; expected "<basis>*<basis>"\n'),
     ],
     ids=[
         "names-int", "names-str", "names-duplicate", "names-non-str", "label-int", "factor-label-null", "deep",
-        "basis-int", "basis-2x", "basis-space",
+        "basis-int", "basis-2x", "basis-space", "bad-combination-term", "bad-mul-key",
     ],
 )
 def test_malformed_ring_file_exits_2(tmp_path, capsys, text, reason):
@@ -155,6 +159,15 @@ OWNED_CHECKS = {
         {**Z3_TABLE, "element_names": ["", "a", "b"]},
         "element names must be nonempty, without leading or trailing spaces, got ''",
     ),
+    "add-not-commutative": (
+        {**Z2_TABLE, "add": [[0, 1], [0, 0]]}, "axiom commutativity(add) violated at (0, 1)"
+    ),
+    "mul-not-commutative": (
+        {**Z2_TABLE, "mul": [[0, 1], [0, 1]]}, "axiom commutativity(mul) violated at (0, 1)"
+    ),
+    "basis-repeated": (
+        {**X_SQUARED_ZERO, "basis_names": ["x", "x"]}, "basis_names must be dim distinct names"
+    ),
 }
 
 
@@ -166,6 +179,18 @@ def test_constructor_checks_refuse_ring_files(tmp_path, capsys, doc, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_describe_names_the_first_non_principal_prime(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(
+        {"kind": "algebra", "p": 2, "basis_names": ["1", "x", "y"], "mul": {"x*x": "0", "x*y": "0", "y*y": "0"}}
+    ))
+    assert main(["describe", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "label: F2-algebra(dim=3)", "order: 8", "zero: 0", "one: 1", "is_domain: False", "is_field: False",
+        "is_boolean: False", "is_pprir: False", "non-principal prime: {0,x,y,x+y}",
+    ]
 
 
 def test_ideals_text_and_json(z6_file, capsys):

@@ -517,6 +517,10 @@ def test_parse_ideal_roundtrip(ring_a):
     assert str(m) == "{0,x,y,x+y}"
     with pytest.raises(ValueError, match="unknown element"):
         parse_ideal(ring_a, "{0,q}")
+    for text in ("0,x", "{0,x"):
+        with pytest.raises(ValueError) as err:
+            parse_ideal(ring_a, text)
+        assert str(err.value) == f"ideal literal must be brace-delimited, got {text!r}"
 
 
 def test_every_ideal_literal_parses_back(corpus):

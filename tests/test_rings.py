@@ -104,15 +104,27 @@ def _additive_span(ring, elements) -> set[int]:
     return span
 
 
-def test_generators_are_the_greedy_additive_generating_set():
-    # each pick is the least element outside the subgroup the earlier picks
-    # generate, and the picks generate the whole additive group
-    for ring in [*default_corpus(), make_boolean(6), make_product([make_zn(4)] * 3), make_zn(210)]:
-        picks: list[int] = []
+def test_generators_are_the_greedy_additive_generating_set(monkeypatch, ring_a):
+    # one first, then each least element outside the subgroup the earlier
+    # picks generate, at most log2(order) of them; on relabelled tables,
+    # where one is not index 1, validate_tables checks the cubic laws at
+    # exactly these picks
+    checked = []
+    real = rings._cubic_laws_hold
+    monkeypatch.setattr(rings, "_cubic_laws_hold", lambda add, mul, s: checked.append(int(s)) or real(add, mul, s))
+    relabelled = []
+    for seed, base in enumerate((make_zn(12), make_boolean(4), make_product([make_zn(4)] * 3), ring_a)):
+        add, mul, zero, one = relabelled_tables(base, seed)
+        assert one != 1, base.label
+        checked.clear()
+        relabelled.append(make_table_ring(base.order, add, mul, zero, one))
+        assert checked == relabelled[-1].generators.tolist(), base.label
+    for ring in [*default_corpus(), make_boolean(6), make_product([make_zn(4)] * 3), make_zn(210), *relabelled]:
+        picks = [ring.one]
         while len(span := _additive_span(ring, picks)) < ring.order:
             picks.append(min(set(ring.elements()) - span))
         assert ring.generators.tolist() == picks, ring.label
-        assert len(picks) <= ring.order.bit_length(), ring.label
+        assert 2 ** len(picks) <= ring.order, ring.label
 
 
 def test_make_boolean_structure():
@@ -254,6 +266,27 @@ def test_corrupted_table_messages_are_pinned(build, which, cell, message):
     tables[which][a, b] = tables[which][b, a] = value
     with pytest.raises(RingAxiomError) as err:
         FiniteRing(ring.order, tables["add"], tables["mul"], ring.zero, ring.one)
+    assert str(err.value) == message
+
+
+# refusals that no ring file can reach, each with its message; the ones a
+# file can reach are pinned with the CLI's exit 2 in tests/test_cli.py
+REFUSALS = {
+    "ndarray-shape": (
+        lambda: FiniteRing(2, np.zeros((2, 3), dtype=np.int64), make_zn(2).mul_table, 0, 1),
+        "add table must be 2x2, got shape (2, 3)",
+    ),
+    "sc-shape": (lambda: make_algebra(2, 2, [[[0]]]), "structure constants must have shape (2,2,2)"),
+    "dim-6-unnamed": (
+        lambda: make_algebra(2, 6, np.zeros((6, 6, 6), dtype=np.int64)), "provide basis_names for dim > 5"
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_rare_refusals_name_their_reason(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
     assert str(err.value) == message
 
 
