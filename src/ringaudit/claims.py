@@ -38,11 +38,11 @@ from .ideals import (
     is_maximal,
     is_ppri,
     is_pprir,
-    is_primary,
     is_principal,
     is_semiprime,
     minimal_primes_over,
     prime_spectrum,
+    primary_ideals,
     radical,
 )
 from .quotients import audit_thm1, audit_thm3
@@ -57,9 +57,10 @@ def _prop1(ring: FiniteRing) -> ClaimOutcome:
     hypothesis, _ = is_pprir(ring)
     if not hypothesis:
         return ClaimOutcome(VERIFIED, detail="vacuous: some prime is not principal")
-    for ideal in all_ideals(ring).ideals:
-        if ideal.is_proper and is_maximal(ring, ideal) and not is_ppri(ring, ideal):
-            return ClaimOutcome(REFUTED, witness=str(ideal))
+    lattice = all_ideals(ring)
+    for k in lattice.maximal.nonzero()[0].tolist():
+        if not is_ppri(ring, lattice.ideals[k]):
+            return ClaimOutcome(REFUTED, witness=str(lattice.ideals[k]))
     return ClaimOutcome(VERIFIED, detail="hypothesis holds")
 
 
@@ -89,10 +90,9 @@ def _prop4(ring: FiniteRing) -> ClaimOutcome:
     hypothesis, _ = is_pprir(ring)
     if not hypothesis:
         return ClaimOutcome(VERIFIED, detail="vacuous: some prime is not principal")
-    for ideal in all_ideals(ring).ideals:
-        if ideal.is_proper and is_primary(ring, ideal):
-            if not is_ppri(ring, radical(ring, ideal)):
-                return ClaimOutcome(REFUTED, witness=str(ideal), detail="radical is not a principal prime")
+    for ideal, rad in primary_ideals(ring):
+        if not is_ppri(ring, rad):
+            return ClaimOutcome(REFUTED, witness=str(ideal), detail="radical is not a principal prime")
     return ClaimOutcome(VERIFIED, detail="hypothesis holds")
 
 

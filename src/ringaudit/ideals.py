@@ -1,8 +1,9 @@
 """Ideal enumeration and the ideal- and ring-level predicates.
 
 Ideals are bitmasks over element indices, kept in range by the Ideal type;
-the ideal laws are checked once, on the mask, by the helper that
-ideal_from_members and quotient_ring share. The full lattice of a ring is
+the ideal laws are checked once, on a block of bool rows and their member
+indices, by the helper that ideal_from_members, quotient_ring and THM1
+share (_check_ideal_laws). The full lattice of a ring is
 built one local factor eR at a time, for the primitive idempotents e: the
 ideals inside eR are the closure under sum of the principal ideals there,
 and an ideal of R is the intersection of the preimages {x : ex in J} of one
@@ -12,14 +13,15 @@ closure, sum_ideals and ideal_generated share that one join; the pick rule
 of the generators and the doubling join are defined once, in rings
 (_picks, _doublings, _join). The lattice lives with its ring, holds its
 ideals as one ideals-by-elements bool block, and computes each fact
-derived from it (the prime spectrum, the containment up-sets) from that
-block on first use, so the predicates that ask for them are lookups, and a
-radical is the intersection of the primes over its ideal.
-is_prime, is_primary and the lattice's primes share one question, whether
-some product of an x from one set and a y from another lands in the ideal,
-and one helper, _product_lands, answers it for a block of ideals a few
-table rows at a time; an ideal leaves the block at the first chunk that
-holds such a product.
+derived from it (the prime spectrum, the maximal ideals, the containment
+up-sets) from that block on first use, so the predicates that ask for them
+are lookups, and a radical is the intersection of the primes over its
+ideal, for one ideal or, in primary_ideals, for a block of them.
+is_prime, is_primary, primary_ideals and the lattice's primes share one
+question, whether some product of an x from one set and a y from another
+lands in the ideal, and one helper, _product_lands, answers it for a block
+of ideals a few table rows at a time; an ideal leaves the block at the
+first chunk that holds such a product.
 Canonical order is lexicographic on the sorted member-index tuples;
 wherever a witness is chosen it is the first candidate in canonical order.
 """
@@ -53,6 +55,7 @@ __all__ = [
     "minimal_primes_over",
     "parse_ideal",
     "prime_spectrum",
+    "primary_ideals",
     "principal_ideal",
     "radical",
     "sum_ideals",
@@ -64,8 +67,10 @@ __all__ = [
 # Cells in one block of a chunked numpy step, small enough to stay in cache:
 # ideals x rows x order in _product_lands, frontier rows x principal
 # ideals x order in the lattice closure, rows x ideals x words in the
-# containment up-sets, rows x order in quotients' endomorphism search, maps
-# x order x order in quotients' homomorphism law check.
+# containment up-sets and the maximal ideals, rows x order in quotients'
+# endomorphism search, maps x order x order in quotients' homomorphism law
+# check, and ideals x members x order or ideals x cosets x cosets in THM1's
+# blocks of quotients.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -147,7 +152,7 @@ def _same_ring(ring, ideal: "Ideal") -> None:
 class Ideal:
     """An ideal of a FiniteRing, held as the bitmask of its member indices.
     A mask that is negative or names an index >= order is rejected here;
-    the ideal laws are checked once, where members enter (_checked_members)."""
+    the ideal laws are checked once, where members enter (_check_ideal_laws)."""
 
     ring: "FiniteRing"
     members: int
@@ -183,31 +188,36 @@ def ideal_from_members(ring, members) -> Ideal:
     mask = 0
     for a in members:
         mask |= 1 << ring._check_index(a)
-    _checked_members(ring, mask)
+    inside = _flags_of(ring, mask)[None]
+    _check_ideal_laws(ring, inside, inside.nonzero()[1][None])
     return Ideal(ring, mask)
 
 
-def _checked_members(ring, mask: int) -> np.ndarray:
-    """The member indices of an in-range mask, in increasing order, once the
-    ideal laws hold for it; raises ValueError naming the first violated law.
+def _check_ideal_laws(ring, inside: np.ndarray, members: np.ndarray) -> None:
+    """Raise ValueError naming the first violated ideal law of the first
+    row of a K x order bool block that breaks one, given members, the
+    K x s member indices of its rows, each row in increasing order.
 
     The check asks for zero, for a+b in I for every two members, and for
     a*s in I for every member a and every s in the ring's additive
     generating set S. That is enough: a finite set that holds zero and is
     closed under + is a subgroup, so it holds each -a, a multiple of a; and
     each r is a sum of elements of S, so a*r is a sum of the a*s by
-    distributivity. Only a mask that fails pays for _name_violation's scan
-    of the whole block, which names the witness."""
-    if not mask >> ring.zero & 1:
-        raise ValueError("not an ideal: zero is missing")
-    inside = _flags_of(ring, mask)
-    idx = np.flatnonzero(inside)
-    if not (
-        inside[ring.add_table[idx[:, None], idx]].all()
-        and inside[ring.mul_table[ring.generators[:, None], idx]].all()
-    ):
-        _name_violation(ring, inside, idx)
-    return idx
+    distributivity. It reads K*s^2 sums and K*|S|*s products, in one
+    gather per table and one lookup in the block. Only a block that fails
+    pays for _name_violation's scan of the failing row, which names the
+    witness."""
+    cells = np.concatenate((
+        ring.add_table[members[:, :, None], members[:, None, :]],
+        ring.mul_table[ring.generators[:, None], members[:, None, :]],
+    ), axis=1)
+    cells += np.arange(0, inside.size, ring.order)[:, None, None]  # row k's cells index row k of the block
+    found = inside.ravel()[cells]
+    if not (np.logical_and.reduce(found, axis=None) and np.logical_and.reduce(inside[:, ring.zero])):
+        k = (~inside[:, ring.zero] | ~np.logical_and.reduce(found, axis=(1, 2))).argmax()
+        if not inside[k, ring.zero]:
+            raise ValueError("not an ideal: zero is missing")
+        _name_violation(ring, inside[k], members[k])
 
 
 def _name_violation(ring, inside: np.ndarray, idx: np.ndarray) -> None:
@@ -314,10 +324,10 @@ class IdealLattice:
     index maps each ideal's member mask to its position in ideals, and
     generator maps the mask of each principal ideal to its first generator.
     inside is the ideals-by-elements bool block, read-only: inside[i, x]
-    holds when element x lies in ideals[i]. The primes and the containment
-    up-sets are computed from it on first use. up has three readers,
-    is_maximal, containment_edges and to_dot, so describe never builds it,
-    nor does audit unless PROP1's hypothesis holds or the ring is Boolean.
+    holds when element x lies in ideals[i]. The primes, the maximal ideals
+    and the containment up-sets are computed from it on first use. up has
+    two readers, containment_edges and to_dot, so neither describe nor
+    audit builds it.
     """
 
     ring: "FiniteRing"
@@ -343,6 +353,23 @@ class IdealLattice:
         outside = ~self.inside[proper]
         lands = _product_lands(self.ring, ~outside, outside, outside)
         return {self.ideals[k].members: self.ideals[k] for k in proper[~lands].tolist()}
+
+    @cached_property
+    def maximal(self) -> np.ndarray:
+        """maximal[i] holds when ideals[i] is maximal: proper, and inside no
+        proper ideal but itself. Each block of proper rows, within about
+        _BLOCK_CELLS 64-bit words, is tested against every proper row, as
+        up tests containment, and only its count of proper ideals over each
+        row is kept: L bools for L ideals, plus one block."""
+        proper = (~np.logical_and.reduce(self.inside, axis=1)).nonzero()[0]
+        words = _words(self.inside)[proper]
+        outside = np.ascontiguousarray(~words.T)
+        step = max(1, _BLOCK_CELLS // outside.size)
+        maximal = np.zeros(len(self.ideals), dtype=bool)
+        for start in range(0, len(proper), step):
+            over = np.add.reduce(_strays(words[start:start + step], outside) == 0, axis=1)
+            maximal[proper[start:start + step]] = over == 1
+        return maximal
 
     @cached_property
     def up(self) -> tuple[int, ...]:
@@ -568,11 +595,8 @@ def is_prime(ring, ideal: Ideal) -> bool:
 def is_maximal(ring, ideal: Ideal) -> bool:
     """Proper with no ideal strictly between it and the whole ring."""
     _same_ring(ring, ideal)
-    if not ideal.is_proper:
-        return False
     lattice = all_ideals(ring)
-    i = lattice.index_of(ideal)
-    return lattice.up[i] == 1 << i | 1 << lattice.index[_full_mask(ring)]
+    return bool(lattice.maximal[lattice.index_of(ideal)])
 
 
 def is_semiprime(ring, ideal: Ideal) -> bool:
@@ -590,6 +614,26 @@ def is_primary(ring, ideal: Ideal) -> bool:
     inside = _flags_of(ring, ideal.members)[None]
     in_radical = _flags_of(ring, radical(ring, ideal).members)[None]
     return not _product_lands(ring, inside, ~inside, ~in_radical)[0]
+
+
+def primary_ideals(ring) -> list[tuple[Ideal, Ideal]]:
+    """(I, radical(I)) for every primary ideal I, in canonical order: the
+    radicals of all proper ideals as one block, each row the AND of the
+    prime rows that hold its ideal, as radical computes one, in one pass
+    over the block per prime; then one _product_lands call over all of
+    them, as is_primary asks it of one."""
+    lattice = all_ideals(ring)
+    proper = np.flatnonzero(~lattice.inside.all(axis=1))
+    inside = lattice.inside[proper]
+    radicals = np.ones_like(inside)
+    for mask in lattice.primes:
+        prime = lattice.inside[lattice.index[mask]]
+        radicals[~np.logical_or.reduce(inside & ~prime, axis=1)] &= prime
+    primary = ~_product_lands(ring, inside, ~inside, ~radicals)
+    return [
+        (lattice.ideals[k], Ideal(ring, mask))
+        for k, mask in zip(proper[primary].tolist(), _pack(radicals[primary]))
+    ]
 
 
 def is_principal(ring, ideal: Ideal) -> tuple[bool, Optional[int]]:

@@ -3,15 +3,21 @@ structural audits that depend on them.
 
 Quotients are presented by the projection onto minimal-index coset
 representatives; the coset partition is read off it only when asked
-for. The Ideal type keeps a mask in range; quotient_ring
-checks the ideal laws once, on the mask, and by the correspondence theorem
-the induced tables then form a ring, the projection is a surjective
-homomorphism and its kernel is the ideal, so none of that is re-verified
-(the tests do it for every corpus quotient). The check stays even for the
-lattice ideals audit_thm1 passes, as the one place a caller's mask is
-proved an ideal. The representatives are read from the rows of the
-addition table at the member indices the check returns: addition is
-commutative, a validated law, so column a of those rows is the coset a+I.
+for. The Ideal type keeps a mask in range; the ideal laws are checked
+once, on a block of member rows (ideals._check_ideal_laws), and by the
+correspondence theorem the induced tables then form a ring, the projection
+is a surjective homomorphism and its kernel is the ideal, so none of that
+is re-verified (the tests do it for every corpus quotient). The check stays
+even for the lattice ideals audit_thm1 passes, as the one place a caller's
+mask is proved an ideal. The representatives are read from the rows of the
+addition table at the member indices: addition is commutative, a validated
+law, so column a of those rows is the coset a+I. quotient_ring and
+audit_thm1 share one builder: _cosets gives the representatives of a block
+of ideals of one size, and _quotient makes the ring of one of them.
+audit_thm1 runs _cosets on each block of the lattice's proper ideals and
+asks _domains, of the whole block, whether each quotient is a domain, by
+the definition, on the products of its representatives; it makes rings of
+the domains only.
 Homomorphisms are total index maps; a map given by the caller is trusted
 only once check_hom has verified the preservation laws exhaustively, which
 makes its kernel an ideal without a second check, while
@@ -36,13 +42,13 @@ import numpy as np
 from .ideals import (
     _BLOCK_CELLS,
     Ideal,
-    _checked_members,
+    IdealLattice,
+    _check_ideal_laws,
+    _flags_of,
     _pack,
     _same_ring,
     all_ideals,
     is_pprir,
-    is_prime,
-    zero_ideal,
 )
 from .reports import REFUTED, SKIPPED, VERIFIED, ClaimOutcome
 from .rings import FiniteRing
@@ -109,12 +115,33 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         raise ValueError("cannot quotient by the whole ring (the zero ring is excluded)")
-    members = _checked_members(ring, ideal.members)
-    # the coset a+I is column a of the rows i in I of the addition table,
-    # which is commutative; its minimal member is the representative, and
-    # cosets are ordered by it
-    rep_of = ring.add_table[members].min(axis=0)
-    reps = np.flatnonzero(rep_of == np.arange(ring.order))
+    inside = _flags_of(ring, ideal.members)[None]
+    rep_of, reps = _cosets(ring, inside, inside.nonzero()[1][None])
+    quotient, coset_of = _quotient(ring, ideal, rep_of[0], reps[0])
+    projection = RingHom(ring, quotient, tuple(coset_of.tolist()))
+    return QuotientPresentation(ring, ideal, quotient, projection)
+
+
+def _cosets(ring: FiniteRing, inside: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rep_of, reps) for the ideals in the rows of a K x order bool block,
+    given their K x s member indices, once _check_ideal_laws has proved
+    every row an ideal: rep_of[k, a] is the representative of the coset
+    a + I_k, and reps[k] lists the order/s representatives of I_k in
+    increasing order.
+
+    The coset a+I is column a of the rows i in I of the addition table,
+    which is commutative; its minimal member is the representative."""
+    _check_ideal_laws(ring, inside, members)
+    rep_of = np.minimum.reduce(ring.add_table[members], axis=1)
+    return rep_of, (rep_of == np.arange(ring.order)).nonzero()[1].reshape(len(inside), -1)
+
+
+def _quotient(ring: FiniteRing, ideal: Ideal, rep_of: np.ndarray, reps: np.ndarray) -> tuple[FiniteRing, np.ndarray]:
+    """The ring R/I and the coset index of each element, from one row of
+    _cosets: cosets are ordered by representative, and the cell (a, b) of
+    each table is the coset of the ring's cell at the representatives a, b.
+    The correspondence theorem makes the tables a ring, so it is built
+    trusted."""
     coset_of = np.searchsorted(reps, rep_of)
     quotient = FiniteRing._trusted(
         len(reps),
@@ -124,8 +151,22 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
         f"{ring.label}/{ideal}",
         element_names=[f"[{ring.element_names[r]}]" for r in reps.tolist()],
     )
-    projection = RingHom(ring, quotient, tuple(coset_of.tolist()))
-    return QuotientPresentation(ring, ideal, quotient, projection)
+    return quotient, coset_of
+
+
+def _domains(ring: FiniteRing, inside: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Whether the quotient by each ideal of a block, with the
+    representatives _cosets gives, is a domain, read off its
+    multiplication table with each cell reduced to "is zero".
+
+    The product of the cosets of a and b is the coset of ab, and that is
+    the quotient's zero, the coset I, exactly when ab lies in I. Zero times
+    anything is zero, so the m x m table is zero in the 2m - 1 cells of
+    zero's row and column; the quotient is a domain when no other cell, a
+    product of two nonzero cosets, is zero."""
+    products = ring.mul_table[reps[:, :, None], reps[:, None, :]]
+    products += np.arange(0, inside.size, ring.order)[:, None, None]  # row k's products index row k of the block
+    return np.add.reduce(inside.ravel()[products], axis=(1, 2)) == 2 * reps.shape[1] - 1
 
 
 def check_hom(hom: RingHom) -> bool:
@@ -324,24 +365,58 @@ def audit_thm1(ring: FiniteRing) -> ClaimOutcome:
     principal (the hypothesis side).
 
     Each quotient Q is asked two things, by their definitions: whether it is
-    a domain, which is whether its zero ideal is prime (is_prime checks
-    every product of two nonzero elements), and, only when it is, whether
-    every prime of Q is principal. When Q is not a domain the conjunction is
-    false whatever is_pprir(Q) would say, so skipping it changes no answer;
-    it only spares the lattice and spectrum of every quotient that is not a
-    domain. The witness is the first proper ideal, in canonical order, on
-    which the two sides differ."""
+    a domain, and, only when it is, whether every prime of Q is principal.
+    Q is a domain when its zero ideal {0} is prime: Q is not the zero ring,
+    which holds as P is proper, and xy in {0} forces x in {0} or y in {0}.
+    The contrapositive of the second is that no two nonzero cosets have
+    product zero, which _domains reads off Q's multiplication table, pair
+    by pair: that is the definition, tested on Q itself, and R's own primes,
+    the other side of the claim, are never read for it. When Q is not a
+    domain the conjunction is false whatever is_pprir(Q) would say, so only
+    domains are built as rings, and only their lattices and spectra are
+    computed. The witness is the first proper ideal, in canonical order, on
+    which the two sides differ; an ideal that is neither prime nor a domain
+    quotient agrees.
+
+    _domain_quotients asks the domain question of the lattice's proper
+    ideals in blocks of one size, and so of one quotient order."""
     hypothesis, _ = is_pprir(ring)
     detail = f"all-primes-principal hypothesis: {hypothesis}"
     lattice = all_ideals(ring)
-    for ideal in lattice.ideals:
-        if not ideal.is_proper:
-            continue
-        quotient = quotient_ring(ring, ideal).quotient
-        holds = is_prime(quotient, zero_ideal(quotient)) and is_pprir(quotient)[0]
-        if (ideal.members in lattice.primes) != holds:
-            return ClaimOutcome(REFUTED, witness=str(ideal), detail=detail)
+    domains = _domain_quotients(ring, lattice)
+    primes = {lattice.index[mask] for mask in lattice.primes}
+    for k in sorted(primes | domains.keys()):
+        holds = k in domains and is_pprir(_quotient(ring, lattice.ideals[k], *domains[k])[0])[0]
+        if (k in primes) != holds:
+            return ClaimOutcome(REFUTED, witness=str(lattice.ideals[k]), detail=detail)
     return ClaimOutcome(VERIFIED, detail=detail)
+
+
+def _domain_quotients(ring: FiniteRing, lattice: IdealLattice) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The lattice position of every proper ideal whose quotient is a
+    domain, mapped to its row of _cosets.
+
+    The lattice's positions are sorted by size, so that each block's
+    quotients share one order m; R's group, the last, is left out. Each
+    group is cut into blocks of about _BLOCK_CELLS cells of its largest
+    gathers, the s x order rows of the addition table and the m x m
+    products, and only one block's rows are copied out at a time."""
+    n = ring.order
+    sizes = np.add.reduce(lattice.inside, axis=1)
+    by_size = np.argsort(sizes, kind="stable")
+    sizes = sizes[by_size]
+    starts = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist()]
+    found = {}
+    for start, stop in zip(starts, starts[1:]):
+        s = int(sizes[start])
+        step = max(1, _BLOCK_CELLS // max(s * n, (n // s) ** 2))
+        for lo in range(start, stop, step):
+            block = by_size[lo:min(lo + step, stop)]
+            inside = lattice.inside[block]
+            rep_of, reps = _cosets(ring, inside, inside.nonzero()[1].reshape(len(block), s))
+            for k in _domains(ring, inside, reps).nonzero()[0].tolist():
+                found[int(block[k])] = (rep_of[k].copy(), reps[k].copy())
+    return found
 
 
 def audit_thm3(ring: FiniteRing) -> ClaimOutcome:

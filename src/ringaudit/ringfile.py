@@ -4,8 +4,9 @@ Five kinds are accepted (zn, boolean, product, algebra, table); the exact
 field names are fixed in docs/ring_format.md. A file is untrusted input, and
 this module checks only what the format knows: the kind, that each field is
 present and has its JSON type, that no ring has more than MAX_ORDER elements
-before any table is built, the algebra basis-name grammar, and that
-element_names is a list of strings. Every other rule belongs to the
+before any table is built, the algebra basis-name grammar, distinct basis
+names (the mul keys name basis elements by them), and that element_names
+is a list of strings. Every other rule belongs to the
 constructor a document goes to (make_zn, make_boolean, make_product,
 make_algebra, FiniteRing), which checks it once and names the value it
 refuses; a document that breaks an axiom fails with the axiom named. zn,
@@ -94,6 +95,11 @@ def _algebra_from_document(doc: dict) -> tuple[FiniteRing, dict]:
         raise RingFileError("algebra basis_names must be a list")
     if not all(isinstance(name, str) for name in basis_names):
         raise RingFileError("algebra basis_names must be strings")
+    seen = set()
+    for name in basis_names:
+        if name in seen:
+            raise RingFileError(f"algebra basis_names must be distinct, {name!r} is repeated")
+        seen.add(name)
     for name in basis_names[1:]:
         # element names such as "1+2x" must read back as combinations
         if not _NAME.fullmatch(name):

@@ -23,6 +23,10 @@ depth_first_endomorphisms is the generator-image search as it stood before
 it moved to blocks of partial maps: one map at a time, depth first.
 map_by_map_check_hom is check_hom as it stood before the block law check,
 one map and two order x order comparisons at a time.
+per_ideal_thm1 is THM1's verdict on one ideal as it stood before the
+quotients were built as tables in blocks of one size: a full quotient ring
+per ideal, by per_ideal_quotient (quotient_ring as it stood then), whose
+zero ideal is_prime tests, and is_pprir of it when it is a domain.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from itertools import product as cartesian
 
 import numpy as np
 
-from ringaudit.ideals import Ideal, IdealLattice, _flags_of, radical
-from ringaudit.rings import RingAxiomError, additive_order
+from ringaudit.ideals import Ideal, IdealLattice, _flags_of, is_pprir, is_prime, radical, zero_ideal
+from ringaudit.rings import FiniteRing, RingAxiomError, additive_order
 
 
 def divisor_count(n: int) -> int:
@@ -480,3 +484,30 @@ def map_by_map_check_hom(source, target, mapping: tuple[int, ...]) -> bool:
         (f[source.add_table] == target.add_table[f][:, f]).all()
         and (f[source.mul_table] == target.mul_table[f][:, f]).all()
     )
+
+
+def per_ideal_quotient(ring, ideal) -> FiniteRing:
+    """R/I as quotient_ring built it one ideal at a time: the members from
+    the whole-block ideal check, each coset's least member as its
+    representative, cosets numbered by searchsorted."""
+    members = whole_block_checked_members(ring, ideal.members)
+    rep_of = ring.add_table[members].min(axis=0)
+    reps = np.flatnonzero(rep_of == np.arange(ring.order))
+    coset_of = np.searchsorted(reps, rep_of)
+    return FiniteRing._trusted(
+        len(reps),
+        coset_of[ring.add_table[reps[:, None], reps]],
+        coset_of[ring.mul_table[reps[:, None], reps]],
+        coset_of[ring.zero], coset_of[ring.one],
+        f"{ring.label}/{ideal}",
+        element_names=[f"[{ring.element_names[r]}]" for r in reps.tolist()],
+    )
+
+
+def per_ideal_thm1(ring, ideal) -> tuple[bool, bool]:
+    """(domain, holds) for a proper ideal P: whether R/P is a domain, its
+    zero ideal tested by is_prime, and whether it is a domain in which
+    every prime is principal."""
+    quotient = per_ideal_quotient(ring, ideal)
+    domain = is_prime(quotient, zero_ideal(quotient))
+    return domain, domain and is_pprir(quotient)[0]

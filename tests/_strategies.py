@@ -3,7 +3,7 @@
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from ringaudit.rings import RingAxiomError, make_algebra
+from ringaudit.rings import RingAxiomError, make_algebra, make_boolean, make_product, make_zn
 from ringaudit.ringfile import _sc_with_unity
 
 
@@ -26,3 +26,16 @@ def fp_algebras(draw):
         return make_algebra(*draw(fp_structure_constants()))
     except RingAxiomError:
         assume(False)
+
+
+@st.composite
+def small_products(draw):
+    """A direct product of one to three small factors, Z_n for n up to 9 or
+    B_1, of at most 64 elements."""
+    factors = st.one_of(st.integers(2, 9).map(make_zn), st.just(1).map(make_boolean))
+    rings = draw(st.lists(factors, min_size=1, max_size=3))
+    order = 1
+    for ring in rings:
+        order *= ring.order
+    assume(order <= 64)
+    return make_product(rings)

@@ -115,10 +115,14 @@ X_SQUARED_ZERO = {"kind": "algebra", "p": 3, "basis_names": ["1", "x"], "mul": {
         (json.dumps({**X_SQUARED_ZERO, "mul": {"x*x": "x-1"}}), "error: bad combination term 'x-1' in mul['x*x']\n"),
         (json.dumps({**X_SQUARED_ZERO, "mul": {"x*y": "0"}}),
          'error: bad mul key \'x*y\'; expected "<basis>*<basis>"\n'),
+        # the mul keys name basis elements, so a repeated name is refused
+        # before they are read, not left to make_algebra
+        (json.dumps({**X_SQUARED_ZERO, "basis_names": ["x", "x"]}),
+         "error: algebra basis_names must be distinct, 'x' is repeated\n"),
     ],
     ids=[
         "names-int", "names-str", "names-duplicate", "names-non-str", "label-int", "factor-label-null", "deep",
-        "basis-int", "basis-2x", "basis-space", "bad-combination-term", "bad-mul-key",
+        "basis-int", "basis-2x", "basis-space", "bad-combination-term", "bad-mul-key", "basis-repeated",
     ],
 )
 def test_malformed_ring_file_exits_2(tmp_path, capsys, text, reason):
@@ -164,9 +168,6 @@ OWNED_CHECKS = {
     ),
     "mul-not-commutative": (
         {**Z2_TABLE, "mul": [[0, 1], [0, 1]]}, "axiom commutativity(mul) violated at (0, 1)"
-    ),
-    "basis-repeated": (
-        {**X_SQUARED_ZERO, "basis_names": ["x", "x"]}, "basis_names must be dim distinct names"
     ),
 }
 

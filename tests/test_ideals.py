@@ -9,6 +9,7 @@ import gc
 import math
 import re
 import runpy
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -52,14 +53,16 @@ from ringaudit.ideals import (
     minimal_primes_over,
     parse_ideal,
     prime_spectrum,
+    primary_ideals,
     principal_ideal,
     radical,
     sum_ideals,
     unit_ideal,
     zero_ideal,
 )
+import ringaudit.claims as claims
 import ringaudit.ideals as ideals
-from ringaudit.ideals import _checked_members, _masks_of, _primitive_idempotents
+from ringaudit.ideals import _check_ideal_laws, _flags_of, _masks_of, _primitive_idempotents
 from ringaudit.quotients import quotient_ring
 from ringaudit.ringfile import _sc_with_unity
 from ringaudit.rings import (
@@ -508,7 +511,47 @@ def test_ideal_check_matches_the_whole_block_oracle(data):
         except ValueError as err:
             return str(err)
 
-    assert verdict(_checked_members) == verdict(whole_block_checked_members)
+    assert verdict(_guarded_members) == verdict(whole_block_checked_members)
+
+
+def _guarded_members(ring, mask):
+    """The member indices of a mask once _check_ideal_laws has passed it,
+    as a block of one row."""
+    inside = _flags_of(ring, mask)[None]
+    members = inside.nonzero()[1][None]
+    _check_ideal_laws(ring, inside, members)
+    return members[0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_ideal_check_on_a_block_names_its_first_failing_row(data):
+    # a block of lattice rows of one size, with one row's members moved to
+    # other elements: the block check passes only if every row is an
+    # ideal, and otherwise names what the one-row check names for its
+    # first failing row
+    ring = data.draw(st.sampled_from(CHECKED_RINGS))
+    lattice = all_ideals(ring)
+    size = data.draw(st.sampled_from(sorted({len(ideal) for ideal in lattice.ideals})))
+    rows = [k for k, ideal in enumerate(lattice.ideals) if len(ideal) == size]
+    inside = lattice.inside[data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=5))].copy()
+    k = data.draw(st.integers(0, len(inside) - 1))
+    inside[k] = data.draw(st.permutations(inside[k].tolist()))
+    members = inside.nonzero()[1].reshape(len(inside), -1)
+    verdicts = [_verdict(ring, ideals._pack(inside[j:j + 1])[0]) for j in range(len(inside))]
+    failing = [v for v in verdicts if isinstance(v, str)]
+    try:
+        _check_ideal_laws(ring, inside, members)
+        assert not failing
+    except ValueError as err:
+        assert failing and str(err) == failing[0]
+
+
+def _verdict(ring, mask):
+    try:
+        return whole_block_checked_members(ring, mask).tolist()
+    except ValueError as err:
+        return str(err)
 
 
 def test_parse_ideal_roundtrip(ring_a):
@@ -648,6 +691,34 @@ def test_chunked_primary_matches_whole_block(moduli):
     verdicts = [is_primary(ring, ideal) for ideal in all_ideals(ring).ideals]
     assert verdicts == [whole_block_is_primary(ring, ideal) for ideal in all_ideals(ring).ideals]
     assert any(verdicts) and not all(verdicts)
+
+
+def test_primary_ideals_match_the_one_ideal_predicates(small_corpus_rings):
+    # the block of radicals and the one _product_lands call give, ideal by
+    # ideal, what is_primary and radical give one ideal at a time; past
+    # order 256 the block of products is tested in several row chunks
+    beyond = [make_boolean(5), make_product([make_zn(4)] * 3), make_zn(512), make_product([make_zn(2), make_zn(256)])]
+    for ring in [*small_corpus_rings, *beyond]:
+        expected = [(ideal, radical(ring, ideal)) for ideal in all_ideals(ring).ideals if is_primary(ring, ideal)]
+        assert primary_ideals(ring) == expected, ring.label
+
+
+def test_maximal_ideals_of_b10_are_read_without_up():
+    # PROP1's hypothesis holds on B_10, so it asks for all 1024 ideals'
+    # maximality: read a block of rows at a time, with no up-sets built
+    ring = make_boolean(10)
+    lattice = all_ideals(ring)
+    tracemalloc.start()
+    maximal = lattice.maximal
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert "up" not in vars(lattice)
+    # the maximal ideals of B_10 are the complements of its ten atoms
+    assert sorted(len(lattice.ideals[k]) for k in maximal.nonzero()[0]) == [512] * 10
+    # the packed rows and their complements, one block of strays and the flags
+    assert peak < 1 << 20
+    assert claims._prop1(ring).detail == "hypothesis holds"
+    assert "up" not in vars(lattice)
 
 
 def test_primes_are_primary_and_semiprime(small_corpus_rings):
@@ -811,9 +882,13 @@ def test_lattice_is_built_once_and_spectrum_on_demand():
     classify_ring(ring)
     prime_spectrum(ring)
     assert "primes" in vars(lattice)
-    # up has three readers, and neither the flags nor the spectrum is one
+    # up has two readers, containment_edges and to_dot; the flags, the
+    # spectrum and the maximal ideals are read without it
     assert "up" not in vars(lattice)
     is_maximal(ring, principal_ideal(ring, 2))
+    assert "maximal" in vars(lattice)
+    assert "up" not in vars(lattice)
+    lattice.containment_edges()
     assert "up" in vars(lattice)
 
 

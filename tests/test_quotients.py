@@ -18,14 +18,17 @@ from _oracles import (
     depth_first_endomorphisms,
     is_unital_hom,
     map_by_map_check_hom,
+    per_ideal_thm1,
     quotient_tables,
 )
-from _strategies import fp_algebras
+from _strategies import fp_algebras, small_products
 from ringaudit.ideals import (
     Ideal,
+    _pack,
     all_ideals,
     classify_ring,
     ideal_generated,
+    is_pprir,
     is_prime,
     principal_ideal,
     zero_ideal,
@@ -42,6 +45,7 @@ from ringaudit.quotients import (
     quotient_ring,
 )
 from ringaudit.reports import REFUTED, SKIPPED, VERIFIED
+from ringaudit.ringfile import ring_from_document
 from ringaudit.rings import FiniteRing, make_boolean, make_product, make_table_ring, make_zn, validate_tables
 
 CLOSED_FORMS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "closed_forms.py"))
@@ -416,37 +420,135 @@ def test_audit_thm1_details(ring_a):
 
 @pytest.mark.parametrize("planted, witness", [((4,), 4), ((6, 4), 4), ((2, 3), 2)])
 def test_audit_thm1_refutes_on_planted_violation(monkeypatch, planted, witness):
-    # the quotient-side domain check gives the wrong answer on the quotients
+    # the quotient-side domain test gives the wrong answer on the quotients
     # by the planted principal ideals of Z_12; the witness is the first of
     # them in canonical order
-    import ringaudit.quotients as q
-
     z12 = make_zn(12)
-    wrong = {f"Z_12/{principal_ideal(z12, a)}" for a in planted}
-    real = q.is_prime
-    monkeypatch.setattr(q, "is_prime", lambda ring, ideal: real(ring, ideal) != (ring.label in wrong))
-    out = q.audit_thm1(z12)
+    wrong = {principal_ideal(z12, a).members for a in planted}
+    real = quotients._domains
+
+    def planted_domains(ring, inside, reps):
+        return real(ring, inside, reps) != np.isin(_pack(inside), list(wrong))
+
+    monkeypatch.setattr(quotients, "_domains", planted_domains)
+    out = quotients.audit_thm1(z12)
     assert out.status == REFUTED
     assert out.witness == str(principal_ideal(z12, witness))
 
 
 def test_audit_thm1_asks_is_pprir_of_domain_quotients_only(monkeypatch):
-    import ringaudit.quotients as q
-
     z12 = make_zn(12)
-    asked = []
-    real = q.is_pprir
+    asked, domains = [], []
+    real_pprir, real_domains = quotients.is_pprir, quotients._domains
+
+    def recording_domains(ring, inside, reps):
+        verdict = real_domains(ring, inside, reps)
+        domains.extend(f"Z_12/{Ideal(ring, mask)}" for mask in np.array(_pack(inside), dtype=object)[verdict])
+        return verdict
 
     def planted(ring):
         asked.append(ring.label)
-        return (False, None) if ring.label == "Z_12/{0,3,6,9}" else real(ring)
+        return (False, None) if ring.label == "Z_12/{0,3,6,9}" else real_pprir(ring)
 
-    monkeypatch.setattr(q, "is_pprir", planted)
-    out = q.audit_thm1(z12)
-    # R itself for the hypothesis, then the quotients by the two primes
+    monkeypatch.setattr(quotients, "_domains", recording_domains)
+    monkeypatch.setattr(quotients, "is_pprir", planted)
+    out = quotients.audit_thm1(z12)
+    # R itself for the hypothesis, then, in canonical order, the quotients
+    # by the two primes, the only ones the domain test passed
     assert asked == ["Z_12", "Z_12/{0,2,4,6,8,10}", "Z_12/{0,3,6,9}"]
+    assert sorted(domains) == asked[1:]
     assert out.status == REFUTED
     assert out.witness == "{0,3,6,9}"
+
+
+def _zero_product_algebra(dim):
+    """F_2[a_1..a_{dim-1}]/(a_1..a_{dim-1})^2, built from a ring document."""
+    names = ["1", *(f"a{i}" for i in range(1, dim))]
+    products = {f"{names[i]}*{names[j]}": "0" for i in range(1, dim) for j in range(i, dim)}
+    return ring_from_document({"kind": "algebra", "p": 2, "basis_names": names, "mul": products})
+
+
+def assert_thm1_blocks_match_the_per_ideal_oracle(ring):
+    """Every proper ideal gets the oracle's domain verdict and THM1 verdict
+    from the block path, and audit_thm1 agrees with the oracle overall."""
+    lattice = all_ideals(ring)
+    domains = quotients._domain_quotients(ring, lattice)
+    agree = True
+    for k, ideal in enumerate(lattice.ideals):
+        if not ideal.is_proper:
+            assert k not in domains
+            continue
+        domain, holds = per_ideal_thm1(ring, ideal)
+        assert (k in domains) == domain, (ring.label, str(ideal))
+        if domain:
+            assert is_pprir(quotients._quotient(ring, ideal, *domains[k])[0])[0] == holds, (ring.label, str(ideal))
+        agree = agree and (ideal.members in lattice.primes) == holds
+    assert (audit_thm1(ring).status == VERIFIED) == agree, ring.label
+
+
+@pytest.mark.parametrize("block_cells", [1, quotients._BLOCK_CELLS])
+def test_thm1_blocks_match_the_per_ideal_oracle_on_the_corpus(corpus, monkeypatch, block_cells):
+    # one cell per block makes every block a single row
+    monkeypatch.setattr(quotients, "_BLOCK_CELLS", block_cells)
+    for ring in corpus:
+        assert_thm1_blocks_match_the_per_ideal_oracle(ring)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_zn(128),
+        lambda: make_boolean(6),
+        lambda: make_product([make_zn(4)] * 3),
+        lambda: _zero_product_algebra(7),
+    ],
+    ids=["Z_128", "B_6", "Z_4^3", "zero-product-128"],
+)
+def test_thm1_blocks_match_the_per_ideal_oracle_past_the_corpus(build):
+    assert_thm1_blocks_match_the_per_ideal_oracle(build())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_products())
+def test_thm1_blocks_match_the_per_ideal_oracle_on_random_products(ring):
+    assert_thm1_blocks_match_the_per_ideal_oracle(ring)
+
+
+def test_quotient_ring_tables_match_the_block_builder(corpus):
+    # each size's proper ideals as one block: the rows it gives build the
+    # tables and the projection quotient_ring gives one ideal at a time
+    for ring in [*corpus, make_product([make_zn(4)] * 3)]:
+        lattice = all_ideals(ring)
+        for size in {len(ideal) for ideal in lattice.ideals if ideal.is_proper}:
+            positions = [k for k, ideal in enumerate(lattice.ideals) if len(ideal) == size]
+            inside = lattice.inside[positions]
+            rep_of, reps = quotients._cosets(ring, inside, inside.nonzero()[1].reshape(len(inside), -1))
+            for k, position in enumerate(positions):
+                ideal = lattice.ideals[position]
+                quotient, coset_of = quotients._quotient(ring, ideal, rep_of[k], reps[k])
+                pres = quotient_ring(ring, ideal)
+                assert np.array_equal(quotient.add_table, pres.quotient.add_table), (ring.label, str(ideal))
+                assert np.array_equal(quotient.mul_table, pres.quotient.mul_table), (ring.label, str(ideal))
+                assert (quotient.zero, quotient.one) == (pres.quotient.zero, pres.quotient.one)
+                assert quotient.element_names == pres.quotient.element_names
+                assert tuple(coset_of.tolist()) == pres.projection.mapping
+
+
+def test_audit_thm1_builds_rings_for_domain_quotients_only(monkeypatch):
+    # Z_12 has six proper ideals; only the quotients by its two primes are
+    # domains, and only those become rings
+    built = []
+    trusted = FiniteRing._trusted.__func__
+
+    def recording(cls, *args, **kwargs):
+        ring = trusted(cls, *args, **kwargs)
+        built.append(ring.label)
+        return ring
+
+    z12 = make_zn(12)
+    monkeypatch.setattr(FiniteRing, "_trusted", classmethod(recording))
+    assert audit_thm1(z12).status == VERIFIED
+    assert built == ["Z_12/{0,2,4,6,8,10}", "Z_12/{0,3,6,9}"]
 
 
 def test_audit_thm3_verified_and_skipped(ring_a):

@@ -70,6 +70,19 @@ def test_algebra_rejects_missing_product():
         ring_from_document(doc)
 
 
+@pytest.mark.parametrize(
+    "names, repeated", [(["1", "x", "x"], "x"), (["1", "x", "1"], "1"), (["1", "y", "x", "y", "x"], "y")],
+)
+def test_algebra_rejects_repeated_basis_names(names, repeated):
+    # refused before the mul map is read, which would otherwise report a
+    # missing product for the name that lost its index
+    products = {f"{a}*{b}": "0" for a in names[1:] for b in names[1:]}
+    doc = {"kind": "algebra", "p": 2, "basis_names": names, "mul": products}
+    with pytest.raises(RingFileError) as err:
+        ring_from_document(doc)
+    assert str(err.value) == f"algebra basis_names must be distinct, {repeated!r} is repeated"
+
+
 def test_algebra_rejects_conflicting_orders():
     doc = {
         "kind": "algebra",
