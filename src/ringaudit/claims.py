@@ -35,7 +35,6 @@ from .corpus import Corpus
 from .ideals import (
     all_ideals,
     classify_ring,
-    is_maximal,
     is_ppri,
     is_pprir,
     is_principal,
@@ -69,13 +68,10 @@ def _prop2(ring: FiniteRing) -> ClaimOutcome:
     if not flags.is_boolean:
         return ClaimOutcome(VERIFIED, detail="vacuous: ring is not Boolean")
     lattice = all_ideals(ring)
-    ppri = {i.members for i in lattice.ideals if is_ppri(ring, i)}
-    maximal = {i.members for i in lattice.ideals if is_maximal(ring, i)}
-    if ppri != maximal:
-        gap = min(ppri ^ maximal)
-        witness = str(lattice.ideals[lattice.index[gap]])
-        direction = "principal prime, not maximal" if gap in ppri else "maximal, not a principal prime"
-        return ClaimOutcome(REFUTED, witness=witness, detail=direction)
+    for ideal, maximal in zip(lattice.ideals, lattice.maximal.tolist()):
+        if is_ppri(ring, ideal) != maximal:
+            direction = "maximal, not a principal prime" if maximal else "principal prime, not maximal"
+            return ClaimOutcome(REFUTED, witness=str(ideal), detail=direction)
     return ClaimOutcome(VERIFIED, detail=f"all-primes-principal hypothesis: {flags.is_pprir}")
 
 

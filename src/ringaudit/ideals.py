@@ -12,11 +12,13 @@ join of I with the cyclic subgroups <a*s> for s in ring.generators, and the
 closure, sum_ideals and ideal_generated share that one join; the pick rule
 of the generators and the doubling join are defined once, in rings
 (_picks, _doublings, _join). The lattice lives with its ring, holds its
-ideals as one ideals-by-elements bool block, and computes each fact
-derived from it (the prime spectrum, the maximal ideals, the containment
-up-sets) from that block on first use, so the predicates that ask for them
-are lookups, and a radical is the intersection of the primes over its
-ideal, for one ideal or, in primary_ideals, for a block of them.
+ideals as one ideals-by-elements bool block, and computes the prime
+spectrum and the maximal ideals from that block on first use, so the
+predicates that ask for them are lookups, and a radical is the
+intersection of the primes over its ideal, for one ideal or, in
+primary_ideals, for a block of them. Containment between ideals has one
+block test, _subsets, on packed words: the maximal ideals, is_maximal's
+one ideal, the containment pairs and to_dot's covers all read it.
 is_prime, is_primary, primary_ideals and the lattice's primes share one
 question, whether some product of an x from one set and a y from another
 lands in the ideal, and one helper, _product_lands, answers it for a block
@@ -66,11 +68,11 @@ __all__ = [
 
 # Cells in one block of a chunked numpy step, small enough to stay in cache:
 # ideals x rows x order in _product_lands, frontier rows x principal
-# ideals x order in the lattice closure, rows x ideals x words in the
-# containment up-sets and the maximal ideals, rows x order in quotients'
-# endomorphism search, maps x order x order in quotients' homomorphism law
-# check, and ideals x members x order or ideals x cosets x cosets in THM1's
-# blocks of quotients.
+# ideals x order in the lattice closure, rows x sets x 64-bit words in the
+# containment test (_subsets), rows x order in quotients' endomorphism
+# search, maps x order x order in quotients' homomorphism law check, and
+# ideals x members x order or ideals x cosets x cosets in THM1's blocks of
+# quotients.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -100,24 +102,23 @@ def _unpack(rows: list[bytes], count: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=count, bitorder="little").view(bool)
 
 
-def _words(inside: np.ndarray) -> np.ndarray:
-    """Each row of a 2-d bool array packed into 64-bit words, for subset
-    tests: a row lies in another when none of its words has a bit outside
-    the other's."""
-    packed = np.packbits(inside, axis=1)
-    words = np.zeros((len(inside), -(-inside.shape[1] // 64)), dtype=np.uint64)
-    words.view(np.uint8)[:, :packed.shape[1]] = packed
-    return words
-
-
-def _strays(words: np.ndarray, outside: np.ndarray) -> np.ndarray:
-    """strays[i, j] is nonzero when the set packed in words[i] has a member
-    outside set j, given outside[w, j], word w of the complement of set j:
-    one pass per word, over whole rows."""
-    strays = words[:, :1] & outside[0]
-    for w in range(1, len(outside)):
-        strays |= words[:, w:w + 1] & outside[w]
-    return strays
+def _subsets(rows: np.ndarray, sets: np.ndarray):
+    """Yield (start, within) for each block of rows of a 2-d bool array:
+    within[k, j] holds when row start + k lies inside row j of sets, a bool
+    array of the same width, that is, when no 64-bit word of the packed row
+    has a bit outside the packed set's. The test runs one word at a time
+    over every set, for a block of rows within about _BLOCK_CELLS words."""
+    packed = [np.zeros((len(block), -(-block.shape[1] // 64)), dtype=np.uint64) for block in (rows, sets)]
+    for block, words in zip((rows, sets), packed):
+        words.view(np.uint8)[:, :-(-block.shape[1] // 8)] = np.packbits(block, axis=1)
+    words, outside = packed[0], np.invert(packed.pop().T, order="C")  # outside[w, j]: word w of set j's complement
+    step = max(1, _BLOCK_CELLS // outside.size)
+    for start in range(0, len(words), step):
+        part = words[start:start + step]
+        strays = part[:, :1] & outside[0]
+        for w in range(1, len(outside)):
+            strays |= part[:, w:w + 1] & outside[w]
+        yield start, strays == 0
 
 
 def _rows_of(ring, rows: np.ndarray) -> np.ndarray:
@@ -126,11 +127,6 @@ def _rows_of(ring, rows: np.ndarray) -> np.ndarray:
     inside = np.zeros((len(rows), ring.order), dtype=bool)
     inside[np.arange(len(rows))[:, None], rows] = True
     return inside
-
-
-def _masks_of(ring, rows: np.ndarray) -> list[int]:
-    """The bitmask of the set of entries of each row of a 2-d index array."""
-    return _pack(_rows_of(ring, rows))
 
 
 def _flags_of(ring, mask: int) -> np.ndarray:
@@ -284,7 +280,7 @@ def unit_ideal(ring) -> Ideal:
 def principal_ideal(ring, a: int) -> Ideal:
     """The smallest ideal containing a: the set of multiples {a*r}."""
     a = ring._check_index(a)
-    return Ideal(ring, _masks_of(ring, ring.mul_table[a:a + 1])[0])
+    return Ideal(ring, _pack(_rows_of(ring, ring.mul_table[a:a + 1]))[0])
 
 
 def ideal_generated(ring, elements) -> Ideal:
@@ -324,10 +320,10 @@ class IdealLattice:
     index maps each ideal's member mask to its position in ideals, and
     generator maps the mask of each principal ideal to its first generator.
     inside is the ideals-by-elements bool block, read-only: inside[i, x]
-    holds when element x lies in ideals[i]. The primes, the maximal ideals
-    and the containment up-sets are computed from it on first use. up has
-    two readers, containment_edges and to_dot, so neither describe nor
-    audit builds it.
+    holds when element x lies in ideals[i]. The primes and the maximal
+    ideals are computed from it on first use and kept; the containment
+    pairs and the covers are read off it, a block of rows at a time, each
+    time they are asked for, and nothing of them is kept.
     """
 
     ring: "FiniteRing"
@@ -356,49 +352,21 @@ class IdealLattice:
 
     @cached_property
     def maximal(self) -> np.ndarray:
-        """maximal[i] holds when ideals[i] is maximal: proper, and inside no
-        proper ideal but itself. Each block of proper rows, within about
-        _BLOCK_CELLS 64-bit words, is tested against every proper row, as
-        up tests containment, and only its count of proper ideals over each
-        row is kept: L bools for L ideals, plus one block."""
-        proper = (~np.logical_and.reduce(self.inside, axis=1)).nonzero()[0]
-        words = _words(self.inside)[proper]
-        outside = np.ascontiguousarray(~words.T)
-        step = max(1, _BLOCK_CELLS // outside.size)
+        """maximal[i] holds when ideals[i] is maximal: exactly two ideals
+        hold it, itself and R. R is held by one, every other ideal by at
+        least two. Only each block's counts are kept: L bools for L ideals,
+        plus one block."""
         maximal = np.zeros(len(self.ideals), dtype=bool)
-        for start in range(0, len(proper), step):
-            over = np.add.reduce(_strays(words[start:start + step], outside) == 0, axis=1)
-            maximal[proper[start:start + step]] = over == 1
+        for start, within in _subsets(self.inside, self.inside):
+            maximal[start:start + len(within)] = np.add.reduce(within, axis=1) == 2
         return maximal
-
-    @cached_property
-    def up(self) -> tuple[int, ...]:
-        """up[i] is the bitset of the positions j with ideals[i] a subset of
-        ideals[j], i itself included: no member of i strays outside j. It
-        is built a block of rows at a time, each block within about
-        _BLOCK_CELLS 64-bit words and packed as it comes, so it holds
-        L^2/8 bytes for L ideals, plus one block."""
-        words = _words(self.inside)
-        outside = np.ascontiguousarray(~words.T)
-        step = max(1, _BLOCK_CELLS // outside.size)
-        up: list[int] = []
-        for start in range(0, len(words), step):
-            up += _pack(_strays(words[start:start + step], outside) == 0)
-        return tuple(up)
-
-    def _above(self, i: int) -> int:
-        """Bitset of the positions of the ideals strictly containing ideals[i]."""
-        return self.up[i] & ~(1 << i)
 
     def containment_edges(self) -> list[tuple[int, int]]:
         """Non-reflexive containment pairs (i, j): ideals[i] < ideals[j], in
-        order, read off up a block of rows at a time."""
-        count = len(self.ideals)
-        width, step = (count + 7) // 8, max(1, _BLOCK_CELLS // count)
+        order, read off the containment blocks as they come."""
         edges: list[tuple[int, int]] = []
-        for start in range(0, count, step):
-            above = _unpack([up.to_bytes(width, "little") for up in self.up[start:start + step]], count)
-            i, j = divmod(np.flatnonzero(above), count)  # faster than a 2-d nonzero
+        for start, within in _subsets(self.inside, self.inside):
+            i, j = divmod(np.flatnonzero(within), len(self.ideals))  # faster than a 2-d nonzero
             strict = start + i != j
             edges += zip((start + i[strict]).tolist(), j[strict].tolist())
         return edges
@@ -408,12 +376,16 @@ class IdealLattice:
         lines = [f'digraph "{_dot_escape(self.ring.label)}" {{']
         for i, ideal in enumerate(self.ideals):
             lines.append(f'  n{i} [label="{_dot_escape(str(ideal))}"];')
-        for i in range(len(self.ideals)):
-            above = self._above(i)
+        above: list[int] = []  # above[i]: the positions of the ideals strictly over ideals[i], as a bitset
+        for start, within in _subsets(self.inside, self.inside):
+            k = np.arange(len(within))
+            within[k, start + k] = False
+            above += _pack(within)
+        for i, over in enumerate(above):
             beyond = 0
-            for k in _bits(above):
-                beyond |= self._above(k)
-            for j in _bits(above & ~beyond):
+            for k in _bits(over):
+                beyond |= above[k]
+            for j in _bits(over & ~beyond):
                 lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines)
@@ -593,10 +565,14 @@ def is_prime(ring, ideal: Ideal) -> bool:
 
 
 def is_maximal(ring, ideal: Ideal) -> bool:
-    """Proper with no ideal strictly between it and the whole ring."""
+    """Proper with no ideal strictly between it and the whole ring: its one
+    row is held by exactly two ideals, itself and R, as the lattice's
+    maximal flags test every row."""
     _same_ring(ring, ideal)
     lattice = all_ideals(ring)
-    return bool(lattice.maximal[lattice.index_of(ideal)])
+    i = lattice.index_of(ideal)
+    [(_, within)] = _subsets(lattice.inside[i:i + 1], lattice.inside)
+    return int(np.add.reduce(within, axis=None)) == 2
 
 
 def is_semiprime(ring, ideal: Ideal) -> bool:

@@ -3,13 +3,14 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import ringaudit.claims as claims
 import ringaudit.zmodel as zmodel
 from ringaudit.claims import CLAIM_IDS, run_all_claims, run_claim
 from ringaudit.corpus import Corpus
-from ringaudit.ideals import is_prime, is_principal, parse_ideal, prime_spectrum, zero_ideal
+from ringaudit.ideals import all_ideals, is_prime, is_principal, parse_ideal, prime_spectrum, zero_ideal
 from ringaudit.reports import (
     REFUTED,
     SKIPPED,
@@ -157,46 +158,57 @@ def _never(*args, **kwargs):
 _classify_ring = claims.classify_ring
 
 
-# each claim's refutation, forced on a small ring by replacing a predicate
-# that its checker consults: (claim, ring, name in claims, stand-in, witness,
-# detail); B_2's ideal {{},{1}} is the first of its two principal primes
+# each claim's refutation, forced on a small ring by replacing what its
+# checker consults: (claim, ring, stand-ins, witness, detail), the stand-ins
+# keyed by name in claims, or by "maximal" for the lattice's maximal flags,
+# given as the masks of the ideals to flag; B_2's ideal {{},{1}} is the first
+# of its two principal primes, and B_3's {{},{1},{3},{1,3}} (mask 51) comes
+# before {{},{2}} (mask 5) in canonical order
 PLANTED = {
-    "PROP1": ("PROP1", make_zn(4), "is_ppri", _never, "{0,2}", None),
+    "PROP1": ("PROP1", make_zn(4), {"is_ppri": _never}, "{0,2}", None),
     "PROP2-principal-prime-not-maximal": (
-        "PROP2", make_boolean(2), "is_maximal", _never, "{{},{1}}", "principal prime, not maximal",
+        "PROP2", make_boolean(2), {"maximal": []}, "{{},{1}}", "principal prime, not maximal",
     ),
     "PROP2-maximal-not-principal-prime": (
-        "PROP2", make_boolean(2), "is_ppri", _never, "{{},{1}}", "maximal, not a principal prime",
+        "PROP2", make_boolean(2), {"is_ppri": _never}, "{{},{1}}", "maximal, not a principal prime",
     ),
-    "PROP3": ("PROP3", make_zn(4), "is_semiprime", _never, "{0,2}", None),
-    "PROP4": ("PROP4", make_zn(4), "is_ppri", _never, "{0}", "radical is not a principal prime"),
+    "PROP2-first-gap-in-canonical-order": (
+        "PROP2", make_boolean(3), {"is_ppri": _never, "maximal": [51, 5]}, "{{},{1},{3},{1,3}}",
+        "maximal, not a principal prime",
+    ),
+    "PROP3": ("PROP3", make_zn(4), {"is_semiprime": _never}, "{0,2}", None),
+    "PROP4": ("PROP4", make_zn(4), {"is_ppri": _never}, "{0}", "radical is not a principal prime"),
     "PROPRAD-moved": (
-        "PROPRAD", make_zn(4), "radical", lambda ring, ideal: zero_ideal(ring), "{0,2}", "radical moved a prime",
+        "PROPRAD", make_zn(4), {"radical": lambda ring, ideal: zero_ideal(ring)}, "{0,2}", "radical moved a prime",
     ),
     "PROPRAD-not-principal-prime": (
-        "PROPRAD", make_zn(4), "is_ppri", _never, "{0,2}", "radical of a prime is not a principal prime",
+        "PROPRAD", make_zn(4), {"is_ppri": _never}, "{0,2}", "radical of a prime is not a principal prime",
     ),
-    "THM5-a": ("THM5", make_zn(4), "_strictly_inside", lambda p, q: True, "[{0,2}, {0,2}]", "no maximal member"),
+    "THM5-a": ("THM5", make_zn(4), {"_strictly_inside": lambda p, q: True}, "[{0,2}, {0,2}]", "no maximal member"),
     "THM6-duplicate": (
-        "THM6", make_zn(4), "minimal_primes_over", lambda ring, ideal: prime_spectrum(ring) * 2, "{0}",
+        "THM6", make_zn(4), {"minimal_primes_over": lambda ring, ideal: prime_spectrum(ring) * 2}, "{0}",
         "duplicate minimal primes",
     ),
     "THM6-not-containing": (
-        "THM6", make_zn(4), "minimal_primes_over", lambda ring, ideal: [zero_ideal(ring)], "{0,2}",
+        "THM6", make_zn(4), {"minimal_primes_over": lambda ring, ideal: [zero_ideal(ring)]}, "{0,2}",
         "minimal prime does not contain the ideal",
     ),
     "EX1FIELD": (
-        "EX1FIELD", make_zn(3), "classify_ring",
-        lambda ring: dataclasses.replace(_classify_ring(ring), is_pprir=False, witness=zero_ideal(ring)), "{0}", None,
+        "EX1FIELD", make_zn(3),
+        {"classify_ring": lambda ring: dataclasses.replace(_classify_ring(ring), is_pprir=False, witness=zero_ideal(ring))},
+        "{0}", None,
     ),
 }
 
 
-@pytest.mark.parametrize("claim, ring, name, planted, witness, detail", PLANTED.values(), ids=PLANTED.keys())
-def test_planted_violations_are_refuted_with_a_revalidatable_witness(
-    monkeypatch, claim, ring, name, planted, witness, detail
-):
-    monkeypatch.setattr(claims, name, planted)
+@pytest.mark.parametrize("claim, ring, planted, witness, detail", PLANTED.values(), ids=PLANTED.keys())
+def test_planted_violations_are_refuted_with_a_revalidatable_witness(monkeypatch, claim, ring, planted, witness, detail):
+    for name, stand_in in planted.items():
+        if name == "maximal":
+            lattice = all_ideals(ring)
+            monkeypatch.setitem(vars(lattice), "maximal", np.isin([i.members for i in lattice.ideals], stand_in))
+        else:
+            monkeypatch.setattr(claims, name, stand_in)
     [row] = run_claim(claim, Corpus((ring,)))
     assert (row.status, row.witness, row.detail) == (REFUTED, witness, detail)
     # each ideal the witness names reads back as an ideal of the ring

@@ -62,7 +62,7 @@ from ringaudit.ideals import (
 )
 import ringaudit.claims as claims
 import ringaudit.ideals as ideals
-from ringaudit.ideals import _check_ideal_laws, _flags_of, _masks_of, _primitive_idempotents
+from ringaudit.ideals import _check_ideal_laws, _flags_of, _pack, _primitive_idempotents, _rows_of
 from ringaudit.quotients import quotient_ring
 from ringaudit.ringfile import _sc_with_unity
 from ringaudit.rings import (
@@ -263,16 +263,26 @@ def test_lattice_by_factors_matches_pairwise_closure(ring):
     assert lattice.index == oracle.index
     assert lattice.generator == oracle.generator
     assert np.array_equal(lattice.inside, oracle.inside)
-    assert_primes_and_up_match_oracles(ring)
+    assert_primes_and_edges_match_oracles(ring)
 
 
-def assert_primes_and_up_match_oracles(ring):
-    """The lattice's primes against the definition, ideal by ideal, and its
-    up-sets against the pair-by-pair scan."""
+def pair_scan_edges(lattice):
+    """The non-reflexive containment pairs of a lattice's ideals, in order,
+    read off the pair-by-pair scan."""
+    up = pair_scan_up([ideal.members for ideal in lattice.ideals])
+    return [(i, j) for i in range(len(up)) for j in range(len(up)) if i != j and up[i] >> j & 1]
+
+
+def assert_primes_and_edges_match_oracles(ring):
+    """The lattice's primes and maximal flags against the definitions, ideal
+    by ideal, and its containment pairs against the pair-by-pair scan."""
     lattice = all_ideals(ring)
     masks = [ideal.members for ideal in lattice.ideals]
     assert list(lattice.primes) == [m for m in masks if is_prime_subset(ring, set(Ideal(ring, m).indices()))], ring.label
-    assert lattice.up == pair_scan_up(masks), ring.label
+    family = {frozenset(ideal.indices()) for ideal in lattice.ideals}
+    expected = [is_maximal_in(family, ring, frozenset(ideal.indices())) for ideal in lattice.ideals]
+    assert lattice.maximal.tolist() == expected, ring.label
+    assert lattice.containment_edges() == pair_scan_edges(lattice), ring.label
 
 
 @pytest.fixture(scope="module")
@@ -286,13 +296,13 @@ def spectrum_rings(corpus):
 
 def test_primes_and_up_match_definitional_oracles(spectrum_rings):
     for ring in spectrum_rings:
-        assert_primes_and_up_match_oracles(ring)
+        assert_primes_and_edges_match_oracles(ring)
 
 
 def test_up_matches_pair_scan(corpus):
     for ring in [*corpus, make_boolean(8), make_product([make_zn(4)] * 3)]:
         lattice = all_ideals(ring)
-        assert lattice.up == pair_scan_up([ideal.members for ideal in lattice.ideals]), ring.label
+        assert lattice.containment_edges() == pair_scan_edges(lattice), ring.label
 
 
 def _zero_product_algebra(p, dim):
@@ -306,19 +316,16 @@ def _zero_product_algebra(p, dim):
 @pytest.mark.parametrize("cells", [1, 97, 4096])
 def test_blocks_of_any_size_give_the_same_lattice(monkeypatch, cells):
     # a block budget this small splits the closure's frontier, the prime
-    # test's ideals and rows, and the up-set rows into many steps
+    # test's ideals and rows, and the containment rows into many steps
     monkeypatch.setattr(ideals, "_BLOCK_CELLS", cells)
     for ring in (make_boolean(5), make_product([make_zn(4)] * 3), make_zn(96), _zero_product_algebra(2, 5)):
         lattice, oracle = all_ideals(ring), closure_lattice(ring)
         assert [i.members for i in lattice.ideals] == [i.members for i in oracle.ideals], ring.label
-        assert_primes_and_up_match_oracles(ring)
-        up = pair_scan_up([ideal.members for ideal in lattice.ideals])
-        expected = [(i, j) for i in range(len(up)) for j in range(len(up)) if i != j and up[i] >> j & 1]
-        assert lattice.containment_edges() == expected, ring.label
+        assert_primes_and_edges_match_oracles(ring)
 
 
 def assert_primitive_idempotents_split_one(ring):
-    idempotents = _primitive_idempotents(ring, _masks_of(ring, ring.mul_table))
+    idempotents = _primitive_idempotents(ring, _pack(_rows_of(ring, ring.mul_table)))
     assert idempotents and ring.zero not in idempotents, ring.label
     for i, e in enumerate(idempotents):
         assert ring.mul(e, e) == e, ring.label
@@ -345,8 +352,7 @@ def test_lattice_past_the_corpus_matches_closed_forms(moduli):
     ring = make_boolean(len(moduli)) if set(moduli) == {2} else make_product([make_zn(n) for n in moduli])
     lattice = all_ideals(ring)
     assert sorted(len(ideal) for ideal in lattice.ideals) == CLOSED_FORMS["ideal_sizes"](moduli)
-    pairs = sum(up.bit_count() - 1 for up in lattice.up)
-    assert pairs == CLOSED_FORMS["containment_pairs"](moduli)
+    assert len(lattice.containment_edges()) == CLOSED_FORMS["containment_pairs"](moduli)
 
 
 def _gaussian_binomial(n, k, q):
@@ -396,7 +402,7 @@ def test_lattice_of_random_fp_algebras(ring):
     if ring.order <= 13:
         assert found == brute_force_ideals(ring)
     assert_classification_matches_oracles(ring)
-    assert_primes_and_up_match_oracles(ring)
+    assert_primes_and_edges_match_oracles(ring)
     # correspondence theorem: the ideals of R/I are the ideals of R over I,
     # and the primes of R/I the primes of R over I
     for ideal in lattice.ideals:
@@ -858,6 +864,19 @@ def test_is_maximal_matches_definition(oracle_rings):
             assert is_maximal(ring, ideal) == expected, (ring.label, str(ideal))
 
 
+def test_is_maximal_tests_one_row_against_the_lattice(small_corpus_rings):
+    beyond = [make_boolean(5), make_product([make_zn(4)] * 3)]
+    for ring in [*small_corpus_rings, *beyond]:
+        lattice = all_ideals(ring)
+        family = {frozenset(ideal.indices()) for ideal in lattice.ideals}
+        for ideal in lattice.ideals:  # R included
+            expected = is_maximal_in(family, ring, frozenset(ideal.indices()))
+            assert is_maximal(ring, ideal) == expected, (ring.label, str(ideal))
+    # the rings built here have asked is_maximal of every ideal, one at a
+    # time, and still hold no maximal flags
+    assert not any("maximal" in vars(all_ideals(ring)) for ring in beyond)
+
+
 def test_is_maximal_rejects_a_mask_outside_the_lattice():
     z6 = make_zn(6)
     not_an_ideal = Ideal(z6, 0b11)  # {0, 1}
@@ -882,14 +901,17 @@ def test_lattice_is_built_once_and_spectrum_on_demand():
     classify_ring(ring)
     prime_spectrum(ring)
     assert "primes" in vars(lattice)
-    # up has two readers, containment_edges and to_dot; the flags, the
-    # spectrum and the maximal ideals are read without it
-    assert "up" not in vars(lattice)
+    # is_maximal tests its one ideal against the lattice; every ideal's
+    # maximal flag is built when PROP1 or PROP2 reads the flags
     is_maximal(ring, principal_ideal(ring, 2))
+    assert "maximal" not in vars(lattice)
+    claims._prop1(ring)
     assert "maximal" in vars(lattice)
-    assert "up" not in vars(lattice)
+    # the containment pairs and the covers are read off the block, not kept
+    cached = set(vars(lattice))
     lattice.containment_edges()
-    assert "up" in vars(lattice)
+    lattice.to_dot()
+    assert set(vars(lattice)) == cached
 
 
 def test_lattice_dies_with_its_ring():
