@@ -10,7 +10,6 @@ combined into an ideal of the whole ring. Run:
 
 from ringaudit import (
     all_ideals,
-    is_maximal,
     is_ppri,
     is_primary,
     is_prime,
@@ -26,12 +25,12 @@ z12 = make_zn(12)
 lattice = all_ideals(z12)
 
 print(f"{z12.label} has {len(lattice)} ideals (one per divisor of 12):")
-for ideal in lattice.ideals:
+for ideal, maximal in zip(lattice.ideals, lattice.maximal):
     principal, gen = is_principal(z12, ideal)
     tags = []
     if is_prime(z12, ideal):
         tags.append("prime")
-    if is_maximal(z12, ideal):
+    if maximal:
         tags.append("maximal")
     if is_semiprime(z12, ideal):
         tags.append("semiprime")

@@ -70,9 +70,10 @@ __all__ = [
 # ideals x rows x order in _product_lands, frontier rows x principal
 # ideals x order in the lattice closure, rows x sets x 64-bit words in the
 # containment test (_subsets), rows x order in quotients' endomorphism
-# search, maps x order x order in quotients' homomorphism law check, and
+# search, maps x order x order in quotients' homomorphism law check,
 # ideals x members x order or ideals x cosets x cosets in THM1's blocks of
-# quotients.
+# quotients, and a quotient's ideals x table rows x cosets when THM1 tests
+# the primes of one quotient on its table.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -121,10 +122,10 @@ def _subsets(rows: np.ndarray, sets: np.ndarray):
         yield start, strays == 0
 
 
-def _rows_of(ring, rows: np.ndarray) -> np.ndarray:
-    """The 2-d bool array whose row k marks the entries of row k of a 2-d
-    index array."""
-    inside = np.zeros((len(rows), ring.order), dtype=bool)
+def _rows_of(width: int, rows: np.ndarray) -> np.ndarray:
+    """The 2-d bool array, width columns wide, whose row k marks the
+    entries of row k of a 2-d index array."""
+    inside = np.zeros((len(rows), width), dtype=bool)
     inside[np.arange(len(rows))[:, None], rows] = True
     return inside
 
@@ -280,7 +281,7 @@ def unit_ideal(ring) -> Ideal:
 def principal_ideal(ring, a: int) -> Ideal:
     """The smallest ideal containing a: the set of multiples {a*r}."""
     a = ring._check_index(a)
-    return Ideal(ring, _pack(_rows_of(ring, ring.mul_table[a:a + 1]))[0])
+    return Ideal(ring, _pack(_rows_of(ring.order, ring.mul_table[a:a + 1]))[0])
 
 
 def ideal_generated(ring, elements) -> Ideal:
@@ -488,7 +489,7 @@ def all_ideals(ring) -> IdealLattice:
     """
     if ring._lattice is not None:
         return ring._lattice
-    principal_rows = _rows_of(ring, ring.mul_table)
+    principal_rows = _rows_of(ring.order, ring.mul_table)
     principals = _pack(principal_rows)
     generator: dict[int, int] = {}
     for a, principal in enumerate(principals):

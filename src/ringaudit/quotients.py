@@ -13,11 +13,15 @@ mask is proved an ideal. The representatives are read from the rows of the
 addition table at the member indices: addition is commutative, a validated
 law, so column a of those rows is the coset a+I. quotient_ring and
 audit_thm1 share one builder: _cosets gives the representatives of a block
-of ideals of one size, and _quotient makes the ring of one of them.
+of ideals of one size; _quotient makes the ring of one of them for
+quotient_ring.
 audit_thm1 runs _cosets on each block of the lattice's proper ideals and
 asks _domains, of the whole block, whether each quotient is a domain, by
-the definition, on the products of its representatives; it makes rings of
-the domains only.
+the definition, on the products of its representatives. It builds no ring
+for any quotient: _quotient_pprir reads the ideals of each domain quotient
+R/I off R's lattice, as the J/I for the ideals J that hold I (the
+correspondence theorem again), and tests each for primality and
+principality on the quotient's multiplication table.
 Homomorphisms are total index maps; a map given by the caller is trusted
 only once check_hom has verified the preservation laws exhaustively, which
 makes its kernel an ideal without a second check, while
@@ -46,7 +50,10 @@ from .ideals import (
     _check_ideal_laws,
     _flags_of,
     _pack,
+    _row_bytes,
+    _rows_of,
     _same_ring,
+    _subsets,
     all_ideals,
     is_pprir,
 )
@@ -370,24 +377,27 @@ def audit_thm1(ring: FiniteRing) -> ClaimOutcome:
     which holds as P is proper, and xy in {0} forces x in {0} or y in {0}.
     The contrapositive of the second is that no two nonzero cosets have
     product zero, which _domains reads off Q's multiplication table, pair
-    by pair: that is the definition, tested on Q itself, and R's own primes,
-    the other side of the claim, are never read for it. When Q is not a
-    domain the conjunction is false whatever is_pprir(Q) would say, so only
-    domains are built as rings, and only their lattices and spectra are
-    computed. The witness is the first proper ideal, in canonical order, on
-    which the two sides differ; an ideal that is neither prime nor a domain
-    quotient agrees.
+    by pair. When Q is not a domain the conjunction is false whatever Q's
+    primes are, so only the domains are asked the second question.
+    _quotient_pprir answers it without building Q as a ring or its lattice:
+    by the correspondence theorem (Atiyah-Macdonald, Prop. 1.1), Q's ideals
+    are the J/P for the ideals J of R's lattice that hold P, and each is
+    tested for primality and principality on Q's multiplication table. Both
+    questions are answered on Q itself: R's own primes and principal
+    generators, the other side of the claim, are never read for them. The
+    witness is the first proper ideal, in canonical order, on which the two
+    sides differ; an ideal that is neither prime nor a domain quotient
+    agrees.
 
     _domain_quotients asks the domain question of the lattice's proper
     ideals in blocks of one size, and so of one quotient order."""
     hypothesis, _ = is_pprir(ring)
     detail = f"all-primes-principal hypothesis: {hypothesis}"
     lattice = all_ideals(ring)
-    domains = _domain_quotients(ring, lattice)
+    holds = _quotient_pprir(ring, lattice, _domain_quotients(ring, lattice))
     primes = {lattice.index[mask] for mask in lattice.primes}
-    for k in sorted(primes | domains.keys()):
-        holds = k in domains and is_pprir(_quotient(ring, lattice.ideals[k], *domains[k])[0])[0]
-        if (k in primes) != holds:
+    for k in sorted(primes | holds.keys()):
+        if (k in primes) != holds.get(k, False):
             return ClaimOutcome(REFUTED, witness=str(lattice.ideals[k]), detail=detail)
     return ClaimOutcome(VERIFIED, detail=detail)
 
@@ -417,6 +427,47 @@ def _domain_quotients(ring: FiniteRing, lattice: IdealLattice) -> dict[int, tupl
             for k in _domains(ring, inside, reps).nonzero()[0].tolist():
                 found[int(block[k])] = (rep_of[k].copy(), reps[k].copy())
     return found
+
+
+def _quotient_pprir(
+    ring: FiniteRing, lattice: IdealLattice, rows: dict[int, tuple[np.ndarray, np.ndarray]]
+) -> dict[int, bool]:
+    """Whether every prime of Q = R/I_k is principal, for each lattice
+    position k mapped to its row of _cosets, with no ring and no lattice
+    built for Q.
+
+    Q's ideals are the J/I_k for the lattice ideals J that hold I_k
+    (Atiyah-Macdonald, Prop. 1.1), found for every k in one _subsets pass;
+    J = R is dropped, as R/I_k is Q itself. A coset a + I_k lies in J/I_k
+    exactly when a lies in J, as I_k lies in J, so J/I_k is J's row read at
+    the representatives. Q's multiplication table, its cosets numbered by
+    representative as _quotient numbers them, is gathered in row chunks of
+    about _BLOCK_CELLS cells, and on it, by the definitions:
+      - J/I_k is prime when no two cosets outside it have their product
+        inside it;
+      - J/I_k is principal when it is the set of multiples of one coset,
+        that is, one row of the table holds exactly its cosets.
+    Neither lattice.primes nor lattice.generator is read."""
+    positions = list(rows)
+    proper = ~lattice.inside.all(axis=1)
+    verdicts = {}
+    for start, within in _subsets(lattice.inside[positions], lattice.inside):
+        for k, over in zip(positions[start:start + len(within)], within):
+            rep_of, reps = rows[k]
+            m = len(reps)
+            coset_of = np.searchsorted(reps, rep_of)
+            ideals = lattice.inside[over & proper][:, reps]  # ideals[j, a]: coset a lies in J_j/I_k
+            outside = ~ideals
+            lands = np.zeros(len(ideals), dtype=bool)
+            multiples = set()  # the packed rows of the table, each a principal ideal
+            step = max(1, _BLOCK_CELLS // (len(ideals) * m))
+            for lo in range(0, m, step):
+                table = coset_of[ring.mul_table[reps[lo:lo + step, None], reps]]
+                cells = ideals[:, table] & outside[:, lo:lo + step, None] & outside[:, None]
+                lands |= np.logical_or.reduce(cells.reshape(len(ideals), -1), axis=1)
+                multiples.update(_row_bytes(_rows_of(m, table)))
+            verdicts[k] = multiples.issuperset(_row_bytes(ideals[~lands]))
+    return verdicts
 
 
 def audit_thm3(ring: FiniteRing) -> ClaimOutcome:

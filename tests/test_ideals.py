@@ -325,7 +325,7 @@ def test_blocks_of_any_size_give_the_same_lattice(monkeypatch, cells):
 
 
 def assert_primitive_idempotents_split_one(ring):
-    idempotents = _primitive_idempotents(ring, _pack(_rows_of(ring, ring.mul_table)))
+    idempotents = _primitive_idempotents(ring, _pack(_rows_of(ring.order, ring.mul_table)))
     assert idempotents and ring.zero not in idempotents, ring.label
     for i, e in enumerate(idempotents):
         assert ring.mul(e, e) == e, ring.label

@@ -18,6 +18,7 @@ from _oracles import (
     depth_first_endomorphisms,
     is_unital_hom,
     map_by_map_check_hom,
+    per_ideal_quotient,
     per_ideal_thm1,
     quotient_tables,
 )
@@ -437,26 +438,33 @@ def test_audit_thm1_refutes_on_planted_violation(monkeypatch, planted, witness):
 
 
 def test_audit_thm1_asks_is_pprir_of_domain_quotients_only(monkeypatch):
+    # is_pprir is asked of R alone, for the hypothesis; the quotient side's
+    # question goes to _quotient_pprir, and only for the domain quotients
     z12 = make_zn(12)
-    asked, domains = [], []
-    real_pprir, real_domains = quotients.is_pprir, quotients._domains
+    asked, answered, domains = [], [], []
+    real_pprir, real_domains, real_quotient_pprir = quotients.is_pprir, quotients._domains, quotients._quotient_pprir
 
     def recording_domains(ring, inside, reps):
         verdict = real_domains(ring, inside, reps)
         domains.extend(f"Z_12/{Ideal(ring, mask)}" for mask in np.array(_pack(inside), dtype=object)[verdict])
         return verdict
 
-    def planted(ring):
+    def recording_pprir(ring):
         asked.append(ring.label)
-        return (False, None) if ring.label == "Z_12/{0,3,6,9}" else real_pprir(ring)
+        return real_pprir(ring)
+
+    def planted(ring, lattice, rows):
+        verdicts = real_quotient_pprir(ring, lattice, rows)
+        answered.extend(f"Z_12/{lattice.ideals[k]}" for k in verdicts)
+        return {k: holds and str(lattice.ideals[k]) != "{0,3,6,9}" for k, holds in verdicts.items()}
 
     monkeypatch.setattr(quotients, "_domains", recording_domains)
-    monkeypatch.setattr(quotients, "is_pprir", planted)
+    monkeypatch.setattr(quotients, "is_pprir", recording_pprir)
+    monkeypatch.setattr(quotients, "_quotient_pprir", planted)
     out = quotients.audit_thm1(z12)
-    # R itself for the hypothesis, then, in canonical order, the quotients
-    # by the two primes, the only ones the domain test passed
-    assert asked == ["Z_12", "Z_12/{0,2,4,6,8,10}", "Z_12/{0,3,6,9}"]
-    assert sorted(domains) == asked[1:]
+    # the quotients by the two primes, the only ones the domain test passed
+    assert asked == ["Z_12"]
+    assert sorted(answered) == sorted(domains) == ["Z_12/{0,2,4,6,8,10}", "Z_12/{0,3,6,9}"]
     assert out.status == REFUTED
     assert out.witness == "{0,3,6,9}"
 
@@ -473,6 +481,8 @@ def assert_thm1_blocks_match_the_per_ideal_oracle(ring):
     from the block path, and audit_thm1 agrees with the oracle overall."""
     lattice = all_ideals(ring)
     domains = quotients._domain_quotients(ring, lattice)
+    verdicts = quotients._quotient_pprir(ring, lattice, domains)
+    assert verdicts.keys() == domains.keys()
     agree = True
     for k, ideal in enumerate(lattice.ideals):
         if not ideal.is_proper:
@@ -481,7 +491,7 @@ def assert_thm1_blocks_match_the_per_ideal_oracle(ring):
         domain, holds = per_ideal_thm1(ring, ideal)
         assert (k in domains) == domain, (ring.label, str(ideal))
         if domain:
-            assert is_pprir(quotients._quotient(ring, ideal, *domains[k])[0])[0] == holds, (ring.label, str(ideal))
+            assert verdicts[k] == holds, (ring.label, str(ideal))
         agree = agree and (ideal.members in lattice.primes) == holds
     assert (audit_thm1(ring).status == VERIFIED) == agree, ring.label
 
@@ -514,6 +524,47 @@ def test_thm1_blocks_match_the_per_ideal_oracle_on_random_products(ring):
     assert_thm1_blocks_match_the_per_ideal_oracle(ring)
 
 
+def assert_quotient_pprir_matches_the_oracle(ring):
+    """For every proper ideal I, not only those with a domain quotient,
+    _quotient_pprir's verdict is whether every prime of the ring R/I that
+    the per-ideal oracle builds is principal."""
+    lattice = all_ideals(ring)
+    rows = {}
+    for k, ideal in enumerate(lattice.ideals):
+        if ideal.is_proper:
+            inside = lattice.inside[k:k + 1]
+            rep_of, reps = quotients._cosets(ring, inside, inside.nonzero()[1][None])
+            rows[k] = rep_of[0], reps[0]
+    verdicts = quotients._quotient_pprir(ring, lattice, rows)
+    assert verdicts.keys() == rows.keys()
+    for k, holds in verdicts.items():
+        ideal = lattice.ideals[k]
+        assert holds == is_pprir(per_ideal_quotient(ring, ideal))[0], (ring.label, str(ideal))
+
+
+@pytest.mark.parametrize("block_cells", [1, quotients._BLOCK_CELLS])
+def test_quotient_pprir_matches_the_oracle_on_every_proper_quotient(corpus, ring_a, monkeypatch, block_cells):
+    # one cell per block makes every chunk of the quotient's table one row
+    monkeypatch.setattr(quotients, "_BLOCK_CELLS", block_cells)
+    past = [
+        make_zn(128),
+        make_boolean(6),
+        make_product([make_zn(4)] * 3),
+        _zero_product_algebra(6),
+        make_product([ring_a, make_zn(4)]),
+    ]
+    for ring in [*corpus, *past]:
+        assert_quotient_pprir_matches_the_oracle(ring)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_products(), st.sampled_from([1, quotients._BLOCK_CELLS]))
+def test_quotient_pprir_matches_the_oracle_on_random_products(ring, block_cells):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quotients, "_BLOCK_CELLS", block_cells)
+        assert_quotient_pprir_matches_the_oracle(ring)
+
+
 def test_quotient_ring_tables_match_the_block_builder(corpus):
     # each size's proper ideals as one block: the rows it gives build the
     # tables and the projection quotient_ring gives one ideal at a time
@@ -534,9 +585,9 @@ def test_quotient_ring_tables_match_the_block_builder(corpus):
                 assert tuple(coset_of.tolist()) == pres.projection.mapping
 
 
-def test_audit_thm1_builds_rings_for_domain_quotients_only(monkeypatch):
-    # Z_12 has six proper ideals; only the quotients by its two primes are
-    # domains, and only those become rings
+def test_audit_thm1_builds_no_quotient_ring(monkeypatch):
+    # Z_12 has six proper ideals, two of them with a domain quotient; none
+    # of the quotients is built as a ring, so none gets a lattice either
     built = []
     trusted = FiniteRing._trusted.__func__
 
@@ -548,7 +599,7 @@ def test_audit_thm1_builds_rings_for_domain_quotients_only(monkeypatch):
     z12 = make_zn(12)
     monkeypatch.setattr(FiniteRing, "_trusted", classmethod(recording))
     assert audit_thm1(z12).status == VERIFIED
-    assert built == ["Z_12/{0,2,4,6,8,10}", "Z_12/{0,3,6,9}"]
+    assert built == []
 
 
 def test_audit_thm3_verified_and_skipped(ring_a):
