@@ -1,9 +1,9 @@
 """Ideal enumeration and the ideal- and ring-level predicates.
 
 Ideals are bitmasks over element indices, kept in range by the Ideal type;
-the ideal laws are checked once, on a block of bool rows and their member
-indices, by the helper that ideal_from_members, quotient_ring and THM1
-share (_check_ideal_laws). The full lattice of a ring is
+the ideal laws are checked once, on a block of bool rows of any size and
+their member indices, by the helper that ideal_from_members, quotient_ring
+and THM1 share (_check_ideal_laws). The full lattice of a ring is
 built one local factor eR at a time, for the primitive idempotents e: the
 ideals inside eR are the closure under sum of the principal ideals there,
 and an ideal of R is the intersection of the preimages {x : ex in J} of one
@@ -19,11 +19,13 @@ intersection of the primes over its ideal, for one ideal or, in
 primary_ideals, for a block of them. Containment between ideals has one
 block test, _subsets, on packed words: the maximal ideals, is_maximal's
 one ideal, the containment pairs and to_dot's covers all read it.
-is_prime, is_primary, primary_ideals and the lattice's primes share one
-question, whether some product of an x from one set and a y from another
-lands in the ideal, and one helper, _product_lands, answers it for a block
-of ideals a few table rows at a time; an ideal leaves the block at the
-first chunk that holds such a product.
+is_prime, is_primary, primary_ideals, the lattice's primes and THM1's
+quotient side (whether R/P is a domain, whether J/P is prime in it) share
+one question, whether some product of an x from one set and a y from
+another lands in the ideal, and one helper, _product_lands, answers it for
+a block of ideals a few table rows at a time, reading only the rows of the
+x asked for; an ideal leaves the block at the first chunk that holds such
+a product.
 Canonical order is lexicographic on the sorted member-index tuples;
 wherever a witness is chosen it is the first candidate in canonical order.
 """
@@ -70,10 +72,9 @@ __all__ = [
 # ideals x rows x order in _product_lands, frontier rows x principal
 # ideals x order in the lattice closure, rows x sets x 64-bit words in the
 # containment test (_subsets), rows x order in quotients' endomorphism
-# search, maps x order x order in quotients' homomorphism law check,
-# ideals x members x order or ideals x cosets x cosets in THM1's blocks of
-# quotients, and a quotient's ideals x table rows x cosets when THM1 tests
-# the primes of one quotient on its table.
+# search, maps x order x order in quotients' homomorphism law check, and
+# ideals x members x order in THM1's blocks of quotients, each row's
+# members padded to the block's largest count.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -192,8 +193,10 @@ def ideal_from_members(ring, members) -> Ideal:
 
 def _check_ideal_laws(ring, inside: np.ndarray, members: np.ndarray) -> None:
     """Raise ValueError naming the first violated ideal law of the first
-    row of a K x order bool block that breaks one, given members, the
-    K x s member indices of its rows, each row in increasing order.
+    row of a K x order bool block that breaks one. The rows may be of any
+    size: members holds the K x s member indices of the rows, s the largest
+    count, each row padded with one of its members (its least) where it has
+    fewer; a repeated member adds no new sum or product.
 
     The check asks for zero, for a+b in I for every two members, and for
     a*s in I for every member a and every s in the ring's additive
@@ -214,7 +217,7 @@ def _check_ideal_laws(ring, inside: np.ndarray, members: np.ndarray) -> None:
         k = (~inside[:, ring.zero] | ~np.logical_and.reduce(found, axis=(1, 2))).argmax()
         if not inside[k, ring.zero]:
             raise ValueError("not an ideal: zero is missing")
-        _name_violation(ring, inside[k], members[k])
+        _name_violation(ring, inside[k], np.flatnonzero(inside[k]))
 
 
 def _name_violation(ring, inside: np.ndarray, idx: np.ndarray) -> None:
@@ -526,31 +529,35 @@ def _product_lands(ring, inside: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> 
     """For each row k of the K x order bool blocks inside, xs and ys, whether
     some x with xs[k, x] and y with ys[k, y] have xy in inside[k].
 
-    is_prime, is_primary and the lattice's primes all ask this of every
-    pair in a block of the multiplication table. The block is tested a few
-    table rows at a time for a group of ideals, at most about _BLOCK_CELLS
-    cells each step, and an ideal leaves the block at the first chunk of
-    rows that holds such a product for it. So an ideal that fails its
-    predicate is usually settled by its first rows, the rows per step grow
-    as ideals leave, and memory stays at one step whatever the order or the
-    number of ideals."""
+    is_prime, is_primary, the lattice's primes and THM1's quotients all ask
+    this of every pair in a block of the multiplication table. Only the
+    table rows of the x that some row of xs holds are read, so a sparse xs,
+    such as THM1's coset representatives, reads few rows. They are tested a
+    few at a time for a group of ideals, at most about _BLOCK_CELLS cells
+    each step, and an ideal leaves the block at the first chunk of rows that
+    holds such a product for it. So an ideal that fails its predicate is
+    usually settled by its first rows, the rows per step grow as ideals
+    leave, and memory stays at one step whatever the order or the number of
+    ideals."""
     n = ring.order
     lands = np.zeros(len(inside), dtype=bool)
     open_ = np.arange(len(inside))  # inside, xs and ys keep the open rows only
+    asked = np.flatnonzero(np.logical_or.reduce(xs, axis=0))  # the x some row holds
     start = 0
-    while start < n and len(open_):
+    while start < len(asked) and len(open_):
         rows = max(1, _BLOCK_CELLS // (n * len(open_)))
         group = max(1, _BLOCK_CELLS // (n * rows))
-        products = ring.mul_table[start:start + rows]
+        chunk = asked[start:start + rows]
+        products = ring.mul_table[chunk]
         hit = np.empty(len(open_), dtype=bool)
         for g in range(0, len(open_), group):
             cells = np.take(inside[g:g + group], products, axis=1)
-            cells &= xs[g:g + group, start:start + rows, None]
+            cells &= xs[g:g + group, chunk, None]
             cells &= ys[g:g + group, None]
             hit[g:g + group] = np.logical_or.reduce(cells.reshape(len(cells), -1), axis=1)
         lands[open_] = hit
         start += rows
-        if start < n and hit.any():
+        if start < len(asked) and hit.any():
             keep = ~hit
             open_, inside, xs, ys = open_[keep], inside[keep], xs[keep], ys[keep]
     return lands

@@ -4,24 +4,24 @@ structural audits that depend on them.
 Quotients are presented by the projection onto minimal-index coset
 representatives; the coset partition is read off it only when asked
 for. The Ideal type keeps a mask in range; the ideal laws are checked
-once, on a block of member rows (ideals._check_ideal_laws), and by the
-correspondence theorem the induced tables then form a ring, the projection
-is a surjective homomorphism and its kernel is the ideal, so none of that
-is re-verified (the tests do it for every corpus quotient). The check stays
-even for the lattice ideals audit_thm1 passes, as the one place a caller's
-mask is proved an ideal. The representatives are read from the rows of the
-addition table at the member indices: addition is commutative, a validated
-law, so column a of those rows is the coset a+I. quotient_ring and
-audit_thm1 share one builder: _cosets gives the representatives of a block
-of ideals of one size; _quotient makes the ring of one of them for
-quotient_ring.
-audit_thm1 runs _cosets on each block of the lattice's proper ideals and
-asks _domains, of the whole block, whether each quotient is a domain, by
-the definition, on the products of its representatives. It builds no ring
-for any quotient: _quotient_pprir reads the ideals of each domain quotient
-R/I off R's lattice, as the J/I for the ideals J that hold I (the
-correspondence theorem again), and tests each for primality and
-principality on the quotient's multiplication table.
+once, on a block of member rows of any size (ideals._check_ideal_laws),
+and by the correspondence theorem the induced tables then form a ring,
+the projection is a surjective homomorphism and its kernel is the ideal,
+so none of that is re-verified (the tests do it for every corpus
+quotient). The check stays even for the lattice ideals audit_thm1 passes,
+as the one place a caller's mask is proved an ideal. The representatives
+are read from the rows of the addition table at the member indices:
+addition is commutative, a validated law, so column a of those rows is
+the coset a+I. quotient_ring and audit_thm1 share that one step, _cosets,
+on a block of ideals of any size; quotient_ring numbers the cosets of its
+one ideal and builds the ring.
+audit_thm1 builds no ring, lattice or table for any quotient. It asks
+every product question of R's own rows with ideals._product_lands, xs and
+ys the representatives of P outside the ideal asked about: whether R/P is
+a domain (_domain_quotients, blocks of the lattice's proper ideals), and,
+for the domains, whether each J/P with J a lattice ideal over P is prime,
+then principal (_quotient_pprir, one batch of pairs (P, J) for all the
+domains).
 Homomorphisms are total index maps; a map given by the caller is trusted
 only once check_hom has verified the preservation laws exhaustively, which
 makes its kernel an ideal without a second check, while
@@ -50,7 +50,7 @@ from .ideals import (
     _check_ideal_laws,
     _flags_of,
     _pack,
-    _row_bytes,
+    _product_lands,
     _rows_of,
     _same_ring,
     _subsets,
@@ -118,37 +118,17 @@ class QuotientPresentation:
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
     """Quotient by a proper ideal. Quotienting by R itself is rejected:
     the result would be the zero ring, and a mask that is not an ideal
-    raises ValueError naming the first violated ideal law."""
+    raises ValueError naming the first violated ideal law.
+
+    Cosets are numbered in the order of their representatives, and cell
+    (a, b) of each table is the coset of the ring's cell at the
+    representatives a, b. The correspondence theorem makes the tables a
+    ring, so it is built trusted."""
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         raise ValueError("cannot quotient by the whole ring (the zero ring is excluded)")
-    inside = _flags_of(ring, ideal.members)[None]
-    rep_of, reps = _cosets(ring, inside, inside.nonzero()[1][None])
-    quotient, coset_of = _quotient(ring, ideal, rep_of[0], reps[0])
-    projection = RingHom(ring, quotient, tuple(coset_of.tolist()))
-    return QuotientPresentation(ring, ideal, quotient, projection)
-
-
-def _cosets(ring: FiniteRing, inside: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rep_of, reps) for the ideals in the rows of a K x order bool block,
-    given their K x s member indices, once _check_ideal_laws has proved
-    every row an ideal: rep_of[k, a] is the representative of the coset
-    a + I_k, and reps[k] lists the order/s representatives of I_k in
-    increasing order.
-
-    The coset a+I is column a of the rows i in I of the addition table,
-    which is commutative; its minimal member is the representative."""
-    _check_ideal_laws(ring, inside, members)
-    rep_of = np.minimum.reduce(ring.add_table[members], axis=1)
-    return rep_of, (rep_of == np.arange(ring.order)).nonzero()[1].reshape(len(inside), -1)
-
-
-def _quotient(ring: FiniteRing, ideal: Ideal, rep_of: np.ndarray, reps: np.ndarray) -> tuple[FiniteRing, np.ndarray]:
-    """The ring R/I and the coset index of each element, from one row of
-    _cosets: cosets are ordered by representative, and the cell (a, b) of
-    each table is the coset of the ring's cell at the representatives a, b.
-    The correspondence theorem makes the tables a ring, so it is built
-    trusted."""
+    rep_of = _cosets(ring, _flags_of(ring, ideal.members)[None])[0]
+    reps = np.flatnonzero(rep_of == np.arange(ring.order))
     coset_of = np.searchsorted(reps, rep_of)
     quotient = FiniteRing._trusted(
         len(reps),
@@ -158,22 +138,26 @@ def _quotient(ring: FiniteRing, ideal: Ideal, rep_of: np.ndarray, reps: np.ndarr
         f"{ring.label}/{ideal}",
         element_names=[f"[{ring.element_names[r]}]" for r in reps.tolist()],
     )
-    return quotient, coset_of
+    return QuotientPresentation(ring, ideal, quotient, RingHom(ring, quotient, tuple(coset_of.tolist())))
 
 
-def _domains(ring: FiniteRing, inside: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """Whether the quotient by each ideal of a block, with the
-    representatives _cosets gives, is a domain, read off its
-    multiplication table with each cell reduced to "is zero".
+def _cosets(ring: FiniteRing, inside: np.ndarray) -> np.ndarray:
+    """rep_of for the ideals in the rows of a K x order bool block, rows of
+    any size, after _check_ideal_laws has proved every row an ideal:
+    rep_of[k, a] is the representative of the coset a + I_k, its least
+    member.
 
-    The product of the cosets of a and b is the coset of ab, and that is
-    the quotient's zero, the coset I, exactly when ab lies in I. Zero times
-    anything is zero, so the m x m table is zero in the 2m - 1 cells of
-    zero's row and column; the quotient is a domain when no other cell, a
-    product of two nonzero cosets, is zero."""
-    products = ring.mul_table[reps[:, :, None], reps[:, None, :]]
-    products += np.arange(0, inside.size, ring.order)[:, None, None]  # row k's products index row k of the block
-    return np.add.reduce(inside.ravel()[products], axis=(1, 2)) == 2 * reps.shape[1] - 1
+    The coset a+I is column a of the rows i in I of the addition table,
+    which is commutative; its minimal member is the representative. The
+    check and the gather read each row's member indices, padded to the
+    block's largest count with the row's least member, which repeats a
+    row of the gather and so leaves the minimum as it is."""
+    count = np.cumsum(inside, axis=1)  # count[k, x]: the members of row k up to x
+    members = inside.argmax(axis=1)[:, None].repeat(count[:, -1].max(), axis=1)
+    k, x = inside.nonzero()
+    members[k, count[k, x] - 1] = x
+    _check_ideal_laws(ring, inside, members)
+    return np.minimum.reduce(ring.add_table[members], axis=1)
 
 
 def check_hom(hom: RingHom) -> bool:
@@ -371,30 +355,23 @@ def audit_thm1(ring: FiniteRing) -> ClaimOutcome:
     prime ideal is principal. Also records whether R itself has all primes
     principal (the hypothesis side).
 
-    Each quotient Q is asked two things, by their definitions: whether it is
-    a domain, and, only when it is, whether every prime of Q is principal.
-    Q is a domain when its zero ideal {0} is prime: Q is not the zero ring,
-    which holds as P is proper, and xy in {0} forces x in {0} or y in {0}.
-    The contrapositive of the second is that no two nonzero cosets have
-    product zero, which _domains reads off Q's multiplication table, pair
-    by pair. When Q is not a domain the conjunction is false whatever Q's
-    primes are, so only the domains are asked the second question.
-    _quotient_pprir answers it without building Q as a ring or its lattice:
-    by the correspondence theorem (Atiyah-Macdonald, Prop. 1.1), Q's ideals
-    are the J/P for the ideals J of R's lattice that hold P, and each is
-    tested for primality and principality on Q's multiplication table. Both
-    questions are answered on Q itself: R's own primes and principal
-    generators, the other side of the claim, are never read for them. The
-    witness is the first proper ideal, in canonical order, on which the two
-    sides differ; an ideal that is neither prime nor a domain quotient
-    agrees.
-
-    _domain_quotients asks the domain question of the lattice's proper
-    ideals in blocks of one size, and so of one quotient order."""
+    Each quotient Q = R/P is asked two things, by their definitions: whether
+    it is a domain (_domain_quotients), and, only when it is, whether every
+    prime of Q is principal (_quotient_pprir). When Q is not a domain the
+    conjunction is false whatever Q's primes are. Neither builds Q as a ring
+    or its lattice: both ask their product questions of R's own rows, with
+    _product_lands, through P's coset representatives, and by the
+    correspondence theorem (Atiyah-Macdonald, Prop. 1.1) Q's ideals are the
+    J/P for the ideals J of R's lattice that hold P. Both questions are
+    answered on Q itself: R's own primes and principal generators, the
+    other side of the claim, are never read for them. The witness is the
+    first proper ideal, in canonical order, on which the two sides differ;
+    an ideal that is neither prime nor a domain quotient agrees."""
     hypothesis, _ = is_pprir(ring)
     detail = f"all-primes-principal hypothesis: {hypothesis}"
     lattice = all_ideals(ring)
-    holds = _quotient_pprir(ring, lattice, _domain_quotients(ring, lattice))
+    positions, rep_of = _domain_quotients(ring, lattice)
+    holds = dict(zip(positions.tolist(), _quotient_pprir(ring, lattice, positions, rep_of).tolist()))
     primes = {lattice.index[mask] for mask in lattice.primes}
     for k in sorted(primes | holds.keys()):
         if (k in primes) != holds.get(k, False):
@@ -402,72 +379,67 @@ def audit_thm1(ring: FiniteRing) -> ClaimOutcome:
     return ClaimOutcome(VERIFIED, detail=detail)
 
 
-def _domain_quotients(ring: FiniteRing, lattice: IdealLattice) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The lattice position of every proper ideal whose quotient is a
-    domain, mapped to its row of _cosets.
+def _domain_quotients(ring: FiniteRing, lattice: IdealLattice) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice positions of the proper ideals P whose quotient
+    Q = R/P is a domain, with their rows of _cosets.
 
-    The lattice's positions are sorted by size, so that each block's
-    quotients share one order m; R's group, the last, is left out. Each
-    group is cut into blocks of about _BLOCK_CELLS cells of its largest
-    gathers, the s x order rows of the addition table and the m x m
-    products, and only one block's rows are copied out at a time."""
+    Q is a domain when its zero ideal is prime: Q is not the zero ring, as
+    P is proper, and no two nonzero cosets have product zero. The product
+    of the cosets of a and b is the coset of ab, which is zero exactly when
+    ab lies in P; so Q is a domain when no two representatives outside P
+    have their product in P. The proper ideals go in order of size, R, the
+    largest, left out, in blocks of about _BLOCK_CELLS cells of the
+    addition rows gathered at the members, padded to the block's largest
+    size: one ideal-law check, one gather and one _product_lands call a
+    block."""
     n = ring.order
     sizes = np.add.reduce(lattice.inside, axis=1)
-    by_size = np.argsort(sizes, kind="stable")
-    sizes = sizes[by_size]
-    starts = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist()]
-    found = {}
-    for start, stop in zip(starts, starts[1:]):
-        s = int(sizes[start])
-        step = max(1, _BLOCK_CELLS // max(s * n, (n // s) ** 2))
-        for lo in range(start, stop, step):
-            block = by_size[lo:min(lo + step, stop)]
-            inside = lattice.inside[block]
-            rep_of, reps = _cosets(ring, inside, inside.nonzero()[1].reshape(len(block), s))
-            for k in _domains(ring, inside, reps).nonzero()[0].tolist():
-                found[int(block[k])] = (rep_of[k].copy(), reps[k].copy())
-    return found
+    by_size = np.argsort(sizes, kind="stable")[:-1]
+    cuts = [0]
+    for i, s in enumerate(sizes[by_size].tolist()):
+        if i > cuts[-1] and (i + 1 - cuts[-1]) * s * n > _BLOCK_CELLS:
+            cuts.append(i)
+    found = []
+    for block in np.split(by_size, cuts[1:]):
+        inside = lattice.inside[block]
+        rep_of = _cosets(ring, inside)
+        outside = (rep_of == np.arange(n)) & ~inside  # the representatives outside P
+        domain = ~_product_lands(ring, inside, outside, outside)
+        found.append((block[domain], rep_of[domain]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
-def _quotient_pprir(
-    ring: FiniteRing, lattice: IdealLattice, rows: dict[int, tuple[np.ndarray, np.ndarray]]
-) -> dict[int, bool]:
-    """Whether every prime of Q = R/I_k is principal, for each lattice
-    position k mapped to its row of _cosets, with no ring and no lattice
-    built for Q.
+def _quotient_pprir(ring: FiniteRing, lattice: IdealLattice, positions: np.ndarray, rep_of: np.ndarray) -> np.ndarray:
+    """Whether every prime of Q = R/P is principal, for the proper ideals P
+    at the lattice positions, given their rows of _cosets, with no ring, no
+    lattice and no table built for Q.
 
-    Q's ideals are the J/I_k for the lattice ideals J that hold I_k
-    (Atiyah-Macdonald, Prop. 1.1), found for every k in one _subsets pass;
-    J = R is dropped, as R/I_k is Q itself. A coset a + I_k lies in J/I_k
-    exactly when a lies in J, as I_k lies in J, so J/I_k is J's row read at
-    the representatives. Q's multiplication table, its cosets numbered by
-    representative as _quotient numbers them, is gathered in row chunks of
-    about _BLOCK_CELLS cells, and on it, by the definitions:
-      - J/I_k is prime when no two cosets outside it have their product
-        inside it;
-      - J/I_k is principal when it is the set of multiples of one coset,
-        that is, one row of the table holds exactly its cosets.
+    Q's ideals are the J/P for the lattice ideals J that hold P
+    (Atiyah-Macdonald, Prop. 1.1), found for every P in one _subsets pass;
+    J = R is dropped, as R/P is Q itself. A coset a + P lies in J/P exactly
+    when a lies in J, as P lies in J, and the product of the cosets of a and
+    b is the coset of ab. So on R's rows, with a, b and c running over P's
+    representatives, by the definitions:
+      - J/P is prime when no two representatives outside J have their
+        product in J: one _product_lands call over the pairs (P, J) of
+        each containment block;
+      - J/P is principal when some c in J has {rep_of[c*x] : x in R}, the
+        representatives of the multiples of c + P, equal to J's.
     Neither lattice.primes nor lattice.generator is read."""
-    positions = list(rows)
+    reps = rep_of == np.arange(ring.order)
     proper = ~lattice.inside.all(axis=1)
-    verdicts = {}
+    holds = np.ones(len(positions), dtype=bool)
     for start, within in _subsets(lattice.inside[positions], lattice.inside):
-        for k, over in zip(positions[start:start + len(within)], within):
-            rep_of, reps = rows[k]
-            m = len(reps)
-            coset_of = np.searchsorted(reps, rep_of)
-            ideals = lattice.inside[over & proper][:, reps]  # ideals[j, a]: coset a lies in J_j/I_k
-            outside = ~ideals
-            lands = np.zeros(len(ideals), dtype=bool)
-            multiples = set()  # the packed rows of the table, each a principal ideal
-            step = max(1, _BLOCK_CELLS // (len(ideals) * m))
-            for lo in range(0, m, step):
-                table = coset_of[ring.mul_table[reps[lo:lo + step, None], reps]]
-                cells = ideals[:, table] & outside[:, lo:lo + step, None] & outside[:, None]
-                lands |= np.logical_or.reduce(cells.reshape(len(ideals), -1), axis=1)
-                multiples.update(_row_bytes(_rows_of(m, table)))
-            verdicts[k] = multiples.issuperset(_row_bytes(ideals[~lands]))
-    return verdicts
+        p, j = (within & proper).nonzero()
+        inside, own = lattice.inside[j], reps[start + p]
+        outside = own & ~inside
+        prime = ~_product_lands(ring, inside, outside, outside)
+        p, own = start + p[prime], own[prime] & inside[prime]  # the representatives in each prime J
+        t, c = own.nonzero()
+        multiples = _rows_of(ring.order, rep_of[p[t, None], ring.mul_table[c]])
+        principal = np.bincount(t[np.logical_and.reduce(multiples == own[t], axis=1)], minlength=len(p)) > 0
+        holds[p[~principal]] = False
+    return holds
 
 
 def audit_thm3(ring: FiniteRing) -> ClaimOutcome:

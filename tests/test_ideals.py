@@ -687,6 +687,39 @@ def test_primary_against_definitional_oracle(small_corpus_rings):
             assert is_primary(ring, ideal) == expected, (ring.label, str(ideal))
 
 
+@st.composite
+def product_questions(draw):
+    """A ring and K x order bool blocks inside, xs and ys for
+    _product_lands: random rows, with xs and ys drawn sparse as often as
+    dense, some rows all False, and K = 0 among the sizes."""
+    ring = draw(st.sampled_from(CHECKED_RINGS + (make_zn(64), make_boolean(6))))
+    k = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def block(density):
+        rows = rng.random((k, ring.order)) < density
+        rows[rng.random(k) < 0.2] = False
+        return rows
+
+    sparse = st.sampled_from((0.02, 0.1, 0.5, 1.0))
+    return ring, block(draw(sparse)), block(draw(sparse)), block(draw(sparse))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(product_questions(), st.sampled_from([1, ideals._BLOCK_CELLS]))
+def test_product_lands_matches_brute_force(question, block_cells):
+    # whether some x in xs[k] and y in ys[k] have xy in inside[k], asked
+    # pair by pair; a sparse xs reads only its own table rows
+    ring, inside, xs, ys = question
+    expected = [
+        any(inside[k, ring.mul(int(x), int(y))] for x in np.flatnonzero(xs[k]) for y in np.flatnonzero(ys[k]))
+        for k in range(len(inside))
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ideals, "_BLOCK_CELLS", block_cells)
+        assert ideals._product_lands(ring, inside, xs, ys).tolist() == expected
+
+
 @pytest.mark.parametrize(
     "moduli", [[512], [2, 256], [4, 8, 16]], ids=lambda m: "x".join(map(str, m)),
 )

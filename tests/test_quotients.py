@@ -3,6 +3,7 @@
 import hashlib
 import json
 import runpy
+import tracemalloc
 from itertools import product as cartesian
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ringaudit.ideals as ideals
 import ringaudit.quotients as quotients
 from _oracles import (
     brute_force_endos,
@@ -25,9 +27,11 @@ from _oracles import (
 from _strategies import fp_algebras, small_products
 from ringaudit.ideals import (
     Ideal,
+    _flags_of,
     _pack,
     all_ideals,
     classify_ring,
+    ideal_from_members,
     ideal_generated,
     is_pprir,
     is_prime,
@@ -421,17 +425,18 @@ def test_audit_thm1_details(ring_a):
 
 @pytest.mark.parametrize("planted, witness", [((4,), 4), ((6, 4), 4), ((2, 3), 2)])
 def test_audit_thm1_refutes_on_planted_violation(monkeypatch, planted, witness):
-    # the quotient-side domain test gives the wrong answer on the quotients
-    # by the planted principal ideals of Z_12; the witness is the first of
-    # them in canonical order
+    # the quotient side's product test gives the wrong answer wherever it
+    # asks about the planted principal ideals of Z_12, so their quotients'
+    # domain verdicts flip; the witness is the first of them in canonical
+    # order
     z12 = make_zn(12)
     wrong = {principal_ideal(z12, a).members for a in planted}
-    real = quotients._domains
+    real = quotients._product_lands
 
-    def planted_domains(ring, inside, reps):
-        return real(ring, inside, reps) != np.isin(_pack(inside), list(wrong))
+    def planted_lands(ring, inside, xs, ys):
+        return real(ring, inside, xs, ys) != np.isin(_pack(inside), list(wrong))
 
-    monkeypatch.setattr(quotients, "_domains", planted_domains)
+    monkeypatch.setattr(quotients, "_product_lands", planted_lands)
     out = quotients.audit_thm1(z12)
     assert out.status == REFUTED
     assert out.witness == str(principal_ideal(z12, witness))
@@ -442,23 +447,23 @@ def test_audit_thm1_asks_is_pprir_of_domain_quotients_only(monkeypatch):
     # question goes to _quotient_pprir, and only for the domain quotients
     z12 = make_zn(12)
     asked, answered, domains = [], [], []
-    real_pprir, real_domains, real_quotient_pprir = quotients.is_pprir, quotients._domains, quotients._quotient_pprir
+    real_pprir, real_domains, real_quotient_pprir = quotients.is_pprir, quotients._domain_quotients, quotients._quotient_pprir
 
-    def recording_domains(ring, inside, reps):
-        verdict = real_domains(ring, inside, reps)
-        domains.extend(f"Z_12/{Ideal(ring, mask)}" for mask in np.array(_pack(inside), dtype=object)[verdict])
-        return verdict
+    def recording_domains(ring, lattice):
+        positions, rep_of = real_domains(ring, lattice)
+        domains.extend(f"Z_12/{lattice.ideals[k]}" for k in positions.tolist())
+        return positions, rep_of
 
     def recording_pprir(ring):
         asked.append(ring.label)
         return real_pprir(ring)
 
-    def planted(ring, lattice, rows):
-        verdicts = real_quotient_pprir(ring, lattice, rows)
-        answered.extend(f"Z_12/{lattice.ideals[k]}" for k in verdicts)
-        return {k: holds and str(lattice.ideals[k]) != "{0,3,6,9}" for k, holds in verdicts.items()}
+    def planted(ring, lattice, positions, rep_of):
+        holds = real_quotient_pprir(ring, lattice, positions, rep_of)
+        answered.extend(f"Z_12/{lattice.ideals[k]}" for k in positions.tolist())
+        return holds & np.array([str(lattice.ideals[k]) != "{0,3,6,9}" for k in positions.tolist()], dtype=bool)
 
-    monkeypatch.setattr(quotients, "_domains", recording_domains)
+    monkeypatch.setattr(quotients, "_domain_quotients", recording_domains)
     monkeypatch.setattr(quotients, "is_pprir", recording_pprir)
     monkeypatch.setattr(quotients, "_quotient_pprir", planted)
     out = quotients.audit_thm1(z12)
@@ -476,20 +481,27 @@ def _zero_product_algebra(dim):
     return ring_from_document({"kind": "algebra", "p": 2, "basis_names": names, "mul": products})
 
 
+def _block_cells(patch, cells):
+    """Set the block budget of both modules: quotients' blocks of ideals and
+    the row chunks of ideals._product_lands."""
+    patch.setattr(quotients, "_BLOCK_CELLS", cells)
+    patch.setattr(ideals, "_BLOCK_CELLS", cells)
+
+
 def assert_thm1_blocks_match_the_per_ideal_oracle(ring):
     """Every proper ideal gets the oracle's domain verdict and THM1 verdict
     from the block path, and audit_thm1 agrees with the oracle overall."""
     lattice = all_ideals(ring)
-    domains = quotients._domain_quotients(ring, lattice)
-    verdicts = quotients._quotient_pprir(ring, lattice, domains)
-    assert verdicts.keys() == domains.keys()
+    positions, rep_of = quotients._domain_quotients(ring, lattice)
+    verdicts = dict(zip(positions.tolist(), quotients._quotient_pprir(ring, lattice, positions, rep_of).tolist()))
+    assert len(verdicts) == len(positions) == len(rep_of)
     agree = True
     for k, ideal in enumerate(lattice.ideals):
         if not ideal.is_proper:
-            assert k not in domains
+            assert k not in verdicts
             continue
         domain, holds = per_ideal_thm1(ring, ideal)
-        assert (k in domains) == domain, (ring.label, str(ideal))
+        assert (k in verdicts) == domain, (ring.label, str(ideal))
         if domain:
             assert verdicts[k] == holds, (ring.label, str(ideal))
         agree = agree and (ideal.members in lattice.primes) == holds
@@ -499,7 +511,7 @@ def assert_thm1_blocks_match_the_per_ideal_oracle(ring):
 @pytest.mark.parametrize("block_cells", [1, quotients._BLOCK_CELLS])
 def test_thm1_blocks_match_the_per_ideal_oracle_on_the_corpus(corpus, monkeypatch, block_cells):
     # one cell per block makes every block a single row
-    monkeypatch.setattr(quotients, "_BLOCK_CELLS", block_cells)
+    _block_cells(monkeypatch, block_cells)
     for ring in corpus:
         assert_thm1_blocks_match_the_per_ideal_oracle(ring)
 
@@ -515,37 +527,47 @@ def test_thm1_blocks_match_the_per_ideal_oracle_on_the_corpus(corpus, monkeypatc
     ids=["Z_128", "B_6", "Z_4^3", "zero-product-128"],
 )
 def test_thm1_blocks_match_the_per_ideal_oracle_past_the_corpus(build):
-    assert_thm1_blocks_match_the_per_ideal_oracle(build())
+    ring = build()
+    for cells in (1, quotients._BLOCK_CELLS):
+        with pytest.MonkeyPatch.context() as patch:
+            _block_cells(patch, cells)
+            assert_thm1_blocks_match_the_per_ideal_oracle(ring)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(small_products())
-def test_thm1_blocks_match_the_per_ideal_oracle_on_random_products(ring):
-    assert_thm1_blocks_match_the_per_ideal_oracle(ring)
+@given(small_products(), st.sampled_from([1, quotients._BLOCK_CELLS]))
+def test_thm1_blocks_match_the_per_ideal_oracle_on_random_products(ring, block_cells):
+    with pytest.MonkeyPatch.context() as patch:
+        _block_cells(patch, block_cells)
+        assert_thm1_blocks_match_the_per_ideal_oracle(ring)
+
+
+def _every_proper_quotient(ring):
+    """The lattice, the positions of its proper ideals and their rows of
+    _cosets, all as one block of mixed sizes."""
+    lattice = all_ideals(ring)
+    positions = np.flatnonzero(~lattice.inside.all(axis=1))
+    return lattice, positions, quotients._cosets(ring, lattice.inside[positions])
 
 
 def assert_quotient_pprir_matches_the_oracle(ring):
     """For every proper ideal I, not only those with a domain quotient,
     _quotient_pprir's verdict is whether every prime of the ring R/I that
-    the per-ideal oracle builds is principal."""
-    lattice = all_ideals(ring)
-    rows = {}
-    for k, ideal in enumerate(lattice.ideals):
-        if ideal.is_proper:
-            inside = lattice.inside[k:k + 1]
-            rep_of, reps = quotients._cosets(ring, inside, inside.nonzero()[1][None])
-            rows[k] = rep_of[0], reps[0]
-    verdicts = quotients._quotient_pprir(ring, lattice, rows)
-    assert verdicts.keys() == rows.keys()
-    for k, holds in verdicts.items():
+    the per-ideal oracle builds is principal. Returns the number of
+    quotients and of those with a non-principal prime."""
+    lattice, positions, rep_of = _every_proper_quotient(ring)
+    verdicts = quotients._quotient_pprir(ring, lattice, positions, rep_of)
+    assert len(verdicts) == len(positions)
+    for k, holds in zip(positions.tolist(), verdicts.tolist()):
         ideal = lattice.ideals[k]
         assert holds == is_pprir(per_ideal_quotient(ring, ideal))[0], (ring.label, str(ideal))
+    return len(verdicts), int(np.add.reduce(~verdicts))
 
 
 @pytest.mark.parametrize("block_cells", [1, quotients._BLOCK_CELLS])
 def test_quotient_pprir_matches_the_oracle_on_every_proper_quotient(corpus, ring_a, monkeypatch, block_cells):
-    # one cell per block makes every chunk of the quotient's table one row
-    monkeypatch.setattr(quotients, "_BLOCK_CELLS", block_cells)
+    # one cell per block makes every chunk of the product test one row
+    _block_cells(monkeypatch, block_cells)
     past = [
         make_zn(128),
         make_boolean(6),
@@ -553,36 +575,118 @@ def test_quotient_pprir_matches_the_oracle_on_every_proper_quotient(corpus, ring
         _zero_product_algebra(6),
         make_product([ring_a, make_zn(4)]),
     ]
-    for ring in [*corpus, *past]:
-        assert_quotient_pprir_matches_the_oracle(ring)
+    counts = [assert_quotient_pprir_matches_the_oracle(ring) for ring in [*corpus, *past]]
+    assert tuple(map(sum, zip(*counts))) == (765, 346)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(small_products(), st.sampled_from([1, quotients._BLOCK_CELLS]))
 def test_quotient_pprir_matches_the_oracle_on_random_products(ring, block_cells):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quotients, "_BLOCK_CELLS", block_cells)
+        _block_cells(patch, block_cells)
         assert_quotient_pprir_matches_the_oracle(ring)
 
 
+def assert_every_quotient_prime_matches_the_oracle(ring):
+    """For every proper P and every proper J that holds P, the prime
+    verdict _quotient_pprir asks _product_lands for, recorded as it is
+    asked, is is_prime of J/P in the oracle's R/P. The question for (P, J)
+    is "does a product of two of P's representatives outside J land in J",
+    so it is looked up by J's members and those representatives: a question
+    asked of other representatives is not found. Returns the number of
+    pairs checked."""
+    lattice, positions, rep_of = _every_proper_quotient(ring)
+    asked = {}
+    real = quotients._product_lands
+
+    def recording(ring, inside, xs, ys):
+        lands = real(ring, inside, xs, ys)
+        assert np.array_equal(xs, ys)
+        asked.update(zip(zip(_pack(inside), _pack(xs)), lands.tolist()))
+        return lands
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quotients, "_product_lands", recording)
+        quotients._quotient_pprir(ring, lattice, positions, rep_of)
+    pairs = 0
+    for p in positions.tolist():
+        ideal = lattice.ideals[p]
+        quotient = per_ideal_quotient(ring, ideal)
+        # the oracle's cosets, numbered in the order of their least members
+        reps = np.unique(ring.add_table[list(ideal.indices())].min(axis=0))
+        for j in positions.tolist():
+            over = lattice.ideals[j]
+            if ideal.members & ~over.members:
+                continue
+            inside = np.isin(reps, over.indices())
+            question = (over.members, sum(1 << int(a) for a in reps[~inside]))
+            image = Ideal(quotient, sum(1 << int(i) for i in np.flatnonzero(inside)))
+            assert asked[question] == (not is_prime(quotient, image)), (ring.label, str(ideal), str(over))
+            pairs += 1
+    return pairs
+
+
+def test_quotient_pprir_asks_the_oracle_quotients_prime_question_of_every_pair(corpus):
+    # every proper P, not only those with a domain quotient, so that a prime
+    # test that calls a non-prime J/P prime is seen even where every ideal
+    # of R/P is principal, and so every verdict would hold either way
+    past = [make_zn(128), make_boolean(6), make_product([make_zn(4)] * 3), _zero_product_algebra(6)]
+    pairs = [assert_every_quotient_prime_matches_the_oracle(ring) for ring in [*corpus, *past]]
+    assert all(pairs)
+
+
 def test_quotient_ring_tables_match_the_block_builder(corpus):
-    # each size's proper ideals as one block: the rows it gives build the
-    # tables and the projection quotient_ring gives one ideal at a time
+    # all proper ideals as one block of mixed sizes: the rows it gives build
+    # the tables and the projection quotient_ring gives one ideal at a time
     for ring in [*corpus, make_product([make_zn(4)] * 3)]:
-        lattice = all_ideals(ring)
-        for size in {len(ideal) for ideal in lattice.ideals if ideal.is_proper}:
-            positions = [k for k, ideal in enumerate(lattice.ideals) if len(ideal) == size]
-            inside = lattice.inside[positions]
-            rep_of, reps = quotients._cosets(ring, inside, inside.nonzero()[1].reshape(len(inside), -1))
-            for k, position in enumerate(positions):
-                ideal = lattice.ideals[position]
-                quotient, coset_of = quotients._quotient(ring, ideal, rep_of[k], reps[k])
-                pres = quotient_ring(ring, ideal)
-                assert np.array_equal(quotient.add_table, pres.quotient.add_table), (ring.label, str(ideal))
-                assert np.array_equal(quotient.mul_table, pres.quotient.mul_table), (ring.label, str(ideal))
-                assert (quotient.zero, quotient.one) == (pres.quotient.zero, pres.quotient.one)
-                assert quotient.element_names == pres.quotient.element_names
-                assert tuple(coset_of.tolist()) == pres.projection.mapping
+        lattice, positions, rep_of = _every_proper_quotient(ring)
+        for k, position in enumerate(positions.tolist()):
+            ideal = lattice.ideals[position]
+            reps = np.flatnonzero(rep_of[k] == np.arange(ring.order))
+            coset_of = np.searchsorted(reps, rep_of[k])
+            pres = quotient_ring(ring, ideal)
+            assert np.array_equal(coset_of[ring.add_table[reps[:, None], reps]], pres.quotient.add_table), (ring.label, str(ideal))
+            assert np.array_equal(coset_of[ring.mul_table[reps[:, None], reps]], pres.quotient.mul_table), (ring.label, str(ideal))
+            assert (coset_of[ring.zero], coset_of[ring.one]) == (pres.quotient.zero, pres.quotient.one)
+            assert tuple(f"[{ring.element_names[r]}]" for r in reps.tolist()) == pres.quotient.element_names
+            assert tuple(coset_of.tolist()) == pres.projection.mapping
+
+
+@pytest.mark.parametrize("planted, law", [
+    (["(0,0)", "(1,3)"], "(1,3)*(0,1) escapes"),
+    (["(0,0)", "(1,0)", "(0,3)"], "(0,3)+(1,0) escapes"),
+    (["(0,2)", "(0,4)"], "zero is missing"),
+    (["(0,0)", "(0,2)"], "missing -(0,2)"),
+])
+def test_a_planted_non_ideal_in_a_mixed_size_block_is_named_as_alone(planted, law):
+    # the proper ideals of Z_2xZ_6, of sizes 1 to 6, with a non-ideal row
+    # planted among them: the padded block names what ideal_from_members
+    # names for that row alone
+    ring = make_product([make_zn(2), make_zn(6)])
+    lattice = all_ideals(ring)
+    members = [ring.element_names.index(name) for name in planted]
+    proper = lattice.inside[~lattice.inside.all(axis=1)]
+    inside = np.concatenate((proper[:3], _flags_of(ring, sum(1 << a for a in members))[None], proper[3:]))
+    with pytest.raises(ValueError) as alone:
+        ideal_from_members(ring, members)
+    with pytest.raises(ValueError) as err:
+        quotients._cosets(ring, inside)
+    assert str(err.value) == str(alone.value) == f"not an ideal: {law}"
+
+
+def test_audit_thm1_on_z2039_allocates_no_square_table():
+    # Z_2039/{0} is the largest domain a ring of MAX_ORDER elements can
+    # give: its domain and prime tests read the representatives' table rows
+    # a few at a time, and nothing order x order is gathered
+    ring = make_zn(2039)
+    all_ideals(ring).primes
+    ring.generators
+    tracemalloc.start()
+    out = audit_thm1(ring)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert out.status == VERIFIED
+    assert peak < 8 << 20
 
 
 def test_audit_thm1_builds_no_quotient_ring(monkeypatch):
