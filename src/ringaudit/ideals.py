@@ -1,9 +1,11 @@
 """Ideal enumeration and the ideal- and ring-level predicates.
 
 Ideals are bitmasks over element indices, kept in range by the Ideal type;
-the ideal laws are checked once, on a block of bool rows of any size and
-their member indices, by the helper that ideal_from_members, quotient_ring
-and THM1 share (_check_ideal_laws). The full lattice of a ring is
+the ideal laws are proved once, on a block of bool rows of any size, by
+the helper that ideal_from_members, quotient_ring and THM1 share
+(_cosets): each row picks its own additive generators by the rule of
+rings._picks, and is an ideal when their join is the row and absorbs the
+ring's generators. The full lattice of a ring is
 built one local factor eR at a time, for the primitive idempotents e: the
 ideals inside eR are the closure under sum of the principal ideals there,
 and an ideal of R is the intersection of the preimages {x : ex in J} of one
@@ -72,9 +74,8 @@ __all__ = [
 # ideals x rows x order in _product_lands, frontier rows x principal
 # ideals x order in the lattice closure, rows x sets x 64-bit words in the
 # containment test (_subsets), rows x order in quotients' endomorphism
-# search, maps x order x order in quotients' homomorphism law check, and
-# ideals x members x order in THM1's blocks of quotients, each row's
-# members padded to the block's largest count.
+# search and in THM1's blocks of quotients, and maps x order x order in
+# quotients' homomorphism law check.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -150,7 +151,7 @@ def _same_ring(ring, ideal: "Ideal") -> None:
 class Ideal:
     """An ideal of a FiniteRing, held as the bitmask of its member indices.
     A mask that is negative or names an index >= order is rejected here;
-    the ideal laws are checked once, where members enter (_check_ideal_laws)."""
+    the ideal laws are proved once, where members enter (_cosets)."""
 
     ring: "FiniteRing"
     members: int
@@ -186,38 +187,51 @@ def ideal_from_members(ring, members) -> Ideal:
     mask = 0
     for a in members:
         mask |= 1 << ring._check_index(a)
-    inside = _flags_of(ring, mask)[None]
-    _check_ideal_laws(ring, inside, inside.nonzero()[1][None])
+    _cosets(ring, _flags_of(ring, mask)[None])
     return Ideal(ring, mask)
 
 
-def _check_ideal_laws(ring, inside: np.ndarray, members: np.ndarray) -> None:
-    """Raise ValueError naming the first violated ideal law of the first
-    row of a K x order bool block that breaks one. The rows may be of any
-    size: members holds the K x s member indices of the rows, s the largest
-    count, each row padded with one of its members (its least) where it has
-    fewer; a repeated member adds no new sum or product.
+def _cosets(ring, inside: np.ndarray) -> np.ndarray:
+    """rep_of for the rows of a K x order bool block, rows of any size,
+    once every row is proved an ideal: rep_of[k, a] is the least member of
+    the coset a + I_k. Otherwise ValueError names the first violated ideal
+    law of the first row that breaks one.
 
-    The check asks for zero, for a+b in I for every two members, and for
-    a*s in I for every member a and every s in the ring's additive
-    generating set S. That is enough: a finite set that holds zero and is
-    closed under + is a subgroup, so it holds each -a, a multiple of a; and
-    each r is a sum of elements of S, so a*r is a sum of the a*s by
-    distributivity. It reads K*s^2 sums and K*|S|*s products, in one
-    gather per table and one lookup in the block. Only a block that fails
-    pays for _name_violation's scan of the failing row, which names the
-    witness."""
-    cells = np.concatenate((
-        ring.add_table[members[:, :, None], members[:, None, :]],
-        ring.mul_table[ring.generators[:, None], members[:, None, :]],
-    ), axis=1)
-    cells += np.arange(0, inside.size, ring.order)[:, None, None]  # row k's cells index row k of the block
-    found = inside.ravel()[cells]
-    if not (np.logical_and.reduce(found, axis=None) and np.logical_and.reduce(inside[:, ring.zero])):
-        k = (~inside[:, ring.zero] | ~np.logical_and.reduce(found, axis=(1, 2))).argmax()
-        if not inside[k, ring.zero]:
+    Each row picks its own generators by the rule of rings._picks: the
+    least member outside the subgroup H reached so far, until none is left;
+    a row with none left picks zero, whose steps change nothing. rep_of
+    starts as the identity, the cosets of H = {zero}, and joins each pick g
+    by the steps of _doublings, taking np.minimum with its gathered copy:
+    min(a + H + <g>) is the min over m of min(a + m*g + H). H is read back
+    as the elements whose coset is zero's. Each pick at least doubles H, so
+    a row has at most log2(order) of them.
+
+    A row I is an ideal exactly when, after the picks, H = I and g*s lies
+    in I for each pick g and each s in ring.generators. If I is an ideal,
+    each pick lies in I, so H lies in I, and the picks stop only once I
+    lies in H; each g*s lies in I by absorption. Conversely, H = I makes I
+    a subgroup, generated by the picks; each r is a sum of the s, so for a
+    in I, a sum of picks, a*r is a sum of the g*s by distributivity, and I
+    holds it. Only a failing row pays for _name_violation's scan, which
+    names the witness."""
+    n, zero = ring.order, ring.zero
+    rep_of = np.tile(np.arange(n), (len(inside), 1))
+    row_start = np.arange(0, inside.size, n)[:, None]  # of row k in the flat block
+    absorbs = np.ones(len(inside), dtype=bool)
+    while (fresh := inside & (rep_of != rep_of[:, zero, None])).any():  # members outside H
+        picks = np.where(np.logical_or.reduce(fresh, axis=1), fresh.argmax(axis=1), zero)
+        absorbs &= np.logical_and.reduce(inside.ravel()[ring.mul_table[picks[:, None], ring.generators] + row_start], axis=1)
+        flat = rep_of.ravel()
+        for index in _doublings(ring.add_table, zero, picks):
+            flat = np.minimum(flat, np.take(flat, index))
+        rep_of = flat.reshape(rep_of.shape)
+    ideal = absorbs & (inside == (rep_of == rep_of[:, zero, None])).all(axis=1)
+    if not ideal.all():
+        k = ideal.argmin()
+        if not inside[k, zero]:
             raise ValueError("not an ideal: zero is missing")
         _name_violation(ring, inside[k], np.flatnonzero(inside[k]))
+    return rep_of
 
 
 def _name_violation(ring, inside: np.ndarray, idx: np.ndarray) -> None:

@@ -3,25 +3,22 @@ structural audits that depend on them.
 
 Quotients are presented by the projection onto minimal-index coset
 representatives; the coset partition is read off it only when asked
-for. The Ideal type keeps a mask in range; the ideal laws are checked
-once, on a block of member rows of any size (ideals._check_ideal_laws),
-and by the correspondence theorem the induced tables then form a ring,
-the projection is a surjective homomorphism and its kernel is the ideal,
-so none of that is re-verified (the tests do it for every corpus
-quotient). The check stays even for the lattice ideals audit_thm1 passes,
-as the one place a caller's mask is proved an ideal. The representatives
-are read from the rows of the addition table at the member indices:
-addition is commutative, a validated law, so column a of those rows is
-the coset a+I. quotient_ring and audit_thm1 share that one step, _cosets,
-on a block of ideals of any size; quotient_ring numbers the cosets of its
+for. The Ideal type keeps a mask in range; one step, ideals._cosets,
+proves a block of rows of any size ideals and finds each coset's least
+member, by each row's own additive generators. By the correspondence
+theorem the induced tables then form a ring, the projection is a
+surjective homomorphism and its kernel is the ideal, so none of that is
+re-verified (the tests do it for every corpus quotient). The proof stays
+even for the lattice ideals audit_thm1 passes, as the one place a
+caller's mask is proved an ideal. quotient_ring numbers the cosets of its
 one ideal and builds the ring.
 audit_thm1 builds no ring, lattice or table for any quotient. It asks
 every product question of R's own rows with ideals._product_lands, xs and
 ys the representatives of P outside the ideal asked about: whether R/P is
 a domain (_domain_quotients, blocks of the lattice's proper ideals), and,
-for the domains, whether each J/P with J a lattice ideal over P is prime,
-then principal (_quotient_pprir, one batch of pairs (P, J) for all the
-domains).
+for the domains, whether each J/P with J a lattice ideal over P, other
+than P, is prime, then principal (_quotient_pprir, one batch of pairs
+(P, J) for all the domains).
 Homomorphisms are total index maps; a map given by the caller is trusted
 only once check_hom has verified the preservation laws exhaustively, which
 makes its kernel an ideal without a second check, while
@@ -47,7 +44,7 @@ from .ideals import (
     _BLOCK_CELLS,
     Ideal,
     IdealLattice,
-    _check_ideal_laws,
+    _cosets,
     _flags_of,
     _pack,
     _product_lands,
@@ -139,25 +136,6 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
         element_names=[f"[{ring.element_names[r]}]" for r in reps.tolist()],
     )
     return QuotientPresentation(ring, ideal, quotient, RingHom(ring, quotient, tuple(coset_of.tolist())))
-
-
-def _cosets(ring: FiniteRing, inside: np.ndarray) -> np.ndarray:
-    """rep_of for the ideals in the rows of a K x order bool block, rows of
-    any size, after _check_ideal_laws has proved every row an ideal:
-    rep_of[k, a] is the representative of the coset a + I_k, its least
-    member.
-
-    The coset a+I is column a of the rows i in I of the addition table,
-    which is commutative; its minimal member is the representative. The
-    check and the gather read each row's member indices, padded to the
-    block's largest count with the row's least member, which repeats a
-    row of the gather and so leaves the minimum as it is."""
-    count = np.cumsum(inside, axis=1)  # count[k, x]: the members of row k up to x
-    members = inside.argmax(axis=1)[:, None].repeat(count[:, -1].max(), axis=1)
-    k, x = inside.nonzero()
-    members[k, count[k, x] - 1] = x
-    _check_ideal_laws(ring, inside, members)
-    return np.minimum.reduce(ring.add_table[members], axis=1)
 
 
 def check_hom(hom: RingHom) -> bool:
@@ -387,20 +365,15 @@ def _domain_quotients(ring: FiniteRing, lattice: IdealLattice) -> tuple[np.ndarr
     P is proper, and no two nonzero cosets have product zero. The product
     of the cosets of a and b is the coset of ab, which is zero exactly when
     ab lies in P; so Q is a domain when no two representatives outside P
-    have their product in P. The proper ideals go in order of size, R, the
-    largest, left out, in blocks of about _BLOCK_CELLS cells of the
-    addition rows gathered at the members, padded to the block's largest
-    size: one ideal-law check, one gather and one _product_lands call a
-    block."""
+    have their product in P. The proper ideals go in lattice order, in
+    blocks of about _BLOCK_CELLS // order rows: one _cosets call and one
+    _product_lands call a block."""
     n = ring.order
-    sizes = np.add.reduce(lattice.inside, axis=1)
-    by_size = np.argsort(sizes, kind="stable")[:-1]
-    cuts = [0]
-    for i, s in enumerate(sizes[by_size].tolist()):
-        if i > cuts[-1] and (i + 1 - cuts[-1]) * s * n > _BLOCK_CELLS:
-            cuts.append(i)
+    proper = np.flatnonzero(~lattice.inside.all(axis=1))
+    step = max(1, _BLOCK_CELLS // n)
     found = []
-    for block in np.split(by_size, cuts[1:]):
+    for start in range(0, len(proper), step):
+        block = proper[start:start + step]
         inside = lattice.inside[block]
         rep_of = _cosets(ring, inside)
         outside = (rep_of == np.arange(n)) & ~inside  # the representatives outside P
@@ -416,10 +389,12 @@ def _quotient_pprir(ring: FiniteRing, lattice: IdealLattice, positions: np.ndarr
 
     Q's ideals are the J/P for the lattice ideals J that hold P
     (Atiyah-Macdonald, Prop. 1.1), found for every P in one _subsets pass;
-    J = R is dropped, as R/P is Q itself. A coset a + P lies in J/P exactly
-    when a lies in J, as P lies in J, and the product of the cosets of a and
-    b is the coset of ab. So on R's rows, with a, b and c running over P's
-    representatives, by the definitions:
+    J = R is dropped, as R/P is Q itself, and so is J = P, as P/P = {0} is
+    principal, generated by the zero coset, whether or not it is prime. A
+    coset a + P lies in J/P exactly when a lies in J, as P lies in J, and
+    the product of the cosets of a and b is the coset of ab. So on R's
+    rows, with a, b and c running over P's representatives, by the
+    definitions:
       - J/P is prime when no two representatives outside J have their
         product in J: one _product_lands call over the pairs (P, J) of
         each containment block;
@@ -430,6 +405,7 @@ def _quotient_pprir(ring: FiniteRing, lattice: IdealLattice, positions: np.ndarr
     proper = ~lattice.inside.all(axis=1)
     holds = np.ones(len(positions), dtype=bool)
     for start, within in _subsets(lattice.inside[positions], lattice.inside):
+        within[np.arange(len(within)), positions[start:start + len(within)]] = False  # J = P
         p, j = (within & proper).nonzero()
         inside, own = lattice.inside[j], reps[start + p]
         outside = own & ~inside

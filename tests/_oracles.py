@@ -27,6 +27,11 @@ per_ideal_thm1 is THM1's verdict on one ideal as it stood before the
 quotients were built as tables in blocks of one size: a full quotient ring
 per ideal, by per_ideal_quotient (quotient_ring as it stood then), whose
 zero ideal is_prime tests, and is_pprir of it when it is a domain.
+padded_block_cosets is the ideal-law check and coset step as they stood
+before each row found its own generators: every member sum and the
+products with the ring's generators, and each coset's least member from
+the addition rows at the members, each row's members padded to the
+block's largest count.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from itertools import product as cartesian
 
 import numpy as np
 
-from ringaudit.ideals import Ideal, IdealLattice, _flags_of, is_pprir, is_prime, radical, zero_ideal
+from ringaudit.ideals import Ideal, IdealLattice, _flags_of, _name_violation, is_pprir, is_prime, radical, zero_ideal
 from ringaudit.rings import FiniteRing, RingAxiomError, additive_order
 
 
@@ -511,3 +516,31 @@ def per_ideal_thm1(ring, ideal) -> tuple[bool, bool]:
     quotient = per_ideal_quotient(ring, ideal)
     domain = is_prime(quotient, zero_ideal(quotient))
     return domain, domain and is_pprir(quotient)[0]
+
+
+def padded_block_cosets(ring, inside: np.ndarray) -> np.ndarray:
+    """rep_of for the rows of a K x order bool block, rep_of[k, a] the least
+    member of a + I_k, once every row passes the ideal laws, else
+    ValueError naming the first violated law of the first row that breaks
+    one. Each row's member indices are padded to the block's largest count
+    with its least member, which repeats a sum, a product and a row of the
+    gather and so changes neither the check nor the minimum. The check asks
+    for zero, for a+b in I for every two members and for a*s in I for every
+    member a and every s in ring.generators: a finite set closed under + is
+    a subgroup, and each a*r is a sum of the a*s by distributivity."""
+    count = np.cumsum(inside, axis=1)  # count[k, x]: the members of row k up to x
+    members = inside.argmax(axis=1)[:, None].repeat(count[:, -1].max(), axis=1)
+    k, x = inside.nonzero()
+    members[k, count[k, x] - 1] = x
+    cells = np.concatenate((
+        ring.add_table[members[:, :, None], members[:, None, :]],
+        ring.mul_table[ring.generators[:, None], members[:, None, :]],
+    ), axis=1)
+    cells += np.arange(0, inside.size, ring.order)[:, None, None]  # row k's cells index row k of the block
+    ok = inside[:, ring.zero] & inside.ravel()[cells].all(axis=(1, 2))
+    if not ok.all():
+        k = ok.argmin()
+        if not inside[k, ring.zero]:
+            raise ValueError("not an ideal: zero is missing")
+        _name_violation(ring, inside[k], np.flatnonzero(inside[k]))
+    return ring.add_table[members].min(axis=1)

@@ -30,6 +30,7 @@ from _oracles import (
     is_maximal_in,
     is_prime_subset,
     is_semiprime_subset,
+    padded_block_cosets,
     pair_scan_up,
     pairwise_sum,
     power_in,
@@ -62,7 +63,7 @@ from ringaudit.ideals import (
 )
 import ringaudit.claims as claims
 import ringaudit.ideals as ideals
-from ringaudit.ideals import _check_ideal_laws, _flags_of, _pack, _primitive_idempotents, _rows_of
+from ringaudit.ideals import _cosets, _flags_of, _pack, _primitive_idempotents, _rows_of
 from ringaudit.quotients import quotient_ring
 from ringaudit.ringfile import _sc_with_unity
 from ringaudit.rings import (
@@ -129,6 +130,28 @@ def test_containment_edges_match_subset(corpus):
         for j, right in enumerate(lattice.ideals):
             assert (((i, j) in set(edges))
                     == (i != j and set(left.indices()).issubset(right.indices())))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from([1, ideals._BLOCK_CELLS]))
+def test_subsets_match_brute_force(data, block_cells):
+    # random bool blocks as wide as rings of up to 200 elements, so that
+    # rows span one to four 64-bit words, the last one partly filled or
+    # full; each row is a set with at most two entries added anywhere, so a
+    # row's only strays may lie in any one word: within[k, j] is whether
+    # row start + k has no entry outside set j
+    width = data.draw(st.sampled_from([1, 63, 64, 65, 128, 200]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sets = rng.random((data.draw(st.integers(1, 6)), width)) < 0.5
+    rows = sets[rng.integers(0, len(sets), data.draw(st.integers(0, 6)))]
+    rows[np.arange(len(rows))[:, None], rng.integers(0, width, (len(rows), 2))] |= rng.random((len(rows), 2)) < 0.5
+    expected = ~(rows[:, None] & ~sets[None]).any(axis=2)
+    within = np.zeros((len(rows), len(sets)), dtype=bool)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ideals, "_BLOCK_CELLS", block_cells)
+        for start, block in ideals._subsets(rows, sets):
+            within[start:start + len(block)] = block
+    assert np.array_equal(within, expected)
 
 
 def test_ideal_order_divides_ring_order(corpus):
@@ -521,36 +544,55 @@ def test_ideal_check_matches_the_whole_block_oracle(data):
 
 
 def _guarded_members(ring, mask):
-    """The member indices of a mask once _check_ideal_laws has passed it,
+    """The member indices of a mask once _cosets has proved it an ideal,
     as a block of one row."""
     inside = _flags_of(ring, mask)[None]
-    members = inside.nonzero()[1][None]
-    _check_ideal_laws(ring, inside, members)
-    return members[0]
+    _cosets(ring, inside)
+    return np.flatnonzero(inside[0])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_ideal_check_on_a_block_names_its_first_failing_row(data):
-    # a block of lattice rows of one size, with one row's members moved to
-    # other elements: the block check passes only if every row is an
+    # a block of lattice rows of mixed sizes, with one row's members moved
+    # to other elements: the block check passes only if every row is an
     # ideal, and otherwise names what the one-row check names for its
     # first failing row
     ring = data.draw(st.sampled_from(CHECKED_RINGS))
     lattice = all_ideals(ring)
-    size = data.draw(st.sampled_from(sorted({len(ideal) for ideal in lattice.ideals})))
-    rows = [k for k, ideal in enumerate(lattice.ideals) if len(ideal) == size]
-    inside = lattice.inside[data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=5))].copy()
+    inside = lattice.inside[data.draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, max_size=5))].copy()
     k = data.draw(st.integers(0, len(inside) - 1))
     inside[k] = data.draw(st.permutations(inside[k].tolist()))
-    members = inside.nonzero()[1].reshape(len(inside), -1)
     verdicts = [_verdict(ring, ideals._pack(inside[j:j + 1])[0]) for j in range(len(inside))]
     failing = [v for v in verdicts if isinstance(v, str)]
     try:
-        _check_ideal_laws(ring, inside, members)
+        _cosets(ring, inside)
         assert not failing
     except ValueError as err:
         assert failing and str(err) == failing[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cosets_match_the_padded_block_oracle(data):
+    # a block of lattice rows of mixed sizes with up to three bits flipped:
+    # where every row is still an ideal, each row's coset representatives
+    # are the padded gather's; otherwise both name the same law of the same
+    # row
+    ring = data.draw(st.sampled_from(CHECKED_RINGS))
+    lattice = all_ideals(ring)
+    inside = lattice.inside[data.draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, max_size=6))].copy()
+    cells = st.tuples(st.integers(0, len(inside) - 1), st.integers(0, ring.order - 1))
+    for k, bit in data.draw(st.lists(cells, max_size=3)):
+        inside[k, bit] ^= True
+
+    def verdict(cosets):
+        try:
+            return cosets(ring, inside).tolist()
+        except ValueError as err:
+            return str(err)
+
+    assert verdict(_cosets) == verdict(padded_block_cosets)
 
 
 def _verdict(ring, mask):

@@ -18,6 +18,7 @@ from _oracles import (
     brute_force_endos,
     closure_endomorphisms,
     depth_first_endomorphisms,
+    is_domain,
     is_unital_hom,
     map_by_map_check_hom,
     per_ideal_quotient,
@@ -547,7 +548,7 @@ def _every_proper_quotient(ring):
     _cosets, all as one block of mixed sizes."""
     lattice = all_ideals(ring)
     positions = np.flatnonzero(~lattice.inside.all(axis=1))
-    return lattice, positions, quotients._cosets(ring, lattice.inside[positions])
+    return lattice, positions, ideals._cosets(ring, lattice.inside[positions])
 
 
 def assert_quotient_pprir_matches_the_oracle(ring):
@@ -588,13 +589,14 @@ def test_quotient_pprir_matches_the_oracle_on_random_products(ring, block_cells)
 
 
 def assert_every_quotient_prime_matches_the_oracle(ring):
-    """For every proper P and every proper J that holds P, the prime
-    verdict _quotient_pprir asks _product_lands for, recorded as it is
-    asked, is is_prime of J/P in the oracle's R/P. The question for (P, J)
-    is "does a product of two of P's representatives outside J land in J",
-    so it is looked up by J's members and those representatives: a question
-    asked of other representatives is not found. Returns the number of
-    pairs checked."""
+    """For every proper P and every proper J other than P that holds P,
+    the prime verdict _quotient_pprir asks _product_lands for, recorded as
+    it is asked, is is_prime of J/P in the oracle's R/P. The question for
+    (P, J) is "does a product of two of P's representatives outside J land
+    in J", so it is looked up by J's members and those representatives: a
+    question asked of other representatives is not found. P/P = {0} is
+    principal, so its question is never asked. Returns the number of pairs
+    checked."""
     lattice, positions, rep_of = _every_proper_quotient(ring)
     asked = {}
     real = quotients._product_lands
@@ -614,9 +616,11 @@ def assert_every_quotient_prime_matches_the_oracle(ring):
         quotient = per_ideal_quotient(ring, ideal)
         # the oracle's cosets, numbered in the order of their least members
         reps = np.unique(ring.add_table[list(ideal.indices())].min(axis=0))
+        # no other pair asks about P's own representatives outside P
+        assert (ideal.members, sum(1 << int(a) for a in reps if not ideal.members >> int(a) & 1)) not in asked
         for j in positions.tolist():
             over = lattice.ideals[j]
-            if ideal.members & ~over.members:
+            if j == p or ideal.members & ~over.members:  # P/P = {0} is principal, and not asked about
                 continue
             inside = np.isin(reps, over.indices())
             question = (over.members, sum(1 << int(a) for a in reps[~inside]))
@@ -631,8 +635,56 @@ def test_quotient_pprir_asks_the_oracle_quotients_prime_question_of_every_pair(c
     # test that calls a non-prime J/P prime is seen even where every ideal
     # of R/P is principal, and so every verdict would hold either way
     past = [make_zn(128), make_boolean(6), make_product([make_zn(4)] * 3), _zero_product_algebra(6)]
-    pairs = [assert_every_quotient_prime_matches_the_oracle(ring) for ring in [*corpus, *past]]
-    assert all(pairs)
+    # a field's one proper ideal is {0}, whose one pair is J = P, not asked
+    # about; every other ring has a pair with J a nonzero proper ideal
+    for ring in [*corpus, *past]:
+        pairs = assert_every_quotient_prime_matches_the_oracle(ring)
+        assert pairs or len(all_ideals(ring)) == 2, ring.label
+
+
+def assert_domain_quotients_ask_the_oracle_quotients_domain_question(ring):
+    """For every proper P, the one domain question _domain_quotients asks
+    _product_lands of P, recorded as it is asked, has xs = ys = exactly P's
+    representatives outside P, read from the oracle's cosets, and its
+    verdict is whether the oracle's R/P is a domain; the positions returned
+    are those of the domains. Returns the number of ideals asked about."""
+    lattice = all_ideals(ring)
+    asked = {}
+    real = quotients._product_lands
+
+    def recording(ring, inside, xs, ys):
+        lands = real(ring, inside, xs, ys)
+        assert np.array_equal(xs, ys)
+        for row, x, hit in zip(_pack(inside), _pack(xs), lands.tolist()):
+            assert row not in asked, (ring.label, row)
+            asked[row] = (x, hit)
+        return lands
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quotients, "_product_lands", recording)
+        positions, _ = quotients._domain_quotients(ring, lattice)
+    domains = []
+    for k, ideal in enumerate(lattice.ideals):
+        if not ideal.is_proper:
+            assert ideal.members not in asked
+            continue
+        reps = np.unique(ring.add_table[list(ideal.indices())].min(axis=0)).tolist()
+        outside = sum(1 << a for a in reps if not ideal.members >> a & 1)
+        domain = is_domain(per_ideal_quotient(ring, ideal))
+        assert asked[ideal.members] == (outside, not domain), (ring.label, str(ideal))
+        domains += [k] * domain
+    assert sorted(positions.tolist()) == domains
+    return len(asked)
+
+
+def test_domain_quotients_ask_the_oracle_quotients_domain_question(corpus):
+    # the domain side's version of the prime-question test above: a domain
+    # test that reads every element outside P, not only P's representatives,
+    # asks whether P is prime in R, the other side of THM1, and since the
+    # theorem holds no verdict would show it
+    past = [make_zn(128), make_boolean(6), make_product([make_zn(4)] * 3), _zero_product_algebra(6)]
+    asked = [assert_domain_quotients_ask_the_oracle_quotients_domain_question(ring) for ring in [*corpus, *past]]
+    assert all(asked)
 
 
 def test_quotient_ring_tables_match_the_block_builder(corpus):
@@ -660,7 +712,7 @@ def test_quotient_ring_tables_match_the_block_builder(corpus):
 ])
 def test_a_planted_non_ideal_in_a_mixed_size_block_is_named_as_alone(planted, law):
     # the proper ideals of Z_2xZ_6, of sizes 1 to 6, with a non-ideal row
-    # planted among them: the padded block names what ideal_from_members
+    # planted among them: the block check names what ideal_from_members
     # names for that row alone
     ring = make_product([make_zn(2), make_zn(6)])
     lattice = all_ideals(ring)
@@ -670,7 +722,7 @@ def test_a_planted_non_ideal_in_a_mixed_size_block_is_named_as_alone(planted, la
     with pytest.raises(ValueError) as alone:
         ideal_from_members(ring, members)
     with pytest.raises(ValueError) as err:
-        quotients._cosets(ring, inside)
+        ideals._cosets(ring, inside)
     assert str(err.value) == str(alone.value) == f"not an ideal: {law}"
 
 
@@ -717,6 +769,20 @@ def test_audit_thm3_verified_and_skipped(ring_a):
 def test_audit_thm3_cap_override(monkeypatch):
     monkeypatch.setenv(ENDO_CAP_ENV, "32")
     assert audit_thm3(make_zn(17)).status == VERIFIED
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_boolean(5), lambda: make_product([*[make_zn(2)] * 4, make_zn(3)])],
+    ids=["B_5", "Z_2^4xZ_3"],
+)
+def test_hom_flags_match_classify_hom_on_every_endomorphism(build):
+    # the flags THM3 reads, from each block's count of distinct images, are
+    # classify_hom's, from a set of the images, map by map
+    ring = build()
+    homs = endomorphisms(ring, cap=64)
+    expected = [(flags["injective"], flags["surjective"]) for flags in map(classify_hom, homs)]
+    assert list(quotients._hom_flags(homs)) == expected
 
 
 def test_audit_thm3_refutes_on_planted_violation(monkeypatch):
