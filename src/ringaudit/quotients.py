@@ -21,14 +21,13 @@ than P, is prime, then principal (_quotient_pprir, one batch of pairs
 (P, J) for all the domains).
 Homomorphisms are total index maps; a map given by the caller is trusted
 only once check_hom has verified the preservation laws exhaustively, which
-makes its kernel an ideal without a second check, while
-endomorphisms returns maps that are homomorphisms by construction: each is
-written additively from images of ring.generators (picked once, in
-rings) that preserve the generators' products (the proof is in its
-docstring). Both work on blocks of maps, one map to a row of a numpy
-array: the search extends a block of partial maps a generator at a time,
-and one law check over a block serves check_hom (one row) and audit_thm3
-(every endomorphism, a block at a time).
+makes its kernel an ideal without a second check, while the search,
+_endomorphism_blocks, finds maps that are homomorphisms by construction
+(the proof is in its docstring). Both work on blocks of maps, one map to a
+row of a numpy array: the search yields blocks as it finishes them, which
+endomorphisms sorts into RingHoms and audit_thm3 reads as they come. One
+law check and one count of distinct images (_image_flags) over a block
+serve check_hom and classify_hom (one row) and audit_thm3.
 """
 
 from __future__ import annotations
@@ -182,14 +181,18 @@ def kernel(hom: RingHom) -> Ideal:
 
 
 def classify_hom(hom: RingHom) -> dict:
-    """{injective, surjective}; injective iff the kernel is the zero ideal."""
+    """{injective, surjective}, read by _image_flags as audit_thm3 reads them."""
     if not check_hom(hom):
         raise ValueError("classify_hom is defined for ring homomorphisms only")
-    distinct = len(set(hom.mapping))
-    return {
-        "injective": distinct == hom.source.order,
-        "surjective": distinct == hom.target.order,
-    }
+    injective, surjective = _image_flags(np.array([hom.mapping]), hom.source.order, hom.target.order)
+    return {"injective": bool(injective[0]), "surjective": bool(surjective[0])}
+
+
+def _image_flags(maps: np.ndarray, source_order: int, target_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(injective, surjective) of each row, from its one count of distinct images."""
+    maps = np.sort(maps, axis=1)
+    distinct = 1 + (maps[:, 1:] != maps[:, :-1]).sum(axis=1)
+    return distinct == source_order, distinct == target_order
 
 
 def endomorphism_cap() -> int:
@@ -202,8 +205,21 @@ def endomorphism_cap() -> int:
 
 
 def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
-    """All unital ring endomorphisms, in increasing order of their mappings,
-    by a search over the images of an additive generating set.
+    """All unital ring endomorphisms, in increasing order of their mappings:
+    the rows of _endomorphism_blocks, sorted, each made a RingHom. Rings
+    larger than the cap are rejected; set RINGAUDIT_ENDO_CAP to raise it."""
+    if cap is None:
+        cap = endomorphism_cap()
+    if ring.order > cap:
+        raise ValueError(f"ring order {ring.order} exceeds endomorphism search cap {cap}; set {ENDO_CAP_ENV} to raise it")
+    maps = sorted(tuple(row) for block in _endomorphism_blocks(ring) for row in block.tolist())
+    return [RingHom(ring, ring, m) for m in maps]
+
+
+def _endomorphism_blocks(ring: FiniteRing) -> Iterator[np.ndarray]:
+    """The unital ring endomorphisms, one map to a row of K x order blocks
+    yielded as the search finishes them, by a search over the images of an
+    additive generating set.
 
     Generators: s_1 = one, s_2, ... are ring.generators (the pick rule is
     rings._picks), and H_i is the subgroup generated by s_1..s_i, H_0 =
@@ -222,7 +238,7 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
     by f(b_i); rows failing a generator-pair check are dropped; layer i is
     written with one add-table gather per multiple m. The search recurses
     over row blocks of about _BLOCK_CELLS cells, so memory holds one block
-    per generator besides the maps found.
+    per generator.
 
     Why the maps found are exactly the unital endomorphisms:
       - None is missed: every unital homomorphism f has f(s_1) = one,
@@ -236,17 +252,8 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
       - Multiplicative, by bilinearity: for x = sum m_a*s_a and
         y = sum n_b*s_b, f(xy) = sum m_a*n_b*f(s_a*s_b) = f(x)f(y).
       - Unital, since v_1 = one.
-    Rings larger than the cap are rejected; set RINGAUDIT_ENDO_CAP to raise
-    it.
     """
-    if cap is None:
-        cap = endomorphism_cap()
     n = ring.order
-    if n > cap:
-        raise ValueError(
-            f"ring order {n} exceeds endomorphism search cap {cap}; "
-            f"set {ENDO_CAP_ENV} to raise it"
-        )
     add, mul, gens = ring.add_table, ring.mul_table, ring.generators.tolist()
     level: list[int | None] = [None] * n  # the layer of each reached element
     level[ring.zero] = 0
@@ -285,7 +292,6 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
         candidates[c][multiple[by_multiple], column] = by_multiple
 
     rows_per_block = max(1, _BLOCK_CELLS // n)
-    found: list[tuple[int, ...]] = []
 
     def holds(block: np.ndarray, triples) -> np.ndarray:
         sa, sb, x = triples
@@ -308,24 +314,22 @@ def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
         write_layer(block, multiples, block[:, gens[i]])
         return block[holds(block, after)]
 
-    def extend(i: int, block: np.ndarray) -> None:
+    def extend(i: int, block: np.ndarray) -> Iterator[np.ndarray]:
         if i == len(layers):
-            found.extend(map(tuple, block.tolist()))
+            yield block
             return
         # a slice of rows whose expansion fits the block budget
         rows = max(1, rows_per_block // candidates[layers[i][0]].shape[1])
         for start in range(0, len(block), rows):
             grown = grow(i, block[start:start + rows])
             if len(grown):
-                extend(i + 1, grown)
+                yield from extend(i + 1, grown)
 
     # v_1 = one fixes layer 0, the multiples of one; its one check,
     # one*one = one, holds
     first = np.full((1, n), ring.zero)
     write_layer(first, layers[0][2], np.array([ring.one]))
-    extend(1, first)
-    found.sort()
-    return [RingHom(ring, ring, m) for m in found]
+    yield from extend(1, first)
 
 
 def audit_thm1(ring: FiniteRing) -> ClaimOutcome:
@@ -421,32 +425,27 @@ def _quotient_pprir(ring: FiniteRing, lattice: IdealLattice, positions: np.ndarr
 def audit_thm3(ring: FiniteRing) -> ClaimOutcome:
     """Every surjective unital endomorphism must be injective (and, the
     cardinality converse, every injective one surjective). Rings over
-    endomorphism_cap() are skipped, with the cap named. Every map found is
-    checked exhaustively before it is classified; the witness is the first
-    map, in increasing order, whose two flags differ."""
+    endomorphism_cap() are skipped, with the cap named. The search's blocks
+    are read as they come, no map kept, a slice of about _BLOCK_CELLS cells
+    at a time: the exhaustive law check, which raises ValueError naming any
+    map that fails, then _image_flags. The witness is the least map, in
+    increasing order, whose two flags differ."""
     cap = endomorphism_cap()
-    if ring.order > cap:
-        return ClaimOutcome(SKIPPED, reason=f"order {ring.order} exceeds endomorphism cap {cap}")
-    homs = endomorphisms(ring, cap=cap)
-    for hom, (injective, surjective) in zip(homs, _hom_flags(homs)):
-        if surjective != injective:
-            return ClaimOutcome(REFUTED, witness=hom.render())
-    return ClaimOutcome(VERIFIED, detail=f"endomorphisms checked: {len(homs)}")
-
-
-def _hom_flags(homs: list[RingHom]) -> Iterator[tuple[bool, bool]]:
-    """Yield (injective, surjective) for each of homs, maps between one
-    source and one target, read from its count of distinct images. Each
-    block of about _BLOCK_CELLS cells is first checked exhaustively; a map
-    that is not a homomorphism raises ValueError."""
-    source, target = homs[0].source, homs[0].target
-    check = _law_check(source, target)
-    step = max(1, _BLOCK_CELLS // source.order**2)
-    for start in range(0, len(homs), step):
-        maps = np.array([hom.mapping for hom in homs[start:start + step]])
-        bad = np.flatnonzero(~check(maps))
-        if len(bad):
-            raise ValueError(f"not a ring homomorphism: {homs[start + bad[0]].render()}")
-        maps.sort(axis=1)
-        distinct = 1 + (maps[:, 1:] != maps[:, :-1]).sum(axis=1)
-        yield from zip((distinct == source.order).tolist(), (distinct == target.order).tolist())
+    n = ring.order
+    if n > cap:
+        return ClaimOutcome(SKIPPED, reason=f"order {n} exceeds endomorphism cap {cap}")
+    check = _law_check(ring, ring)
+    step = max(1, _BLOCK_CELLS // n**2)
+    checked, witness = 0, []  # witness: the least differing map so far, if any
+    for block in _endomorphism_blocks(ring):
+        for start in range(0, len(block), step):
+            maps = block[start:start + step]
+            bad = np.flatnonzero(~check(maps))
+            if len(bad):
+                raise ValueError(f"not a ring homomorphism: {RingHom(ring, ring, tuple(maps[bad[0]].tolist())).render()}")
+            injective, surjective = _image_flags(maps, n, n)
+            witness = sorted([*witness, *map(tuple, maps[injective != surjective].tolist())])[:1]
+        checked += len(block)
+    if witness:
+        return ClaimOutcome(REFUTED, witness=RingHom(ring, ring, witness[0]).render())
+    return ClaimOutcome(VERIFIED, detail=f"endomorphisms checked: {checked}")

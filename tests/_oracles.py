@@ -128,6 +128,11 @@ def is_unital_hom(ring, mapping: tuple[int, ...], target=None) -> bool:
     return True
 
 
+def distinct_images(mapping: tuple[int, ...]) -> int:
+    """The size of a map's image, counted as a set."""
+    return len(set(mapping))
+
+
 def brute_force_endos(ring) -> set[tuple[int, ...]]:
     """Every unital endomorphism by trying all order^order maps."""
     if ring.order > 4:

@@ -18,6 +18,7 @@ from _oracles import (
     brute_force_endos,
     closure_endomorphisms,
     depth_first_endomorphisms,
+    distinct_images,
     is_domain,
     is_unital_hom,
     map_by_map_check_hom,
@@ -777,37 +778,66 @@ def test_audit_thm3_cap_override(monkeypatch):
     ids=["B_5", "Z_2^4xZ_3"],
 )
 def test_hom_flags_match_classify_hom_on_every_endomorphism(build):
-    # the flags THM3 reads, from each block's count of distinct images, are
-    # classify_hom's, from a set of the images, map by map
+    # the one count of distinct images that THM3 and classify_hom read is
+    # the size of a set of the images, map by map: read as maps onto a
+    # target of order k, a row is surjective exactly when its count is k
     ring = build()
+    maps = np.concatenate(list(quotients._endomorphism_blocks(ring)))
+    counts = np.array([distinct_images(m) for m in maps.tolist()])
+    for k in range(1, ring.order + 1):
+        injective, surjective = quotients._image_flags(maps, ring.order, k)
+        assert surjective.tolist() == (counts == k).tolist(), k
+        assert injective.tolist() == (counts == ring.order).tolist()
     homs = endomorphisms(ring, cap=64)
-    expected = [(flags["injective"], flags["surjective"]) for flags in map(classify_hom, homs)]
-    assert list(quotients._hom_flags(homs)) == expected
+    bijective = [distinct_images(hom.mapping) == ring.order for hom in homs]
+    assert [classify_hom(hom) for hom in homs] == [{"injective": b, "surjective": b} for b in bijective]
 
 
 def test_audit_thm3_refutes_on_planted_violation(monkeypatch):
-    # force a fake non-injective surjection to prove the refuted path works
-    z4 = make_zn(4)
-    fake = RingHom(z4, z4, (0, 1, 2, 3))
-    monkeypatch.setattr(quotients, "endomorphisms", lambda ring, cap=None: [fake])
-    monkeypatch.setattr(quotients, "_hom_flags", lambda homs: iter([(False, True)]))
-    out = quotients.audit_thm3(z4)
+    # flip the injective flag of one map in each of two blocks, the blocks
+    # out of order, to prove the refuted path names the least differing map
+    b3 = make_boolean(3)
+    maps = np.array([h.mapping for h in endomorphisms(b3)])
+    planted = {tuple(maps[5].tolist()), tuple(maps[20].tolist())}
+    image_flags = quotients._image_flags
+
+    def planting(block, source_order, target_order):
+        injective, surjective = image_flags(block, source_order, target_order)
+        return injective ^ np.array([tuple(row) in planted for row in block.tolist()]), surjective
+
+    monkeypatch.setattr(quotients, "_endomorphism_blocks", lambda ring: iter([maps[14:], maps[:14]]))
+    monkeypatch.setattr(quotients, "_image_flags", planting)
+    out = quotients.audit_thm3(b3)
     assert out.status == REFUTED
-    assert out.witness == fake.render()
+    assert out.witness == RingHom(b3, b3, tuple(maps[5].tolist())).render()
 
 
 @pytest.mark.parametrize("block_cells", [1, quotients._BLOCK_CELLS], ids=["one-map-blocks", "default-blocks"])
 @pytest.mark.parametrize("position", [0, 13, 27])
 def test_audit_thm3_raises_on_a_planted_non_homomorphism(monkeypatch, block_cells, position):
-    # every map is checked, in whichever block it falls: a non-homomorphism
-    # among the 27 endomorphisms of B_3 is named
+    # every map is checked, in whichever block and slice it falls: a
+    # non-homomorphism among the 27 endomorphisms of B_3, streamed as two
+    # blocks of 14 maps, is named
     b3 = make_boolean(3)
     homs = endomorphisms(b3)
     f = homs[-1].mapping
     planted = RingHom(b3, b3, (*f[:-1], (f[-1] + 1) % 8))
     assert not is_unital_hom(b3, planted.mapping)
+    maps = np.insert(np.array([h.mapping for h in homs]), position, planted.mapping, axis=0)
     monkeypatch.setattr(quotients, "_BLOCK_CELLS", block_cells)
-    monkeypatch.setattr(quotients, "endomorphisms", lambda ring, cap=None: homs[:position] + [planted] + homs[position:])
+    monkeypatch.setattr(quotients, "_endomorphism_blocks", lambda ring: iter([maps[:14], maps[14:]]))
     with pytest.raises(ValueError) as err:
         quotients.audit_thm3(b3)
     assert str(err.value) == f"not a ring homomorphism: {planted.render()}"
+
+
+def test_audit_thm3_holds_no_map_of_b6(monkeypatch):
+    # the 46656 endomorphisms of B_6 are read as the search yields them:
+    # held at once they would take 46656 x 64 int64 cells, about 24 MB
+    monkeypatch.setenv(ENDO_CAP_ENV, "64")
+    tracemalloc.start()
+    out = audit_thm3(make_boolean(6))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert out.detail == "endomorphisms checked: 46656"
+    assert peak < 8 << 20
