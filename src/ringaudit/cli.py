@@ -28,7 +28,7 @@ from .ideals import (
     radical,
 )
 from .quotients import quotient_ring
-from .reports import REFUTED, render_report
+from .reports import REFUTED, _json_list, render_report
 from .ringfile import load_ring_file
 from .zmodel import (
     audit_ex2,
@@ -89,16 +89,10 @@ def _ideals_json(label: str, ideals: list[str], pairs: list[tuple[int, int]]) ->
     encoder, which took most of the run on a lattice of thousands of
     ideals."""
     quote = json.encoder.encode_basestring
-    ideals_json = _json_list([quote(s) for s in ideals])
+    ideals_json = _json_list([quote(s) for s in ideals], 2)
     number = [str(i) for i in range(len(ideals))]  # each position formatted once
-    pairs_json = _json_list([f"[\n      {number[i]},\n      {number[j]}\n    ]" for i, j in pairs])
+    pairs_json = _json_list([f"[\n      {number[i]},\n      {number[j]}\n    ]" for i, j in pairs], 2)
     return f'{{\n  "ring": {quote(label)},\n  "ideals": {ideals_json},\n  "containment": {pairs_json}\n}}'
-
-
-def _json_list(items: list[str]) -> str:
-    """A list of encoded items as json.dumps writes it at indent 2 as the
-    value of a top-level key."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def _cmd_ideals(args) -> int:

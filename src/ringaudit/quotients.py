@@ -18,16 +18,19 @@ ys the representatives of P outside the ideal asked about: whether R/P is
 a domain (_domain_quotients, blocks of the lattice's proper ideals), and,
 for the domains, whether each J/P with J a lattice ideal over P, other
 than P, is prime, then principal (_quotient_pprir, one batch of pairs
-(P, J) for all the domains).
+(P, J) for all the domains; a containment block with no pair asks
+nothing).
 Homomorphisms are total index maps; a map given by the caller is trusted
 only once check_hom has verified the preservation laws exhaustively, which
 makes its kernel an ideal without a second check, while the search,
 _endomorphism_blocks, finds maps that are homomorphisms by construction
-(the proof is in its docstring). Both work on blocks of maps, one map to a
-row of a numpy array: the search yields blocks as it finishes them, which
-endomorphisms sorts into RingHoms and audit_thm3 reads as they come. One
-law check and one count of distinct images (_image_flags) over a block
-serve check_hom and classify_hom (one row) and audit_thm3.
+(the proof is in its docstring; each layer's elements are listed once,
+by a scalar walk of multiples and one add-table gather). Both work on
+blocks of maps, one map to a row of a numpy array: the search yields
+blocks as it finishes them, which endomorphisms sorts into RingHoms and
+audit_thm3 reads as they come. One law check and one count of distinct
+images (_image_flags) over a block serve check_hom and classify_hom (one
+row) and audit_thm3.
 """
 
 from __future__ import annotations
@@ -225,7 +228,10 @@ def _endomorphism_blocks(ring: FiniteRing) -> Iterator[np.ndarray]:
     rings._picks), and H_i is the subgroup generated by s_1..s_i, H_0 =
     {zero}. c_i is the least m > 0 with m*s_i in H_{i-1}, and b_i = c_i*s_i.
     Layer i lists each element of H_i outside H_{i-1} once, as h + m*s_i
-    with h in H_{i-1} and 1 <= m < c_i.
+    with h in H_{i-1} and 1 <= m < c_i. It is built before the search: a
+    scalar walk of m*s_i, m = 0, 1, ..., stopping at the first multiple in
+    H_{i-1}, gives c_i and b_i, and one add-table gather of each m*s_i
+    with each h gives row m, as m*s_i + h = h + m*s_i.
     The search branches on v_i = f(s_i): v_1 = one, and each later v_i runs
     over the v with c_i*v = f(b_i). Layer i is written as
     f(h + m*s_i) = f(h) + m*v_i, and f(s_a)f(s_b) = f(s_a*s_b) is checked
@@ -236,14 +242,20 @@ def _endomorphism_blocks(ring: FiniteRing) -> Iterator[np.ndarray]:
     each generator step is a few numpy operations on a whole block: every
     row is expanded by its candidates v_i, read from a padded table indexed
     by f(b_i); rows failing a generator-pair check are dropped; layer i is
-    written with one add-table gather per multiple m. The search recurses
-    over row blocks of about _BLOCK_CELLS cells, so memory holds one block
-    per generator.
+    written with one add-table gather per multiple m, except layer 0, the
+    multiples of one, written directly as f(m*one) = m*one. The search
+    recurses over row blocks of about _BLOCK_CELLS cells, so memory holds
+    one block per generator.
 
     Why the maps found are exactly the unital endomorphisms:
       - None is missed: every unital homomorphism f has f(s_1) = one,
         c_i*f(s_i) = f(b_i) and f(s_a)f(s_b) = f(s_a*s_b), and, being
         additive, it is the map written from its v_i.
+      - Each element once: entry h of gathered row m, m*s_i + h, is
+        h + m*s_i by commutativity and associativity of +. The rows
+        m < c_i cover H_i, as c_i*s_i lies in H_{i-1}, and no two entries
+        are equal, as (m - m')*s_i lies outside H_{i-1} for
+        0 < m - m' < c_i.
       - Additive: (h, m) -> h + m*s_i maps H_{i-1} x Z onto H_i with kernel
         {(-m*s_i, m) : m in c_i*Z}, since {m : m*s_i in H_{i-1}} = c_i*Z. If
         f is additive on H_{i-1}, (h, m) -> f(h) + m*v_i is additive and
@@ -259,15 +271,16 @@ def _endomorphism_blocks(ring: FiniteRing) -> Iterator[np.ndarray]:
     level[ring.zero] = 0
     reached, layers = [ring.zero], []  # layers[i]: c_i, b_i, multiples
     for s in gens:
-        # multiples[m] lists h + m*s for h in H_{i-1}, in the order of
-        # reached; m = c_i, which ends the loop, gives b_i first
-        multiples = [reached]
-        while level[(row := add[multiples[-1], s].tolist())[0]] is None:
-            multiples.append(row)
-        layer = [x for row_m in multiples[1:] for x in row_m]
+        # steps[m] = m*s for m < c_i; the walk ends at b_i, the first in H_{i-1}
+        steps = [ring.zero]
+        while level[b := add.item(steps[-1], s)] is None:
+            steps.append(b)
+        # multiples[m] lists m*s + h = h + m*s for h in H_{i-1}, in the order of reached
+        multiples = add[np.array(steps)[:, None], reached]
+        layer = multiples[1:].ravel().tolist()
         for x in layer:
             level[x] = len(layers)
-        layers.append((len(multiples), row[0], np.array(multiples)))
+        layers.append((len(steps), b, multiples))
         reached = reached + layer
     # a pair is checked at the layer of its later factor or of its product,
     # whichever is later: before writing it if the product lies below it
@@ -325,10 +338,11 @@ def _endomorphism_blocks(ring: FiniteRing) -> Iterator[np.ndarray]:
             if len(grown):
                 yield from extend(i + 1, grown)
 
-    # v_1 = one fixes layer 0, the multiples of one; its one check,
-    # one*one = one, holds
+    # v_1 = one fixes layer 0, the multiples of one, as f(m*one) = m*one;
+    # its one check, one*one = one, holds
     first = np.full((1, n), ring.zero)
-    write_layer(first, layers[0][2], np.array([ring.one]))
+    one_multiples = layers[0][2][:, 0]
+    first[0, one_multiples] = one_multiples
     yield from extend(1, first)
 
 
@@ -401,7 +415,8 @@ def _quotient_pprir(ring: FiniteRing, lattice: IdealLattice, positions: np.ndarr
     definitions:
       - J/P is prime when no two representatives outside J have their
         product in J: one _product_lands call over the pairs (P, J) of
-        each containment block;
+        each containment block, and none for a block with no pair, as
+        holds starts True and only a pair can clear it;
       - J/P is principal when some c in J has {rep_of[c*x] : x in R}, the
         representatives of the multiples of c + P, equal to J's.
     Neither lattice.primes nor lattice.generator is read."""
@@ -411,6 +426,8 @@ def _quotient_pprir(ring: FiniteRing, lattice: IdealLattice, positions: np.ndarr
     for start, within in _subsets(lattice.inside[positions], lattice.inside):
         within[np.arange(len(within)), positions[start:start + len(within)]] = False  # J = P
         p, j = (within & proper).nonzero()
+        if not len(p):
+            continue
         inside, own = lattice.inside[j], reps[start + p]
         outside = own & ~inside
         prime = ~_product_lands(ring, inside, outside, outside)

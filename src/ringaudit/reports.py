@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,20 +71,37 @@ def _render_text(reports) -> str:
     return "\n".join(lines)
 
 
+def _json_list(items: list[str], indent: int) -> str:
+    """A list of encoded items as json.dumps writes it at indent 2, its
+    closing bracket indent columns in."""
+    inner = "\n" + " " * (indent + 2)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]" if items else "[]"
+
+
+def _json_number(value) -> str:
+    """An int or a float as json.dumps spells it."""
+    if not isinstance(value, float):
+        return int.__repr__(value)
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
 def _render_json(reports) -> str:
-    rows = [
-        {
-            "claim": r.claim,
-            "ring": r.ring,
-            "status": r.status,
-            "witness": r.witness,
-            "reason": r.reason,
-            "detail": r.detail,
-            "elapsed_ms": r.elapsed_ms,
-        }
-        for r in reports
-    ]
-    return json.dumps(rows, indent=2, ensure_ascii=False)
+    """json.dumps(rows, indent=2, ensure_ascii=False), byte for byte, of one
+    dict per report with the schema's keys in field order, each row filled
+    into that fixed shape at C speed: indent selects json's pure-Python
+    encoder, which took three times as long on the corpus report."""
+    quote = json.encoder.encode_basestring  # json's C string encoder, ensure_ascii=False
+    rows = []
+    for r in reports:
+        witness, reason, detail = ["null" if text is None else quote(text) for text in (r.witness, r.reason, r.detail)]
+        rows.append(
+            f'{{\n    "claim": {quote(r.claim)},\n    "ring": {quote(r.ring)},\n    "status": {quote(r.status)},'
+            f'\n    "witness": {witness},\n    "reason": {reason},\n    "detail": {detail},'
+            f'\n    "elapsed_ms": {_json_number(r.elapsed_ms)}\n  }}'
+        )
+    return _json_list(rows, 0)
 
 
 def render_report(reports, format: str = "text") -> str:

@@ -32,10 +32,14 @@ before each row found its own generators: every member sum and the
 products with the ring's generators, and each coset's least member from
 the addition rows at the members, each row's members padded to the
 block's largest count.
+dumps_render_json is the JSON report writer as it stood before rows were
+filled into their fixed shape: json.dumps at indent 2, which runs json's
+pure-Python encoder.
 """
 
 from __future__ import annotations
 
+import json
 from functools import cache
 from itertools import product as cartesian
 
@@ -549,3 +553,20 @@ def padded_block_cosets(ring, inside: np.ndarray) -> np.ndarray:
             raise ValueError("not an ideal: zero is missing")
         _name_violation(ring, inside[k], np.flatnonzero(inside[k]))
     return ring.add_table[members].min(axis=1)
+
+
+def dumps_render_json(reports) -> str:
+    """The JSON report: one dict per report, through json.dumps."""
+    rows = [
+        {
+            "claim": r.claim,
+            "ring": r.ring,
+            "status": r.status,
+            "witness": r.witness,
+            "reason": r.reason,
+            "detail": r.detail,
+            "elapsed_ms": r.elapsed_ms,
+        }
+        for r in reports
+    ]
+    return json.dumps(rows, indent=2, ensure_ascii=False)

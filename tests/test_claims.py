@@ -2,12 +2,16 @@
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ringaudit.claims as claims
 import ringaudit.zmodel as zmodel
+from _oracles import dumps_render_json
 from ringaudit.claims import CLAIM_IDS, run_all_claims, run_claim
 from ringaudit.corpus import Corpus
 from ringaudit.ideals import all_ideals, is_prime, is_principal, parse_ideal, prime_spectrum, zero_ideal
@@ -16,6 +20,7 @@ from ringaudit.reports import (
     SKIPPED,
     VERIFIED,
     ClaimReport,
+    _render_json,
     parse_report_json,
     render_report,
 )
@@ -110,6 +115,30 @@ def test_json_roundtrip(all_reports):
     doc = render_report(all_reports, "json")
     assert parse_report_json(doc) == all_reports
     assert render_report([], "json") == "[]"
+
+
+# every code point: quotes, backslashes, control characters, U+2028, the
+# astral planes and lone surrogates
+_TEXT = st.text(st.characters(exclude_categories=()))
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf")])
+
+
+def _report_row(text: str, elapsed_ms) -> SimpleNamespace:
+    return SimpleNamespace(claim=text, ring=text, status=text, witness=text, reason=None, detail=text, elapsed_ms=elapsed_ms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.builds(
+    SimpleNamespace,
+    claim=_TEXT, ring=_TEXT, status=_TEXT,
+    witness=st.none() | _TEXT, reason=st.none() | _TEXT, detail=st.none() | _TEXT,
+    elapsed_ms=st.integers() | _FLOATS,
+), max_size=4))
+@example([])
+@example([_report_row('"\\\x00\x1f\x7f\u2028\U0001d11e\ud800', float(x)) for x in ("-0.0", "5e-324", "1e16", "nan", "inf", "-inf")])
+@example([_report_row("", -(2**70)), _report_row("\udfff", 0)])
+def test_render_json_writes_what_json_dumps_writes(rows):
+    assert _render_json(rows) == dumps_render_json(rows)
 
 
 def test_unknown_format_rejected(all_reports):
