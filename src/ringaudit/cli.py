@@ -144,16 +144,11 @@ def _cmd_quotient(args) -> int:
     pres = quotient_ring(ring, ideal)
     q = pres.quotient
     if args.json:
-        doc = {
-            "base": ring.label,
-            "ideal": str(ideal),
-            "quotient": q.label,
-            "order": q.order,
-            "cosets": [
-                [ring.element_names[b] for b in range(ring.order) if mask >> b & 1]
-                for mask in pres.cosets
-            ],
-        }
+        # each coset's member names in index order, in one pass over the projection
+        cosets = [[] for _ in range(q.order)]
+        for name, coset in zip(ring.element_names, pres.projection.mapping):
+            cosets[coset].append(name)
+        doc = {"base": ring.label, "ideal": str(ideal), "quotient": q.label, "order": q.order, "cosets": cosets}
         print(json.dumps(doc, indent=2, ensure_ascii=False))
         return 0
     print(f"quotient: {q.label}")

@@ -73,9 +73,8 @@ __all__ = [
 # Cells in one block of a chunked numpy step, small enough to stay in cache:
 # ideals x rows x order in _product_lands, frontier rows x principal
 # ideals x order in the lattice closure, rows x sets x 64-bit words in the
-# containment test (_subsets), rows x order in quotients' endomorphism
-# search and in THM1's blocks of quotients, and maps x order x order in
-# quotients' homomorphism law check.
+# containment test (_subsets), and rows x order in quotients' endomorphism
+# search and in THM1's blocks of quotients.
 _BLOCK_CELLS = 1 << 16
 
 

@@ -22,7 +22,11 @@ digit-at-a-time build: one einsum over order x order x dim arrays.
 depth_first_endomorphisms is the generator-image search as it stood before
 it moved to blocks of partial maps: one map at a time, depth first.
 map_by_map_check_hom is check_hom as it stood before the block law check,
-one map and two order x order comparisons at a time.
+one map and two order x order comparisons at a time (the form check_hom has
+again). block_law_check is that block law check, which check_hom and
+audit_thm3 once ran: unity and both laws on the pairs a <= b, for a block
+of maps at once. The search's maps are not re-checked in the engine; the
+tests hold every map it yields to block_law_check.
 per_ideal_thm1 is THM1's verdict on one ideal as it stood before the
 quotients were built as tables in blocks of one size: a full quotient ring
 per ideal, by per_ideal_quotient (quotient_ring as it stood then), whose
@@ -498,6 +502,28 @@ def map_by_map_check_hom(source, target, mapping: tuple[int, ...]) -> bool:
         (f[source.add_table] == target.add_table[f][:, f]).all()
         and (f[source.mul_table] == target.mul_table[f][:, f]).all()
     )
+
+
+def block_law_check(source: FiniteRing, target: FiniteRing):
+    """The exhaustive homomorphism check for maps source -> target, as a
+    function of a K x source.order block of maps: row f passes iff
+    f(one) = one, and f(a + b) = f(a) + f(b) and f(ab) = f(a)f(b) for every
+    pair (a, b). Both operations commute in both rings, so (b, a) holds
+    with (a, b), and the pairs with a <= b are the ones compared."""
+    a, b = np.triu_indices(source.order)
+    laws = [(table[a, b], target_table.ravel()) for table, target_table in
+            ((source.add_table, target.add_table), (source.mul_table, target.mul_table))]
+
+    def check(maps: np.ndarray) -> np.ndarray:
+        ok = maps[:, source.one] == target.one
+        # f(a)*target.order + f(b) is the cell f(a) op f(b) of a flattened
+        # target table
+        pairs = np.take(maps, a, axis=1) * target.order + np.take(maps, b, axis=1)
+        for src, tgt in laws:
+            ok &= (np.take(maps, src, axis=1) == np.take(tgt, pairs)).all(axis=1)
+        return ok
+
+    return check
 
 
 def per_ideal_quotient(ring, ideal) -> FiniteRing:

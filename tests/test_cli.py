@@ -305,11 +305,29 @@ def test_quotient(z6_file, capsys):
     assert doc["cosets"] == [["0", "2", "4"], ["1", "3", "5"]]
 
 
-def test_quotient_json_lists_coset_members_in_index_order(z12_file, capsys):
+def test_quotient_json_lists_coset_members_in_index_order(z12_file, tmp_path, capsys):
     assert main(["quotient", z12_file, "--elements", "4", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ideal"] == "{0,4,8}"
     assert doc["cosets"] == [["0", "4", "8"], ["1", "5", "9"], ["2", "6", "10"], ["3", "7", "11"]]
+    # Z_6 relabelled, index i holding the residue values[i]: the coset of the
+    # least index comes first, and each lists its members by index, not value
+    values = [3, 0, 5, 1, 4, 2]
+    at = values.index
+    path = tmp_path / "z6-relabelled.json"
+    path.write_text(json.dumps({
+        "kind": "table",
+        "order": 6,
+        "zero": at(0),
+        "one": at(1),
+        "add": [[at((x + y) % 6) for y in values] for x in values],
+        "mul": [[at(x * y % 6) for y in values] for x in values],
+        "element_names": [str(v) for v in values],
+    }))
+    assert main(["quotient", str(path), "--elements", "2", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["order"] == 2
+    assert doc["cosets"] == [["3", "5", "1"], ["0", "4", "2"]]
 
 
 def test_quotient_by_unit_exits_2(z6_file, capsys):
