@@ -1,11 +1,13 @@
 """Ideal enumeration and the ideal- and ring-level predicates.
 
-Ideals are bitmasks over element indices, kept in range by the Ideal type;
-the ideal laws are proved once, on a block of bool rows of any size, by
-the helper that ideal_from_members, quotient_ring and THM1 share
-(_cosets): each row picks its own additive generators by the rule of
-rings._picks, and is an ideal when their join is the row and absorbs the
-ring's generators. The full lattice of a ring is
+Ideals are bitmasks over element indices, kept in range by the Ideal type.
+The ideal laws have one check, by the definition, run where a caller's
+members or mask enter (_check_ideal, for ideal_from_members and
+quotient_ring); the lattice's ideals are ideals by construction and are
+not re-checked, the tests hold them to the definition. Each coset's least
+member, for a block of ideal rows of any size, comes from the helper that
+quotient_ring and THM1 share (_cosets): each row picks its own additive
+generators by the rule of rings._picks. The full lattice of a ring is
 built one local factor eR at a time, for the primitive idempotents e: the
 ideals inside eR are the closure under sum of the principal ideals there,
 and an ideal of R is the intersection of the preimages {x : ex in J} of one
@@ -149,13 +151,16 @@ def _same_ring(ring, ideal: "Ideal") -> None:
 @dataclass(frozen=True)
 class Ideal:
     """An ideal of a FiniteRing, held as the bitmask of its member indices.
-    A mask that is negative or names an index >= order is rejected here;
-    the ideal laws are proved once, where members enter (_cosets)."""
+    A mask that is not an int (a bool or a numpy integer included), is
+    negative or names an index >= order is rejected here; the ideal laws
+    are checked where a caller's members or mask enter (_check_ideal)."""
 
     ring: "FiniteRing"
     members: int
 
     def __post_init__(self):
+        if not isinstance(self.members, int) or isinstance(self.members, bool):
+            raise ValueError(f"ideal mask {self.members!r} is not an int")
         if self.members < 0 or self.members >> self.ring.order:
             raise ValueError(f"ideal mask out of range for {self.ring.label}")
 
@@ -183,18 +188,46 @@ def ideal_from_members(ring, members) -> Ideal:
     multiplication by every ring element; raises ValueError naming the
     first violated law.
     """
-    mask = 0
-    for a in members:
-        mask |= 1 << ring._check_index(a)
-    _cosets(ring, _flags_of(ring, mask)[None])
-    return Ideal(ring, mask)
+    inside = np.zeros(ring.order, dtype=bool)
+    inside[[ring._check_index(a) for a in members]] = True
+    _check_ideal(ring, inside)
+    return Ideal(ring, _pack(inside[None])[0])
+
+
+def _check_ideal(ring, inside: np.ndarray) -> None:
+    """Return when the members flagged in one bool row over the elements
+    form an ideal, by the definition; otherwise raise ValueError naming the
+    first law broken: zero first, then, for the least offending member a,
+    its negative, then a+b over the members b, then a*r over the ring.
+    The members are scanned in index order, a chunk of about _BLOCK_CELLS
+    cells at a time, so the first chunk with a violation holds the least
+    offending member."""
+    if not inside[ring.zero]:
+        raise ValueError("not an ideal: zero is missing")
+    idx = np.flatnonzero(inside)
+    step = max(1, _BLOCK_CELLS // ring.order)
+    for start in range(0, len(idx), step):
+        chunk = idx[start:start + step]
+        sums = ring.add_table[chunk]
+        neg_out = ~inside[(sums == ring.zero).argmax(axis=1)]
+        add_out = ~inside[sums[:, idx]]
+        mul_out = ~inside[ring.mul_table[chunk]]
+        bad = np.flatnonzero(neg_out | add_out.any(axis=1) | mul_out.any(axis=1))
+        if len(bad):
+            k = bad[0]
+            name = ring.element_names
+            a = name[chunk[k]]
+            if neg_out[k]:
+                raise ValueError(f"not an ideal: missing -{a}")
+            if add_out[k].any():
+                raise ValueError(f"not an ideal: {a}+{name[idx[add_out[k].argmax()]]} escapes")
+            raise ValueError(f"not an ideal: {a}*{name[mul_out[k].argmax()]} escapes")
 
 
 def _cosets(ring, inside: np.ndarray) -> np.ndarray:
-    """rep_of for the rows of a K x order bool block, rows of any size,
-    once every row is proved an ideal: rep_of[k, a] is the least member of
-    the coset a + I_k. Otherwise ValueError names the first violated ideal
-    law of the first row that breaks one.
+    """rep_of for the rows of a K x order bool block whose rows are ideals,
+    of any sizes: rep_of[k, a] is the least member of the coset a + I_k.
+    The rows are not checked; a caller's mask is, by _check_ideal.
 
     Each row picks its own generators by the rule of rings._picks: the
     least member outside the subgroup H reached so far, until none is left;
@@ -202,55 +235,18 @@ def _cosets(ring, inside: np.ndarray) -> np.ndarray:
     starts as the identity, the cosets of H = {zero}, and joins each pick g
     by the steps of _doublings, taking np.minimum with its gathered copy:
     min(a + H + <g>) is the min over m of min(a + m*g + H). H is read back
-    as the elements whose coset is zero's. Each pick at least doubles H, so
-    a row has at most log2(order) of them.
-
-    A row I is an ideal exactly when, after the picks, H = I and g*s lies
-    in I for each pick g and each s in ring.generators. If I is an ideal,
-    each pick lies in I, so H lies in I, and the picks stop only once I
-    lies in H; each g*s lies in I by absorption. Conversely, H = I makes I
-    a subgroup, generated by the picks; each r is a sum of the s, so for a
-    in I, a sum of picks, a*r is a sum of the g*s by distributivity, and I
-    holds it. Only a failing row pays for _name_violation's scan, which
-    names the witness."""
-    n, zero = ring.order, ring.zero
-    rep_of = np.tile(np.arange(n), (len(inside), 1))
-    row_start = np.arange(0, inside.size, n)[:, None]  # of row k in the flat block
-    absorbs = np.ones(len(inside), dtype=bool)
+    as the elements whose coset is zero's. Each pick lies in the ideal and
+    at least doubles H, so a row has at most log2(order) of them, and the
+    picks stop once H, the subgroup they generate, is the ideal."""
+    zero = ring.zero
+    rep_of = np.tile(np.arange(ring.order), (len(inside), 1))
     while (fresh := inside & (rep_of != rep_of[:, zero, None])).any():  # members outside H
         picks = np.where(np.logical_or.reduce(fresh, axis=1), fresh.argmax(axis=1), zero)
-        absorbs &= np.logical_and.reduce(inside.ravel()[ring.mul_table[picks[:, None], ring.generators] + row_start], axis=1)
         flat = rep_of.ravel()
         for index in _doublings(ring.add_table, zero, picks):
             flat = np.minimum(flat, np.take(flat, index))
         rep_of = flat.reshape(rep_of.shape)
-    ideal = absorbs & (inside == (rep_of == rep_of[:, zero, None])).all(axis=1)
-    if not ideal.all():
-        k = ideal.argmin()
-        if not inside[k, zero]:
-            raise ValueError("not an ideal: zero is missing")
-        _name_violation(ring, inside[k], np.flatnonzero(inside[k]))
     return rep_of
-
-
-def _name_violation(ring, inside: np.ndarray, idx: np.ndarray) -> None:
-    """Raise ValueError naming the first ideal law that the members idx,
-    flagged in inside, break; at least one must be broken."""
-    # row k holds member idx[k]'s violations: its negative, then a+b over
-    # the members b, then a*r over the ring; the first row with one names
-    # the least offending member, and within it the first law it breaks
-    sums = ring.add_table[idx]
-    neg_out = ~inside[(sums == ring.zero).argmax(axis=1)]
-    add_out = ~inside[sums[:, idx]]
-    mul_out = ~inside[ring.mul_table[idx]]
-    k = np.flatnonzero(neg_out | add_out.any(axis=1) | mul_out.any(axis=1))[0]
-    name = ring.element_names
-    a = name[idx[k]]
-    if neg_out[k]:
-        raise ValueError(f"not an ideal: missing -{a}")
-    if add_out[k].any():
-        raise ValueError(f"not an ideal: {a}+{name[idx[add_out[k].argmax()]]} escapes")
-    raise ValueError(f"not an ideal: {a}*{name[mul_out[k].argmax()]} escapes")
 
 
 def parse_ideal(ring, text: str) -> Ideal:

@@ -2,16 +2,17 @@
 structural audits that depend on them.
 
 Quotients are presented by the projection onto minimal-index coset
-representatives; the coset partition is read off it only when asked
-for. The Ideal type keeps a mask in range; one step, ideals._cosets,
-proves a block of rows of any size ideals and finds each coset's least
-member, by each row's own additive generators. By the correspondence
-theorem the induced tables then form a ring, the projection is a
-surjective homomorphism and its kernel is the ideal, so none of that is
-re-verified (the tests do it for every corpus quotient). The proof stays
-even for the lattice ideals audit_thm1 passes, as the one place a
-caller's mask is proved an ideal. quotient_ring numbers the cosets of its
-one ideal and builds the ring.
+representatives, which names each element's coset. The Ideal type keeps a
+mask in range; quotient_ring checks a caller's ideal once, by the
+definition (ideals._check_ideal), and one step, ideals._cosets, finds each
+coset's least member for a block of ideal rows of any size, by each row's
+own additive generators. By the correspondence theorem the induced tables
+then form a ring, the projection is a surjective homomorphism and its
+kernel is the ideal, so none of that is re-verified (the tests do it for
+every corpus quotient). quotient_ring numbers the cosets of its one ideal
+and builds the ring. audit_thm1's ideals are the lattice's, ideals by
+construction: they are not re-checked, and the tests hold every row it
+reads to the definition.
 audit_thm1 builds no ring, lattice or table for any quotient. It asks
 every product question of R's own rows with ideals._product_lands, xs and
 ys the representatives of P outside the ideal asked about: whether R/P is
@@ -39,7 +40,6 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .ideals import (
     _BLOCK_CELLS,
     Ideal,
     IdealLattice,
+    _check_ideal,
     _cosets,
     _flags_of,
     _pack,
@@ -96,11 +97,10 @@ class RingHom:
 
 @dataclass(frozen=True)
 class QuotientPresentation:
-    """A quotient R/I: the quotient ring, the projection, the coset partition.
+    """A quotient R/I: the quotient ring and the projection.
 
-    cosets[i] is the bitmask of base elements in coset i, read off the
-    projection on first use; coset order is by minimal member index, which
-    is also the representative.
+    projection.mapping[a] is the coset of base element a; coset order is by
+    minimal member index, which is also the representative.
     """
 
     base: FiniteRing
@@ -108,17 +108,12 @@ class QuotientPresentation:
     quotient: FiniteRing
     projection: RingHom
 
-    @cached_property
-    def cosets(self) -> tuple[int, ...]:
-        inside = np.zeros((self.quotient.order, self.base.order), dtype=bool)
-        inside[self.projection.mapping, np.arange(self.base.order)] = True
-        return tuple(_pack(inside))
-
 
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
     """Quotient by a proper ideal. Quotienting by R itself is rejected:
     the result would be the zero ring, and a mask that is not an ideal
-    raises ValueError naming the first violated ideal law.
+    raises ValueError naming the first violated ideal law (_check_ideal,
+    the one check of the caller's mask).
 
     Cosets are numbered in the order of their representatives, and cell
     (a, b) of each table is the coset of the ring's cell at the
@@ -127,7 +122,9 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         raise ValueError("cannot quotient by the whole ring (the zero ring is excluded)")
-    rep_of = _cosets(ring, _flags_of(ring, ideal.members)[None])[0]
+    inside = _flags_of(ring, ideal.members)
+    _check_ideal(ring, inside)
+    rep_of = _cosets(ring, inside[None])[0]
     reps = np.flatnonzero(rep_of == np.arange(ring.order))
     coset_of = np.searchsorted(reps, rep_of)
     quotient = FiniteRing._trusted(
@@ -376,7 +373,8 @@ def _domain_quotients(ring: FiniteRing, lattice: IdealLattice) -> tuple[np.ndarr
     ab lies in P; so Q is a domain when no two representatives outside P
     have their product in P. The proper ideals go in lattice order, in
     blocks of about _BLOCK_CELLS // order rows: one _cosets call and one
-    _product_lands call a block."""
+    _product_lands call a block. The rows are the lattice's, ideals by
+    construction, so no ideal law is checked here."""
     n = ring.order
     proper = np.flatnonzero(~lattice.inside.all(axis=1))
     step = max(1, _BLOCK_CELLS // n)

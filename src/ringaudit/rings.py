@@ -336,6 +336,9 @@ class FiniteRing:
         return np.array(list(_picks(self.add_table, self.zero, self.one)))
 
     def _check_index(self, a: int) -> int:
+        # a bool is an int to Python and would index a table as a mask
+        if not isinstance(a, (int, np.integer)) or isinstance(a, bool):
+            raise ValueError(f"element index {a!r} is not an integer")
         if not 0 <= a < self.order:
             raise ValueError(f"element index {a} out of range for {self.label}")
         return a

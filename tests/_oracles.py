@@ -14,7 +14,10 @@ sum built coset by coset (coset_sum, the sum before the join of cyclic
 subgroups on bool rows). pair_scan_up is the containment scan that built
 the up-sets before they were read off the lattice's bool block.
 whole_block_checked_members is the ideal-law check as it stood before
-absorption was checked on an additive generating set.
+absorption was checked on an additive generating set: the definition read
+off whole |I| x order blocks, the reference the engine's one check,
+ideals._check_ideal, must match message for message, and the oracle the
+tests hold every lattice row THM1 reads to.
 whole_block_is_primary is is_primary as it stood before the chunked
 early-exit test, gathering its whole block at once.
 algebra_tables is make_algebra's table build as it stood before the
@@ -35,7 +38,9 @@ padded_block_cosets is the ideal-law check and coset step as they stood
 before each row found its own generators: every member sum and the
 products with the ring's generators, and each coset's least member from
 the addition rows at the members, each row's members padded to the
-block's largest count.
+block's largest count; a row that fails is named by
+whole_block_checked_members. The engine's coset step, ideals._cosets, is
+defined for rows that are ideals and is compared with it on those.
 dumps_render_json is the JSON report writer as it stood before rows were
 filled into their fixed shape: json.dumps at indent 2, which runs json's
 pure-Python encoder.
@@ -49,7 +54,7 @@ from itertools import product as cartesian
 
 import numpy as np
 
-from ringaudit.ideals import Ideal, IdealLattice, _flags_of, _name_violation, is_pprir, is_prime, radical, zero_ideal
+from ringaudit.ideals import Ideal, IdealLattice, _flags_of, is_pprir, is_prime, radical, zero_ideal
 from ringaudit.rings import FiniteRing, RingAxiomError, additive_order
 
 
@@ -574,10 +579,8 @@ def padded_block_cosets(ring, inside: np.ndarray) -> np.ndarray:
     cells += np.arange(0, inside.size, ring.order)[:, None, None]  # row k's cells index row k of the block
     ok = inside[:, ring.zero] & inside.ravel()[cells].all(axis=(1, 2))
     if not ok.all():
-        k = ok.argmin()
-        if not inside[k, ring.zero]:
-            raise ValueError("not an ideal: zero is missing")
-        _name_violation(ring, inside[k], np.flatnonzero(inside[k]))
+        whole_block_checked_members(ring, sum(1 << a for a in np.flatnonzero(inside[ok.argmin()]).tolist()))
+        raise AssertionError("the padded check and the whole-block check disagree")
     return ring.add_table[members].min(axis=1)
 
 

@@ -464,6 +464,34 @@ def test_ideal_rejects_a_mask_outside_its_ring(n, mask):
     assert len(Ideal(ring, (1 << n) - 1)) == n
 
 
+NOT_INTEGERS = [True, False, 1.5, "2", None, np.float64(2.0), np.bool_(True)]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=[f"{type(v).__name__}-{v}" for v in NOT_INTEGERS])
+def test_an_index_or_mask_that_is_not_an_integer_is_refused_by_name(value):
+    # a bool is an int to Python and would index a table as a mask; the
+    # rest would fail inside numpy or a comparison, or not at all
+    z6 = make_zn(6)
+    for build in (lambda: principal_ideal(z6, value), lambda: ideal_from_members(z6, [0, value]),
+                  lambda: ideal_generated(z6, [value]), lambda: z6.name(value)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"element index {value!r} is not an integer"
+    for mask in (value, np.int64(1)):
+        with pytest.raises(ValueError) as err:
+            Ideal(make_zn(128), mask)
+        assert str(err.value) == f"ideal mask {mask!r} is not an int"
+
+
+def test_numpy_integer_members_are_element_indices():
+    z6 = make_zn(6)
+    assert ideal_from_members(z6, [0, np.int64(2), np.int32(4)]).members == 0b10101
+    with pytest.raises(ValueError) as err:
+        ideal_from_members(z6, [0, np.int64(2), 3])
+    assert str(err.value) == "not an ideal: missing -2"
+    assert principal_ideal(z6, np.int64(3)).members == principal_ideal(z6, 3).members
+
+
 def _relabelled_z3_squared():
     """Z_3 x Z_3 as a table ring with shuffled indices (zero at index 4, one
     at index 8) and each element named by its coordinates."""
@@ -525,10 +553,11 @@ CHECKED_RINGS = (
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_ideal_check_matches_the_whole_block_oracle(data):
-    # a lattice ideal with a few member bits flipped: the generator-set check
-    # must give the whole-block check's verdict, member indices or message
+@given(st.data(), st.sampled_from([ideals._BLOCK_CELLS, 1]))
+def test_ideal_check_matches_the_whole_block_oracle(data, block_cells):
+    # a lattice ideal with a few member bits flipped: the chunked check must
+    # give the whole-block check's verdict, member indices or message; one
+    # cell a block makes every member a chunk of its own
     ring = data.draw(st.sampled_from(CHECKED_RINGS))
     mask = data.draw(st.sampled_from(all_ideals(ring).ideals)).members
     for bit in data.draw(st.lists(st.integers(0, ring.order - 1), max_size=3)):
@@ -540,66 +569,41 @@ def test_ideal_check_matches_the_whole_block_oracle(data):
         except ValueError as err:
             return str(err)
 
-    assert verdict(_guarded_members) == verdict(whole_block_checked_members)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ideals, "_BLOCK_CELLS", block_cells)
+        assert verdict(_checked_members) == verdict(whole_block_checked_members)
 
 
-def _guarded_members(ring, mask):
-    """The member indices of a mask once _cosets has proved it an ideal,
-    as a block of one row."""
-    inside = _flags_of(ring, mask)[None]
-    _cosets(ring, inside)
-    return np.flatnonzero(inside[0])
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_ideal_check_on_a_block_names_its_first_failing_row(data):
-    # a block of lattice rows of mixed sizes, with one row's members moved
-    # to other elements: the block check passes only if every row is an
-    # ideal, and otherwise names what the one-row check names for its
-    # first failing row
-    ring = data.draw(st.sampled_from(CHECKED_RINGS))
-    lattice = all_ideals(ring)
-    inside = lattice.inside[data.draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, max_size=5))].copy()
-    k = data.draw(st.integers(0, len(inside) - 1))
-    inside[k] = data.draw(st.permutations(inside[k].tolist()))
-    verdicts = [_verdict(ring, ideals._pack(inside[j:j + 1])[0]) for j in range(len(inside))]
-    failing = [v for v in verdicts if isinstance(v, str)]
-    try:
-        _cosets(ring, inside)
-        assert not failing
-    except ValueError as err:
-        assert failing and str(err) == failing[0]
+def _checked_members(ring, mask):
+    """The member indices of a mask once _check_ideal has passed it."""
+    inside = _flags_of(ring, mask)
+    ideals._check_ideal(ring, inside)
+    return np.flatnonzero(inside)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_cosets_match_the_padded_block_oracle(data):
-    # a block of lattice rows of mixed sizes with up to three bits flipped:
-    # where every row is still an ideal, each row's coset representatives
-    # are the padded gather's; otherwise both name the same law of the same
-    # row
+    # a block of lattice rows of mixed sizes, ideals all: each row's coset
+    # representatives are the padded gather's
     ring = data.draw(st.sampled_from(CHECKED_RINGS))
     lattice = all_ideals(ring)
-    inside = lattice.inside[data.draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, max_size=6))].copy()
-    cells = st.tuples(st.integers(0, len(inside) - 1), st.integers(0, ring.order - 1))
-    for k, bit in data.draw(st.lists(cells, max_size=3)):
-        inside[k, bit] ^= True
-
-    def verdict(cosets):
-        try:
-            return cosets(ring, inside).tolist()
-        except ValueError as err:
-            return str(err)
-
-    assert verdict(_cosets) == verdict(padded_block_cosets)
+    inside = lattice.inside[data.draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, max_size=6))]
+    assert np.array_equal(_cosets(ring, inside), padded_block_cosets(ring, inside))
 
 
-def _verdict(ring, mask):
-    try:
-        return whole_block_checked_members(ring, mask).tolist()
-    except ValueError as err:
-        return str(err)
+@pytest.mark.parametrize("ring", [*CHECKED_RINGS, make_zn(128), make_boolean(6)], ids=lambda ring: ring.label)
+def test_cosets_make_at_most_log2_size_picks_a_row(monkeypatch, ring):
+    # each pick at least doubles the subgroup reached, so the block of all
+    # proper ideals takes at most log2 of its largest size in rounds, one
+    # _doublings call a round
+    lattice = all_ideals(ring)
+    inside = lattice.inside[~lattice.inside.all(axis=1)]
+    rounds = []
+    real = ideals._doublings
+    monkeypatch.setattr(ideals, "_doublings", lambda *args: rounds.append(1) or real(*args))
+    _cosets(ring, inside)
+    assert len(rounds) <= int(inside.sum(axis=1).max()).bit_length() - 1
 
 
 def test_parse_ideal_roundtrip(ring_a):

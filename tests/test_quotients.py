@@ -27,11 +27,11 @@ from _oracles import (
     per_ideal_quotient,
     per_ideal_thm1,
     quotient_tables,
+    whole_block_checked_members,
 )
 from _strategies import fp_algebras, small_products
 from ringaudit.ideals import (
     Ideal,
-    _flags_of,
     _pack,
     all_ideals,
     classify_ring,
@@ -102,12 +102,20 @@ def test_quotient_invariants(small_corpus_rings):
             assert pres.quotient.order * len(ideal) == ring.order
             # cosets partition the ring
             combined = 0
-            for mask in pres.cosets:
+            for mask in _projection_cosets(pres):
                 assert combined & mask == 0
                 combined |= mask
             assert combined == (1 << ring.order) - 1
             assert check_hom(pres.projection)
             assert kernel(pres.projection).members == ideal.members
+
+
+def _projection_cosets(pres):
+    """The bitmask of each coset's base elements, read off the projection."""
+    cosets = [0] * pres.quotient.order
+    for b, coset in enumerate(pres.projection.mapping):
+        cosets[coset] |= 1 << b
+    return tuple(cosets)
 
 
 def test_cosets_are_read_off_the_projection_when_asked_for(small_corpus_rings):
@@ -116,14 +124,13 @@ def test_cosets_are_read_off_the_projection_when_asked_for(small_corpus_rings):
             if not ideal.is_proper:
                 continue
             pres = quotient_ring(ring, ideal)
-            assert "cosets" not in vars(pres)
             # coset i holds the b with a + b in I for its representative a,
             # the least member, and cosets go in representative order
             by_rep = {}
             for b in ring.elements():
                 rep = min(a for a in ring.elements() if ring.add(a, ring.neg(b)) in ideal.indices())
                 by_rep[rep] = by_rep.get(rep, 0) | 1 << b
-            assert pres.cosets == tuple(by_rep[rep] for rep in sorted(by_rep)), (ring.label, str(ideal))
+            assert _projection_cosets(pres) == tuple(by_rep[rep] for rep in sorted(by_rep)), (ring.label, str(ideal))
 
 
 def test_every_corpus_quotient_is_a_ring_with_the_ideal_as_kernel(corpus):
@@ -731,28 +738,6 @@ def test_quotient_ring_tables_match_the_block_builder(corpus):
             assert tuple(coset_of.tolist()) == pres.projection.mapping
 
 
-@pytest.mark.parametrize("planted, law", [
-    (["(0,0)", "(1,3)"], "(1,3)*(0,1) escapes"),
-    (["(0,0)", "(1,0)", "(0,3)"], "(0,3)+(1,0) escapes"),
-    (["(0,2)", "(0,4)"], "zero is missing"),
-    (["(0,0)", "(0,2)"], "missing -(0,2)"),
-])
-def test_a_planted_non_ideal_in_a_mixed_size_block_is_named_as_alone(planted, law):
-    # the proper ideals of Z_2xZ_6, of sizes 1 to 6, with a non-ideal row
-    # planted among them: the block check names what ideal_from_members
-    # names for that row alone
-    ring = make_product([make_zn(2), make_zn(6)])
-    lattice = all_ideals(ring)
-    members = [ring.element_names.index(name) for name in planted]
-    proper = lattice.inside[~lattice.inside.all(axis=1)]
-    inside = np.concatenate((proper[:3], _flags_of(ring, sum(1 << a for a in members))[None], proper[3:]))
-    with pytest.raises(ValueError) as alone:
-        ideal_from_members(ring, members)
-    with pytest.raises(ValueError) as err:
-        ideals._cosets(ring, inside)
-    assert str(err.value) == str(alone.value) == f"not an ideal: {law}"
-
-
 def test_audit_thm1_on_z2039_allocates_no_square_table():
     # Z_2039/{0} is the largest domain a ring of MAX_ORDER elements can
     # give: its domain and prime tests read the representatives' table rows
@@ -783,6 +768,57 @@ def test_audit_thm1_builds_no_quotient_ring(monkeypatch):
     monkeypatch.setattr(FiniteRing, "_trusted", classmethod(recording))
     assert audit_thm1(z12).status == VERIFIED
     assert built == []
+
+
+def test_every_lattice_row_thm1_reads_is_an_ideal_by_the_definition(corpus):
+    # THM1 checks no ideal law: it reads the lattice's proper rows as
+    # ideals, by the lattice's construction. The rows _cosets is handed as
+    # THM1 runs are every proper lattice row, each once, and each passes the
+    # whole-block law check
+    past = [make_zn(128), make_boolean(6), make_product([make_zn(4)] * 3), _zero_product_algebra(6)]
+    real = quotients._cosets
+    for ring in [*corpus, *past]:
+        read = []
+
+        def recording(ring, inside):
+            read.extend(_pack(inside))
+            return real(ring, inside)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quotients, "_cosets", recording)
+            audit_thm1(ring)
+        assert sorted(read) == sorted(i.members for i in all_ideals(ring).ideals if i.is_proper), ring.label
+        for mask in read:
+            assert whole_block_checked_members(ring, mask).tolist() == list(Ideal(ring, mask).indices())
+
+
+def test_audit_thm1_checks_no_ideal_law(corpus, monkeypatch):
+    calls = []
+    real = ideals._check_ideal
+
+    def counting(ring, inside):
+        calls.append(ring.label)
+        return real(ring, inside)
+
+    monkeypatch.setattr(ideals, "_check_ideal", counting)
+    monkeypatch.setattr(quotients, "_check_ideal", counting)
+    for ring in corpus:
+        audit_thm1(ring)
+    assert calls == []
+
+
+def test_a_caller_ideal_at_the_order_ceiling_is_checked_in_bounded_memory():
+    # the 1024 even members of Z_2048 are checked by the definition a chunk
+    # of about _BLOCK_CELLS cells at a time, not as whole |I| x order blocks
+    ring = make_zn(2048)
+    evens = principal_ideal(ring, 2)
+    ring.generators
+    for build in (lambda: ideal_from_members(ring, range(0, 2048, 2)), lambda: quotient_ring(ring, evens)):
+        tracemalloc.start()
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 def test_audit_thm3_verified_and_skipped(ring_a):
