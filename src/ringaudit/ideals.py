@@ -1,35 +1,35 @@
 """Ideal enumeration and the ideal- and ring-level predicates.
 
-Ideals are bitmasks over element indices, kept in range by the Ideal type.
-The ideal laws have one check, by the definition, run where a caller's
-members or mask enter (_check_ideal, for ideal_from_members and
-quotient_ring); the lattice's ideals are ideals by construction and are
-not re-checked, the tests hold them to the definition. Each coset's least
+Ideals are bitmasks over element indices. Every Ideal is an ideal of its
+ring: the type's constructor, the one door a caller's mask enters by, keeps
+the mask in range and then checks the ideal laws, once, by the definition
+(_check_ideal). The package's own ideals, ideals by construction, enter
+through Ideal._trusted, each site naming why its mask is one, and are not
+re-checked; the tests hold them to the definition. Each coset's least
 member, for a block of ideal rows of any size, comes from the helper that
 quotient_ring and THM1 share (_cosets): each row picks its own additive
-generators by the rule of rings._picks. The full lattice of a ring is
-built one local factor eR at a time, for the primitive idempotents e: the
-ideals inside eR are the closure under sum of the principal ideals there,
-and an ideal of R is the intersection of the preimages {x : ex in J} of one
-such J per factor. Sums run on bool rows over the elements: I + aR is the
-join of I with the cyclic subgroups <a*s> for s in ring.generators, and the
+generators by the rule of rings._picks. The full lattice of a ring is built
+one local factor eR at a time, for the primitive idempotents e: the ideals
+inside eR are the closure under sum of the principal ideals there, and an
+ideal of R is the intersection of the preimages {x : ex in J} of one such J
+per factor. Sums run on bool rows over the elements: I + aR is the join of
+I with the cyclic subgroups <a*s> for s in ring.generators, and the
 closure, sum_ideals and ideal_generated share that one join; the pick rule
-of the generators and the doubling join are defined once, in rings
-(_picks, _doublings, _join). The lattice lives with its ring, holds its
-ideals as one ideals-by-elements bool block, and computes the prime
-spectrum and the maximal ideals from that block on first use, so the
-predicates that ask for them are lookups, and a radical is the
-intersection of the primes over its ideal, for one ideal or, in
-primary_ideals, for a block of them. Containment between ideals has one
-block test, _subsets, on packed words: the maximal ideals, is_maximal's
-one ideal, the containment pairs and to_dot's covers all read it.
-is_prime, is_primary, primary_ideals, the lattice's primes and THM1's
-quotient side (whether R/P is a domain, whether J/P is prime in it) share
-one question, whether some product of an x from one set and a y from
-another lands in the ideal, and one helper, _product_lands, answers it for
-a block of ideals a few table rows at a time, reading only the rows of the
-x asked for; an ideal leaves the block at the first chunk that holds such
-a product.
+of the generators and the doubling join are defined once, in rings (_picks,
+_doublings, _join). The lattice lives with its ring, holds its ideals as
+one ideals-by-elements bool block, and computes the prime spectrum and the
+maximal ideals from that block on first use, so the predicates that ask for
+them are lookups, and a radical is the intersection of the primes over its
+ideal, for one ideal or, in primary_ideals, for a block of them.
+Containment between ideals has one block test, _subsets, on packed words:
+the maximal ideals, is_maximal's one ideal, the containment pairs and
+to_dot's covers all read it. is_prime, is_primary, primary_ideals, the
+lattice's primes and THM1's quotient side (whether R/P is a domain, whether
+J/P is prime in it) share one question, whether some product of an x from
+one set and a y from another lands in the ideal, and one helper,
+_product_lands, answers it for a block of ideals a few table rows at a
+time, reading only the rows of the x asked for; an ideal leaves the block
+at the first chunk that holds such a product.
 Canonical order is lexicographic on the sorted member-index tuples;
 wherever a witness is chosen it is the first candidate in canonical order.
 """
@@ -151,9 +151,10 @@ def _same_ring(ring, ideal: "Ideal") -> None:
 @dataclass(frozen=True)
 class Ideal:
     """An ideal of a FiniteRing, held as the bitmask of its member indices.
-    A mask that is not an int (a bool or a numpy integer included), is
-    negative or names an index >= order is rejected here; the ideal laws
-    are checked where a caller's members or mask enter (_check_ideal)."""
+    Calling the type checks a caller's mask: one that is not an int (a bool
+    or a numpy integer included), is negative or names an index >= order is
+    rejected, and then one that breaks an ideal law, named by _check_ideal.
+    _trusted keeps a mask the package has just built as an ideal."""
 
     ring: "FiniteRing"
     members: int
@@ -163,6 +164,16 @@ class Ideal:
             raise ValueError(f"ideal mask {self.members!r} is not an int")
         if self.members < 0 or self.members >> self.ring.order:
             raise ValueError(f"ideal mask out of range for {self.ring.label}")
+        _check_ideal(self.ring, _flags_of(self.ring, self.members))
+
+    @classmethod
+    def _trusted(cls, ring, mask: int) -> "Ideal":
+        """The Ideal of an int mask that is an ideal by its construction in
+        the package, unchecked; each caller names why it is one."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "ring", ring)
+        object.__setattr__(ideal, "members", mask)
+        return ideal
 
     def indices(self) -> tuple[int, ...]:
         return tuple(_bits(self.members))
@@ -182,15 +193,14 @@ class Ideal:
 
 
 def ideal_from_members(ring, members) -> Ideal:
-    """Build an Ideal after verifying the closure laws.
+    """The Ideal of the given element indices, through the type's door.
 
-    Requires zero, closure under addition and negation, and absorption of
-    multiplication by every ring element; raises ValueError naming the
-    first violated law.
+    Each index is checked; the Ideal type then requires zero, closure under
+    addition and negation, and absorption of multiplication by every ring
+    element, and raises ValueError naming the first violated law.
     """
     inside = np.zeros(ring.order, dtype=bool)
     inside[[ring._check_index(a) for a in members]] = True
-    _check_ideal(ring, inside)
     return Ideal(ring, _pack(inside[None])[0])
 
 
@@ -227,7 +237,8 @@ def _check_ideal(ring, inside: np.ndarray) -> None:
 def _cosets(ring, inside: np.ndarray) -> np.ndarray:
     """rep_of for the rows of a K x order bool block whose rows are ideals,
     of any sizes: rep_of[k, a] is the least member of the coset a + I_k.
-    The rows are not checked; a caller's mask is, by _check_ideal.
+    The rows are not checked: every Ideal's mask is an ideal, by the
+    Ideal type's check or by its construction.
 
     Each row picks its own generators by the rule of rings._picks: the
     least member outside the subgroup H reached so far, until none is left;
@@ -283,42 +294,48 @@ def _match_elements(ring, text: str):
 
 
 def zero_ideal(ring) -> Ideal:
-    return Ideal(ring, 1 << ring.zero)
+    """{0}, trivially an ideal."""
+    return Ideal._trusted(ring, 1 << ring.zero)
 
 
 def unit_ideal(ring) -> Ideal:
-    return Ideal(ring, _full_mask(ring))
+    """R, trivially an ideal."""
+    return Ideal._trusted(ring, _full_mask(ring))
 
 
 def principal_ideal(ring, a: int) -> Ideal:
-    """The smallest ideal containing a: the set of multiples {a*r}."""
+    """The smallest ideal containing a: the set of multiples {a*r}, an
+    ideal as a*r + a*s = a*(r + s) and (a*r)*s = a*(r*s)."""
     a = ring._check_index(a)
-    return Ideal(ring, _pack(_rows_of(ring.order, ring.mul_table[a:a + 1]))[0])
+    return Ideal._trusted(ring, _pack(_rows_of(ring.order, ring.mul_table[a:a + 1]))[0])
 
 
 def ideal_generated(ring, elements) -> Ideal:
     """Smallest ideal containing the given elements: the sum of their
     principal ideals, each aR joined as the cyclic subgroups <a*s> for s in
     the ring's additive generating set, which generate it additively by
-    distributivity."""
+    distributivity. A join of additive subgroups that each absorb is an
+    additive subgroup that absorbs, by distributivity: an ideal."""
     row = _flags_of(ring, 1 << ring.zero)[None]
     for a in elements:
         for t in ring.mul_table[ring._check_index(a), ring.generators]:
             row = _join(row, _doublings(ring.add_table, ring.zero, t[None]))
-    return Ideal(ring, _pack(row)[0])
+    return Ideal._trusted(ring, _pack(row)[0])
 
 
 def sum_ideals(ring, left: Ideal, right: Ideal) -> Ideal:
     """Ideal sum I+J = {i+j}: I joined with <g> for the least member g of J
     not yet in the sum, until J is covered. Each join at least doubles the
-    sum, an additive subgroup, so there are at most log2(order) of them."""
+    sum, an additive subgroup, so there are at most log2(order) of them.
+    The sum of the subgroups I and J, both ideals, absorbs by
+    distributivity, so it is an ideal."""
     _same_ring(ring, left)
     _same_ring(ring, right)
     row = _flags_of(ring, left.members)[None]
     inside_right = _flags_of(ring, right.members)
     while (missing := np.flatnonzero(inside_right & ~row[0])).size:
         row = _join(row, _doublings(ring.add_table, ring.zero, missing[:1]))
-    return Ideal(ring, _pack(row)[0])
+    return Ideal._trusted(ring, _pack(row)[0])
 
 
 def _dot_escape(text: str) -> str:
@@ -347,12 +364,6 @@ class IdealLattice:
 
     def __len__(self) -> int:
         return len(self.ideals)
-
-    def index_of(self, ideal: Ideal) -> int:
-        try:
-            return self.index[ideal.members]
-        except KeyError:
-            raise ValueError("ideal not in lattice") from None
 
     @cached_property
     def primes(self) -> dict[int, Ideal]:
@@ -497,7 +508,8 @@ def all_ideals(ring) -> IdealLattice:
     subgroups: each r is a sum of elements of an additive generating set S
     of R, so by distributivity aR = {a*r} is generated additively by the
     a*s, s in S, and I + aR is I joined with each <a*s> in turn, by the
-    doubling join of rings (_join).
+    doubling join of rings (_join). So every row is an ideal, and enters
+    the Ideal type unchecked.
     """
     if ring._lattice is not None:
         return ring._lattice
@@ -516,7 +528,7 @@ def all_ideals(ring) -> IdealLattice:
         combined = (combined[:, None] & found[:, ring.mul_table[e]]).reshape(-1, ring.order)
     inside = combined[_canonical_order(combined)]
     inside.setflags(write=False)
-    ideals = tuple(Ideal(ring, mask) for mask in _pack(inside))
+    ideals = tuple(Ideal._trusted(ring, mask) for mask in _pack(inside))
     index = {ideal.members: i for i, ideal in enumerate(ideals)}
     ring._lattice = IdealLattice(ring, ideals, index, generator, inside)
     return ring._lattice
@@ -525,13 +537,14 @@ def all_ideals(ring) -> IdealLattice:
 def radical(ring, ideal: Ideal) -> Ideal:
     """The intersection of the primes containing the ideal, which is the set
     of elements with some power inside it (Atiyah-Macdonald, Prop. 1.14);
-    no prime contains R, so radical(R) is R."""
+    no prime contains R, so radical(R) is R. An intersection of ideals is
+    an ideal."""
     _same_ring(ring, ideal)
     mask = _full_mask(ring)
     for prime in all_ideals(ring).primes:
         if ideal.members & ~prime == 0:
             mask &= prime
-    return Ideal(ring, mask)
+    return Ideal._trusted(ring, mask)
 
 
 def _product_lands(ring, inside: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -584,10 +597,11 @@ def is_prime(ring, ideal: Ideal) -> bool:
 def is_maximal(ring, ideal: Ideal) -> bool:
     """Proper with no ideal strictly between it and the whole ring: its one
     row is held by exactly two ideals, itself and R, as the lattice's
-    maximal flags test every row."""
+    maximal flags test every row. Every Ideal of the ring is an ideal, so
+    the lattice holds it."""
     _same_ring(ring, ideal)
     lattice = all_ideals(ring)
-    i = lattice.index_of(ideal)
+    i = lattice.index[ideal.members]
     [(_, within)] = _subsets(lattice.inside[i:i + 1], lattice.inside)
     return int(np.add.reduce(within, axis=None)) == 2
 
@@ -614,7 +628,8 @@ def primary_ideals(ring) -> list[tuple[Ideal, Ideal]]:
     radicals of all proper ideals as one block, each row the AND of the
     prime rows that hold its ideal, as radical computes one, in one pass
     over the block per prime; then one _product_lands call over all of
-    them, as is_primary asks it of one."""
+    them, as is_primary asks it of one. Each radical is an intersection of
+    primes, or R, and so an ideal."""
     lattice = all_ideals(ring)
     proper = np.flatnonzero(~lattice.inside.all(axis=1))
     inside = lattice.inside[proper]
@@ -624,7 +639,7 @@ def primary_ideals(ring) -> list[tuple[Ideal, Ideal]]:
         radicals[~np.logical_or.reduce(inside & ~prime, axis=1)] &= prime
     primary = ~_product_lands(ring, inside, ~inside, ~radicals)
     return [
-        (lattice.ideals[k], Ideal(ring, mask))
+        (lattice.ideals[k], Ideal._trusted(ring, mask))
         for k, mask in zip(proper[primary].tolist(), _pack(radicals[primary]))
     ]
 

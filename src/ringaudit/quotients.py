@@ -2,9 +2,9 @@
 structural audits that depend on them.
 
 Quotients are presented by the projection onto minimal-index coset
-representatives, which names each element's coset. The Ideal type keeps a
-mask in range; quotient_ring checks a caller's ideal once, by the
-definition (ideals._check_ideal), and one step, ideals._cosets, finds each
+representatives, which names each element's coset. Every Ideal is an
+ideal, checked where a caller builds it or built as one by the package,
+so quotient_ring checks no ideal law; one step, ideals._cosets, finds each
 coset's least member for a block of ideal rows of any size, by each row's
 own additive generators. By the correspondence theorem the induced tables
 then form a ring, the projection is a surjective homomorphism and its
@@ -47,7 +47,6 @@ from .ideals import (
     _BLOCK_CELLS,
     Ideal,
     IdealLattice,
-    _check_ideal,
     _cosets,
     _flags_of,
     _pack,
@@ -111,9 +110,8 @@ class QuotientPresentation:
 
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
     """Quotient by a proper ideal. Quotienting by R itself is rejected:
-    the result would be the zero ring, and a mask that is not an ideal
-    raises ValueError naming the first violated ideal law (_check_ideal,
-    the one check of the caller's mask).
+    the result would be the zero ring. No ideal law is checked: the Ideal
+    type has checked a caller's mask where it was built.
 
     Cosets are numbered in the order of their representatives, and cell
     (a, b) of each table is the coset of the ring's cell at the
@@ -122,9 +120,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         raise ValueError("cannot quotient by the whole ring (the zero ring is excluded)")
-    inside = _flags_of(ring, ideal.members)
-    _check_ideal(ring, inside)
-    rep_of = _cosets(ring, inside[None])[0]
+    rep_of = _cosets(ring, _flags_of(ring, ideal.members)[None])[0]
     reps = np.flatnonzero(rep_of == np.arange(ring.order))
     coset_of = np.searchsorted(reps, rep_of)
     quotient = FiniteRing._trusted(
@@ -168,7 +164,7 @@ def kernel(hom: RingHom) -> Ideal:
     """Preimage of zero, an ideal by the laws check_hom proves: not re-checked."""
     if not check_hom(hom):
         raise ValueError("kernel is defined for ring homomorphisms only")
-    return Ideal(hom.source, _pack((np.array(hom.mapping) == hom.target.zero)[None])[0])
+    return Ideal._trusted(hom.source, _pack((np.array(hom.mapping) == hom.target.zero)[None])[0])
 
 
 def classify_hom(hom: RingHom) -> dict:

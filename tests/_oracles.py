@@ -17,7 +17,8 @@ whole_block_checked_members is the ideal-law check as it stood before
 absorption was checked on an additive generating set: the definition read
 off whole |I| x order blocks, the reference the engine's one check,
 ideals._check_ideal, must match message for message, and the oracle the
-tests hold every lattice row THM1 reads to.
+tests hold every lattice row THM1 reads, and every Ideal the package builds
+unchecked, to.
 whole_block_is_primary is is_primary as it stood before the chunked
 early-exit test, gathering its whole block at once.
 algebra_tables is make_algebra's table build as it stood before the
@@ -44,6 +45,9 @@ defined for rows that are ideals and is compared with it on those.
 dumps_render_json is the JSON report writer as it stood before rows were
 filled into their fixed shape: json.dumps at indent 2, which runs json's
 pure-Python encoder.
+polynomial_quotient_tables builds Z_q[x]/(f) for a monic f by loops over
+coefficient tuples, so the Galois and chain rings the tests hand to the
+FiniteRing validator share no code with the engine's table builders.
 """
 
 from __future__ import annotations
@@ -599,3 +603,29 @@ def dumps_render_json(reports) -> str:
         for r in reports
     ]
     return json.dumps(rows, indent=2, ensure_ascii=False)
+
+
+def polynomial_quotient_tables(q: int, f: tuple[int, ...]):
+    """(names, add, mul) of Z_q[x]/(f), f monic of degree r = len(f) with
+    f = x^r + f[r-1]*x^(r-1) + ... + f[0]. The elements are the coefficient
+    tuples (c_0, ..., c_{r-1}) in lexicographic order, so zero is index 0
+    and one is (1, 0, ..., 0); a product is reduced by x^r = -(f[0] + ... +
+    f[r-1]*x^(r-1)), from the top degree down."""
+    r = len(f)
+    elements = list(cartesian(range(q), repeat=r))
+    index = {e: k for k, e in enumerate(elements)}
+
+    def times(a, b):
+        product = [0] * (2 * r - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+        for d in range(2 * r - 2, r - 1, -1):
+            for i in range(r):
+                product[d - r + i] -= product[d] * f[i]
+        return index[tuple(c % q for c in product[:r])]
+
+    add = [[index[tuple((x + y) % q for x, y in zip(a, b))] for b in elements] for a in elements]
+    mul = [[times(a, b) for b in elements] for a in elements]
+    names = ["+".join(f"{c}x^{i}" for i, c in enumerate(e) if c) or "0" for e in elements]
+    return names, add, mul

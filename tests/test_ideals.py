@@ -7,6 +7,7 @@ radicals of specific ideals) are asserted directly.
 
 import gc
 import math
+import random
 import re
 import runpy
 import tracemalloc
@@ -33,6 +34,7 @@ from _oracles import (
     padded_block_cosets,
     pair_scan_up,
     pairwise_sum,
+    polynomial_quotient_tables,
     power_in,
     whole_block_checked_members,
     whole_block_is_primary,
@@ -63,10 +65,12 @@ from ringaudit.ideals import (
 )
 import ringaudit.claims as claims
 import ringaudit.ideals as ideals
+from ringaudit.corpus import default_corpus
 from ringaudit.ideals import _cosets, _flags_of, _pack, _primitive_idempotents, _rows_of
-from ringaudit.quotients import quotient_ring
+from ringaudit.quotients import kernel, quotient_ring
 from ringaudit.ringfile import _sc_with_unity
 from ringaudit.rings import (
+    FiniteRing,
     make_algebra,
     make_boolean,
     make_product,
@@ -956,12 +960,14 @@ def test_is_maximal_tests_one_row_against_the_lattice(small_corpus_rings):
     assert not any("maximal" in vars(all_ideals(ring)) for ring in beyond)
 
 
-def test_is_maximal_rejects_a_mask_outside_the_lattice():
+@pytest.mark.parametrize("mask, law", [(0b11, "missing -1"), (0b101, "missing -2")])
+def test_a_mask_that_is_not_an_ideal_is_refused_where_it_is_built(mask, law):
+    # {0, 1} and {0, 2} in Z_6: the type refuses them, so no predicate, no
+    # lattice lookup and no quotient ever sees a non-ideal
     z6 = make_zn(6)
-    not_an_ideal = Ideal(z6, 0b11)  # {0, 1}
-    with pytest.raises(ValueError, match="not in lattice"):
-        is_maximal(z6, not_an_ideal)
-    assert not is_ppri(z6, not_an_ideal)
+    with pytest.raises(ValueError) as err:
+        Ideal(z6, mask)
+    assert str(err.value) == f"not an ideal: {law}"
 
 
 def test_to_dot_covers_match_oracle(oracle_rings):
@@ -1002,3 +1008,123 @@ def test_lattice_dies_with_its_ring():
     del ring
     gc.collect()
     assert ref() is None
+
+
+# === the Ideal type's door and the package's trusted ideals ===
+
+def assert_trusted_sites_give_ideals(ring, elements, lattice_wide=True):
+    """Hold every Ideal the package builds without the type's check to the
+    whole-block law check: zero and unit; principal_ideal of each element
+    and ideal_generated of drawn pairs of elements; sum_ideals of drawn
+    pairs, radical of each, and the kernel of the projection onto the
+    quotient by each proper one, for the lattice's ideals when lattice_wide
+    and for the principal ideals of the elements otherwise; and, when
+    lattice_wide, the radicals primary_ideals gives."""
+    draw = random.Random(ring.order)
+
+    def pairs(items):
+        return [draw.sample(items, 2) for _ in range(12)] if len(items) > 1 else []
+
+    principals = [principal_ideal(ring, a) for a in elements]
+    among = list(all_ideals(ring).ideals if lattice_wide else {ideal.members: ideal for ideal in principals}.values())
+    built = [zero_ideal(ring), unit_ideal(ring), *principals]
+    built += [ideal_generated(ring, pair) for pair in pairs(list(elements))]
+    built += [sum_ideals(ring, left, right) for left, right in pairs(among)]
+    built += [radical(ring, ideal) for ideal in among]
+    built += [kernel(quotient_ring(ring, ideal).projection) for ideal in among if ideal.is_proper]
+    if lattice_wide:
+        built += [rad for _, rad in primary_ideals(ring)]
+    for ideal in {ideal.members: ideal for ideal in built}.values():
+        assert whole_block_checked_members(ring, ideal.members).tolist() == list(ideal.indices()), (ring.label, str(ideal))
+
+
+def test_every_ideal_the_package_builds_unchecked_is_an_ideal_on_the_corpus(corpus):
+    for ring in corpus:
+        assert_trusted_sites_give_ideals(ring, list(ring.elements()))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_boolean(10),
+        lambda: make_zn(2048),
+        lambda: make_product([make_zn(4)] * 5),
+        lambda: make_product([*[make_zn(2)] * 4, make_zn(3), make_zn(5), make_zn(7)]),
+    ],
+    ids=["B_10", "Z_2048", "Z_4^5", "Z_2^4xZ_3xZ_5xZ_7"],
+)
+def test_the_ideals_the_package_builds_unchecked_at_the_order_ceiling_are_ideals(build):
+    # a few fixed elements, not the whole lattice
+    ring = build()
+    assert_trusted_sites_give_ideals(ring, [1, 2, 6, ring.order // 3, ring.order - 2], lattice_wide=False)
+
+
+def test_only_a_callers_mask_is_checked_by_the_ideal_laws(monkeypatch):
+    # the whole claim catalog, on freshly built rings, lattices included,
+    # builds every Ideal through a trusted site
+    calls = []
+    real = ideals._check_ideal
+    monkeypatch.setattr(ideals, "_check_ideal", lambda ring, inside: calls.append(ring.label) or real(ring, inside))
+    claims.run_all_claims(default_corpus())
+    assert calls == []
+    z12 = make_zn(12)
+    evens = Ideal(z12, principal_ideal(z12, 2).members)
+    assert calls == ["Z_12"]
+    quotient_ring(z12, evens)
+    quotient_ring(z12, ideal_generated(z12, [4, 6]))
+    assert calls == ["Z_12"]
+
+
+def _polynomial_ring(label, q, f):
+    """Z_q[x]/(f) from the loop oracle, as a caller's tables: relabelled by
+    a fixed shuffle and handed to FiniteRing, which validates them."""
+    names, add, mul = polynomial_quotient_tables(q, f)
+    position = np.arange(len(names))
+    random.Random(label).shuffle(position)
+    element = np.argsort(position)
+    return FiniteRing(
+        len(names),
+        position[np.asarray(add)[np.ix_(element, element)]],
+        position[np.asarray(mul)[np.ix_(element, element)]],
+        position[0], position[q ** (len(f) - 1)],
+        label,
+        element_names=[names[k] for k in element],
+    )
+
+
+# (label, q, f below its leading term, p, k), the lattice a chain of k + 1
+# ideals: GR(p^k, r) = Z_{p^k}[x]/(f), f monic and irreducible mod p, has
+# exactly the k + 1 ideals (p^i) of p^(r(k-i)) members (Wan, Lectures on
+# Finite Fields and Galois Rings; McDonald, Finite Rings with Identity);
+# the chain ring Z_4[x]/(x^2+2) has the five ideals (x^i), of 16, 8, 4, 2
+# and 1 members
+LOCAL_RINGS = [
+    ("GR(4,2)", 4, (1, 1), 2, 2),  # x^2+x+1
+    ("GR(8,2)", 8, (1, 1), 2, 3),  # x^2+x+1
+    ("GR(9,2)", 9, (1, 0), 3, 2),  # x^2+1
+    ("GR(4,3)", 4, (1, 1, 0), 2, 2),  # x^3+x+1
+    ("Z_4[x]/(x^2+2)", 4, (2, 0), 2, 4),
+]
+
+
+@pytest.mark.parametrize("label, q, f, p, k", LOCAL_RINGS, ids=[c[0] for c in LOCAL_RINGS])
+def test_the_lattices_of_galois_and_chain_rings_are_their_closed_forms(label, q, f, p, k):
+    ring = _polynomial_ring(label, q, f)
+    lattice = all_ideals(ring)
+    assert [ideal.members for ideal in lattice.ideals] == [ideal.members for ideal in closure_lattice(ring).ideals]
+    # a chain of k + 1 ideals, each order^(1/k) times the size of the one
+    # below it: p^r for GR(p^k, r), 2 for the chain ring
+    by_size = sorted(lattice.ideals, key=len)
+    step = round(ring.order ** (1 / k))
+    assert [len(ideal) for ideal in by_size] == [step ** i for i in range(k + 1)]
+    assert all(small.members & ~large.members == 0 for small, large in zip(by_size, by_size[1:]))
+    # one prime, the maximal ideal, the chain's second largest
+    assert [prime.members for prime in prime_spectrum(ring)] == [by_size[-2].members]
+    if label.startswith("GR"):  # (p^i) for the integer p^i, in the ring: (p^i)*1
+        multiple = [ring.zero]
+        for _ in range(p ** k):
+            multiple.append(ring.add(multiple[-1], ring.one))
+        assert [principal_ideal(ring, multiple[p ** i]).members for i in range(k + 1)] == [
+            ideal.members for ideal in reversed(by_size)
+        ]
+    assert_trusted_sites_give_ideals(ring, list(ring.elements()))
