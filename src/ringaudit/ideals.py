@@ -127,9 +127,10 @@ def _subsets(rows: np.ndarray, sets: np.ndarray):
 
 def _rows_of(width: int, rows: np.ndarray) -> np.ndarray:
     """The 2-d bool array, width columns wide, whose row k marks the
-    entries of row k of a 2-d index array."""
+    entries of row k of a 2-d index array: one flat scatter, row k's
+    entries offset by k * width."""
     inside = np.zeros((len(rows), width), dtype=bool)
-    inside[np.arange(len(rows))[:, None], rows] = True
+    inside.ravel()[rows + np.arange(0, len(rows) * width, width)[:, None]] = True
     return inside
 
 

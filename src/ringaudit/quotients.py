@@ -22,8 +22,8 @@ than P, is prime, then principal (_quotient_pprir, one batch of pairs
 (P, J) for all the domains; a containment block with no pair asks
 nothing).
 Homomorphisms are total index maps; a map given by the caller is trusted
-only once check_hom has verified the preservation laws exhaustively, one
-comparison of whole tables per operation, which makes its kernel an ideal
+only once check_hom has verified the preservation laws exhaustively, a
+block of rows at a time, which makes its kernel an ideal
 without a second check, while the search, _endomorphism_blocks, finds maps
 that are homomorphisms by construction (the proof is in its docstring;
 each layer's elements are listed once, by a scalar walk of multiples and
@@ -136,8 +136,10 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
 
 def check_hom(hom: RingHom) -> bool:
     """Exhaustively verify unity, additive and multiplicative preservation:
-    f(one) = one, then each operation's law on every pair (a, b) as one
-    comparison of whole tables, f(a op b) against f(a) op f(b).
+    f(one) = one, then each operation's law on every pair (a, b),
+    f(a op b) against f(a) op f(b), compared a block of rows a of about
+    _BLOCK_CELLS cells at a time, stopping at the first block that breaks
+    one.
 
     Malformed maps (wrong length, an image that is not an integer or lies
     out of range) raise ValueError; well-formed maps that break a law just
@@ -153,11 +155,17 @@ def check_hom(hom: RingHom) -> bool:
     if any(not 0 <= v < tgt.order for v in hom.mapping):
         raise ValueError("map image out of target range")
     f = np.array(hom.mapping, dtype=np.int64)
-    return bool(
-        f[src.one] == tgt.one
-        and (f[src.add_table] == tgt.add_table[f[:, None], f]).all()
-        and (f[src.mul_table] == tgt.mul_table[f[:, None], f]).all()
-    )
+    if f[src.one] != tgt.one:
+        return False
+    step = max(1, _BLOCK_CELLS // src.order)
+    for start in range(0, src.order, step):
+        cells = f[start:start + step, None] * tgt.order + f  # flat index of (f(a), f(b)) in a target table
+        if not (
+            np.array_equal(np.take(f, src.add_table[start:start + step]), np.take(tgt.add_table, cells))
+            and np.array_equal(np.take(f, src.mul_table[start:start + step]), np.take(tgt.mul_table, cells))
+        ):
+            return False
+    return True
 
 
 def kernel(hom: RingHom) -> Ideal:

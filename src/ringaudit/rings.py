@@ -9,7 +9,10 @@ rows (a table ring file's rows as parsed among them), checks the shape, the
 cells and the zero/one indices, and keeps one int64 copy. It, and
 make_algebra on the tables it builds from caller structure constants, run
 the exact axiom check of validate_tables, O(order^2 log order) for tables
-that form a ring. Z_n, B_k, direct products and quotients by ideals are
+that form a ring: whole-table tests of the O(order^2) laws, two
+order x order comparisons at each additive generator, and associativity
+of * on the triples of generators alone; the generators it checked are
+the ring's. Z_n, B_k, direct products and quotients by ideals are
 rings by construction: their tables are kept as built, with no copy and no
 check, and the tests re-validate them. Every FiniteRing is thus a genuine
 commutative unital ring, not the zero ring, whose element names are
@@ -22,8 +25,9 @@ _join) are defined here once; validation, FiniteRing.generators,
 additive_order, the ideal code and the endomorphism search all read them.
 
 Instances are immutable after construction, bar two lazily filled slots for
-the ideal lattice and an additive generating set, and are safe to share
-across threads.
+the ideal lattice and an additive generating set (filled at construction
+for a ring whose tables were validated), and are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -107,31 +111,40 @@ def _as_table(table, order: int, name: str) -> np.ndarray:
     return np.array(table, dtype=np.int64)  # numpy integer cells, or an int subclass other than bool
 
 
-def validate_tables(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one: int) -> None:
-    """Exactly check every commutative-unital-ring axiom in O(order^2 log order).
+def validate_tables(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one: int) -> np.ndarray:
+    """Exactly check every commutative-unital-ring axiom in O(order^2 log order),
+    and return the picks of _picks it checked, an int64 array, one first.
 
     Raises RingAxiomError naming the first violated axiom and a witness
     tuple. First come the O(order^2) laws: closure, nonzero unity,
-    commutativity of + and *, additive identity and inverses, unity. The
-    three cubic laws are then checked only at each pick s of _picks, an
-    additive generating set, each as one order x order comparison over all
-    x, z:
+    commutativity of + and *, additive identity and inverses, unity. Each
+    is one test over the whole table, and its witness is searched for only
+    once the law is known to fail. Two of the three cubic laws are then
+    checked at each pick s of _picks, an additive generating set, each as
+    one order x order comparison over all x, z:
 
-      (a) (x+s)+z = x+(s+z)    (b) x(s+z) = xs+xz    (c) (xs)z = x(sz)
+      (a) (x+s)+z = x+(s+z)    (b) x(s+z) = xs+xz
 
-    Why that proves each law at every element: the set of elements at which
-    a law holds for all x, z is closed under +.
+    and the third, (c) (xy)z = x(yz), once, on the triples of picks alone.
+
+    Why that proves each law at every element. For (a) and (b), the set of
+    elements at which a law holds for all x, z is closed under +.
       (a) Light's associativity test (Clifford & Preston, The Algebraic
           Theory of Semigroups I, 1961, sec. 1.2): if s, t are good then
           (x+(s+t))+z = ((x+s)+t)+z = (x+s)+(t+z) = x+(s+(t+z))
           = x+((s+t)+z).
       (b) Given (a): x((s+t)+z) = x(s+(t+z)) = xs+(xt+xz) = (xs+xt)+xz
           = x(s+t)+xz.
-      (c) Given (b) and commutativity, which supplies the right-hand
-          distributive law: (x(s+t))z = (xs)z+(xt)z = x(sz)+x(tz)
-          = x(sz+tz) = x((s+t)z).
     So (a) holds at every sum of one or more picks; once every element is
-    such a sum, (a) holds everywhere, and then (b) and (c) do too.
+    such a sum, (a) holds everywhere, and then (b) does too.
+      (c) Trilinearity: + is now an abelian group, and * is additive in
+          each argument, by (b) on the left and by commutativity on the
+          right. So T(x, y, z) = (xy)z - x(yz) is additive in each of x,
+          y and z: T(x+x', y, z) = (xy+x'y)z - (x(yz)+x'(yz)) =
+          T(x, y, z) + T(x', y, z), and alike in y and z. Every element is
+          a sum of picks, so each T(x, y, z) is a sum of values of T on
+          triples of picks: T vanishes everywhere iff it vanishes there,
+          at most log2(order)^3 triples.
 
     Why _picks' doubling, which assumes a group, is sound on a table not
     yet known to form one: it closes the reached set X, {zero} at first,
@@ -147,49 +160,57 @@ def validate_tables(order: int, add: np.ndarray, mul: np.ndarray, zero: int, one
     not cover, and within M it reaches exactly the subgroup that _picks'
     docstring names, so at most log2(order) picks pass, whatever the table.
 
-    A failed check at s is an instance of a law that _search_witness checks
-    exhaustively, slice by slice; it runs only then, and raises with the
-    first witness in slice order. A rejected table thus pays for that
-    O(order^3) search up to its first failing slice.
+    A failed check, at a pick or on the triples, is an instance of a law
+    that _search_witness checks exhaustively, slice by slice; it runs only
+    then, and raises with the first witness in slice order. A rejected
+    table thus pays for that O(order^3) search up to its first failing
+    slice.
     """
     for axiom, table in (("closure(add)", add), ("closure(mul)", mul)):
-        bad = np.argwhere((table < 0) | (table >= order))
-        if len(bad):
-            a, b = (int(v) for v in bad[0])
+        if not (table.min() >= 0 and table.max() < order):
+            a, b = (int(v) for v in np.argwhere((table < 0) | (table >= order))[0])
             raise RingAxiomError(axiom, (a, b), f"{axiom}: entry [{a}][{b}] = {int(table[a, b])} out of range")
     if zero == one:
         raise RingAxiomError("nonzero-unity", (int(zero),), "unity must differ from zero")
 
     idx = np.arange(order)
-    bad = np.argwhere(add != add.T)
-    if len(bad):
-        raise RingAxiomError("commutativity(add)", tuple(bad[0]))
+    _check_symmetric("commutativity(add)", add)
     bad = np.flatnonzero(add[zero] != idx)
     if len(bad):
         raise RingAxiomError("additive-identity", (bad[0],))
     bad = np.flatnonzero(~(add == zero).any(axis=1))
     if len(bad):
         raise RingAxiomError("additive-inverse", (bad[0],))
-    bad = np.argwhere(mul != mul.T)
-    if len(bad):
-        raise RingAxiomError("commutativity(mul)", tuple(bad[0]))
+    _check_symmetric("commutativity(mul)", mul)
     bad = np.flatnonzero(mul[one] != idx)
     if len(bad):
         raise RingAxiomError("unity", (bad[0],))
 
+    picks = []
     for s in _picks(add, zero, one):
         if not _cubic_laws_hold(add, mul, s):
             _search_witness(order, add, mul)  # raises: the failed law is one it checks
+        picks.append(s)
+    g = np.array(picks, dtype=np.int64)
+    gg = mul[g[:, None], g]
+    if not np.array_equal(mul[gg[:, :, None], g], mul[g[:, None, None], gg]):  # (xy)z against x(yz)
+        _search_witness(order, add, mul)
+    return g
+
+
+def _check_symmetric(axiom: str, table: np.ndarray) -> None:
+    """Raise for the first cell, in row-major order, where the table differs
+    from its transpose."""
+    if not np.array_equal(table, table.T):
+        raise RingAxiomError(axiom, tuple(np.argwhere(table != table.T)[0]))
 
 
 def _cubic_laws_hold(add: np.ndarray, mul: np.ndarray, s: int) -> bool:
-    """(a), (b) and (c) of validate_tables at s, with x down the rows and z
-    across; row s stands for column s by commutativity, and np.take is the
-    fast column gather."""
-    return (
-        np.array_equal(add[add[s]], np.take(add, add[s], axis=1))
-        and np.array_equal(np.take(mul, add[s], axis=1), np.take_along_axis(add[mul[s]], mul, axis=1))
-        and np.array_equal(mul[mul[s]], np.take(mul, mul[s], axis=1))
+    """(a) and (b) of validate_tables at s, with x down the rows and z
+    across; row s stands for column s by commutativity, np.take is the fast
+    column gather, and xs + xz is one flat gather, at xs * order + xz."""
+    return np.array_equal(add[add[s]], np.take(add, add[s], axis=1)) and np.array_equal(
+        np.take(mul, add[s], axis=1), np.take(add, mul + (mul[s] * len(add))[:, None])
     )
 
 
@@ -272,8 +293,9 @@ class FiniteRing:
     document it parsed, which ringfile.document_for writes back.
 
     Two slots are filled lazily: _lattice, where ideals.all_ideals keeps the
-    ring's IdealLattice, and generators; threads racing to fill either
-    recompute the same value.
+    ring's IdealLattice, and generators, unless validation has filled it
+    with the picks it checked; threads racing to fill either recompute the
+    same value.
     """
 
     def __init__(
@@ -294,8 +316,9 @@ class FiniteRing:
             isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < order for v in (zero, one)
         ):
             raise ValueError(f"zero/one must be int indices in 0..{order - 1}, got {zero!r}/{one!r}")
-        validate_tables(order, add, mul, zero, one)
+        generators = validate_tables(order, add, mul, zero, one)
         self._fill(order, add, mul, zero, one, label or f"table-ring-{order}", element_names)
+        self.generators = generators  # the picks validation checked, kept where the cached property keeps them
 
     @classmethod
     def _trusted(cls, order, add_table, mul_table, zero, one, label, element_names=None):
@@ -331,8 +354,10 @@ class FiniteRing:
 
     @cached_property
     def generators(self) -> np.ndarray:
-        """The picks of _picks, found on first use: an additive generating
-        set of at most log2(order) elements, one first."""
+        """The picks of _picks, an additive generating set of at most
+        log2(order) elements, one first: those validate_tables checked for
+        a ring built from caller tables or constants, else found on first
+        use."""
         return np.array(list(_picks(self.add_table, self.zero, self.one)))
 
     def _check_index(self, a: int) -> int:
@@ -477,8 +502,10 @@ def make_algebra(p: int, dim: int, sc, basis_names=None, label: str | None = Non
         add += (vecs[:, k, None] + vecs[:, k]) % p * powers[k]
         mul += (vecs @ sc[..., k] @ vecs.T) % p * powers[k]
     names = [_combo_name(v, basis_names) for v in vecs]
-    validate_tables(order, add, mul, 0, 1)
-    return FiniteRing._trusted(order, add, mul, 0, 1, label or f"F{p}-algebra(dim={dim})", element_names=names)
+    generators = validate_tables(order, add, mul, 0, 1)
+    ring = FiniteRing._trusted(order, add, mul, 0, 1, label or f"F{p}-algebra(dim={dim})", element_names=names)
+    ring.generators = generators
+    return ring
 
 
 make_table_ring = FiniteRing  # the same constructor under its older name

@@ -158,6 +158,23 @@ def test_subsets_match_brute_force(data, block_cells):
     assert np.array_equal(within, expected)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_rows_of_matches_a_loop_over_the_entries(data):
+    # index blocks of any width, with any number of rows and of entries a
+    # row, repeats included: row k marks exactly the entries of row k
+    width = data.draw(st.integers(1, 200))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, width, (data.draw(st.integers(0, 6)), data.draw(st.integers(0, 2 * width))))
+    expected = [[False] * width for _ in rows]
+    for k, row in enumerate(rows.tolist()):
+        for entry in row:
+            expected[k][entry] = True
+    got = _rows_of(width, rows)
+    assert got.shape == (len(rows), width)
+    assert got.tolist() == expected
+
+
 def test_ideal_order_divides_ring_order(corpus):
     for ring in corpus:
         for ideal in all_ideals(ring).ideals:

@@ -206,9 +206,9 @@ def test_check_hom_refuses_an_image_that_is_not_an_integer(image):
 
 
 def test_check_hom_at_the_order_ceiling_stays_within_two_tables():
-    # each law is one comparison of whole 2048 x 2048 tables: two int64
-    # gathers of 32 MiB and a bool table, for the identity of Z_2048 and for
-    # its projection onto Z_2048/(2)
+    # each law is compared a block of rows of about _BLOCK_CELLS cells at a
+    # time, for the identity of Z_2048 and for its projection onto
+    # Z_2048/(2); one whole-table int64 gather would hold 32 MiB
     z = make_zn(2048)
     projection = quotient_ring(z, ideal_generated(z, [2])).projection
     for hom in (RingHom(z, z, tuple(range(2048))), projection):
@@ -216,7 +216,7 @@ def test_check_hom_at_the_order_ceiling_stays_within_two_tables():
         assert check_hom(hom)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 80 << 20, (hom.target.label, peak)
+        assert peak < 4 << 20, (hom.target.label, peak)
 
 
 def test_check_hom_matches_oracle_on_every_small_map(corpus):
@@ -813,6 +813,33 @@ def test_a_caller_ideal_at_the_order_ceiling_is_checked_in_bounded_memory():
     # the quotient checks no law of an Ideal that already exists: its
     # coset step and its two tables of 2 x 2 cells
     assert _peak(lambda: quotient_ring(ring, evens)) < 1 << 20
+
+
+def test_the_kernel_of_a_projection_at_the_order_ceiling_is_found_in_bounded_memory():
+    # kernel runs check_hom, a block of rows of about _BLOCK_CELLS cells at
+    # a time; one whole 2048 x 2048 int64 gather would hold 32 MiB
+    ring = make_zn(2048)
+    projection = quotient_ring(ring, principal_ideal(ring, 2)).projection
+    assert _peak(lambda: kernel(projection)) < 4 << 20
+    assert kernel(projection).members == principal_ideal(ring, 2).members
+
+
+@pytest.mark.parametrize("block_cells", [1, 64])
+def test_check_hom_block_by_block_matches_the_oracle(monkeypatch, corpus, block_cells):
+    # blocks of one row, and of 64 // order rows: each projection R -> R/I
+    # of a corpus ring of at most 32 elements, and each map that moves one
+    # image to the next coset, whose broken pairs may lie in any block
+    monkeypatch.setattr(quotients, "_BLOCK_CELLS", block_cells)
+    for ring in (ring for ring in corpus if ring.order <= 32):
+        for ideal in all_ideals(ring).ideals:
+            if not ideal.is_proper:
+                continue
+            pres = quotient_ring(ring, ideal)
+            q, f = pres.quotient, pres.projection.mapping
+            assert check_hom(pres.projection)
+            for a in ring.elements():
+                g = (*f[:a], (f[a] + 1) % q.order, *f[a + 1:])
+                assert check_hom(RingHom(ring, q, g)) == is_unital_hom(ring, g, q), (ring.label, str(ideal), a)
 
 
 def test_audit_thm3_verified_and_skipped(ring_a):

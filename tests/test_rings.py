@@ -642,6 +642,76 @@ def test_validator_matches_slice_loop_on_random_fp_algebras(p, data):
     assert_same_verdict(p**3, add, mul, 0, 1)
 
 
+# e_i * e_j for 1 <= i <= j <= 3 of three associative algebras of dimension
+# 4: F_p[x]/(x^4) on 1, x, x^2, x^3; F_p[x, y]/(x^2, y^2) on 1, x, y, xy;
+# and the one with all those products zero
+_E = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+_ZERO = (0, 0, 0, 0)
+ASSOCIATIVE_DIM_4 = [
+    {(1, 1): _E[2], (1, 2): _E[3], (1, 3): _ZERO, (2, 2): _ZERO, (2, 3): _ZERO, (3, 3): _ZERO},
+    {(1, 1): _ZERO, (1, 2): _E[3], (1, 3): _ZERO, (2, 2): _ZERO, (2, 3): _ZERO, (3, 3): _ZERO},
+    {(i, j): _ZERO for i in range(1, 4) for j in range(i, 4)},
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from((2, 3)), data=st.data())
+def test_validator_matches_slice_loop_on_random_dimension_4_algebras(p, data):
+    # bilinear tables are commutative and distributive, so only
+    # associativity(mul) can break: an associative algebra with up to two
+    # of its basis products redrawn, a ring or a near-miss. The four picks
+    # make 64 triples for the check on triples of picks, and a relabelling
+    # makes picks that are not basis elements
+    entries = dict(data.draw(st.sampled_from(ASSOCIATIVE_DIM_4)))
+    coefficients = st.lists(st.integers(0, p - 1), min_size=4, max_size=4)
+    for _ in range(data.draw(st.integers(0, 2))):
+        entries[data.draw(st.sampled_from(sorted(entries)))] = data.draw(coefficients)
+    add, mul = algebra_tables(p, _sc_with_unity(4, entries))
+    zero, one = 0, 1
+    if data.draw(st.booleans()):
+        perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(p**4)
+        rename = np.ix_(np.argsort(perm), np.argsort(perm))
+        add, mul, zero, one = perm[add[rename]], perm[mul[rename]], perm[zero], perm[one]
+    assert_same_verdict(p**4, add, mul, zero, one)
+
+
+def test_a_mul_associativity_break_off_the_unity_is_refused_with_the_slice_loops_message():
+    # F_2 on the basis 1, x, y with x*x = y, y*y = x and x*y = 0: bilinear,
+    # so commutative and distributive, but (xx)y = x and x(xy) = 0. Only
+    # triples of the picks x and y break the law, and the check on triples
+    # of picks must reach the last pick, y, to see it
+    add, mul = algebra_tables(2, _sc_with_unity(3, {(1, 1): (0, 0, 1), (1, 2): (0, 0, 0), (2, 2): (0, 1, 0)}))
+    with pytest.raises(RingAxiomError) as err:
+        FiniteRing(8, add, mul, 0, 1)
+    assert str(err.value) == "axiom associativity(mul) violated at (2, 2, 4)"
+    with pytest.raises(RingAxiomError) as oracle:
+        slice_loop_validate(8, add, mul, 0, 1)
+    assert str(oracle.value) == str(err.value)
+
+
+def test_a_caller_rings_generators_are_the_picks_its_validation_made(monkeypatch):
+    # validate_tables returns the picks it checked, and FiniteRing and
+    # make_algebra keep them, so _picks runs once per ring
+    runs = []
+    real = rings._picks
+    monkeypatch.setattr(rings, "_picks", lambda *args: runs.append(args) or real(*args))
+    builds = {
+        "relabelled Z_12": lambda: FiniteRing(12, *relabelled_tables(make_zn(12), 0)),
+        "relabelled Z_4^3": lambda: FiniteRing(64, *relabelled_tables(make_product([make_zn(4)] * 3), 1)),
+        "make_algebra": lambda: make_algebra(3, 2, _sc_with_unity(2, {(1, 1): (0, 0)})),
+    }
+    for name, build in builds.items():
+        runs.clear()
+        ring = build()
+        generators = ring.generators
+        assert len(runs) == 1, name
+        assert generators.dtype == np.int64, name
+        assert generators.tolist() == list(real(ring.add_table, ring.zero, ring.one)), name
+        assert validate_tables(ring.order, ring.add_table, ring.mul_table, ring.zero, ring.one).tolist() == (
+            generators.tolist()
+        ), name
+
+
 def relabelled_tables(ring, seed):
     """(add, mul, zero, one) of the ring with its elements randomly renamed."""
     perm = np.random.default_rng(seed).permutation(ring.order)
