@@ -33,7 +33,7 @@ qa = quotient_ring(ring_a, m).quotient
 print(f"  order {qa.order}, so the quotient is the field with two elements")
 
 print()
-print("endomorphism monoids (every map below is re-verified elementwise):")
+print("endomorphism monoids (the maps come from a proved search; the tests check each one):")
 for ring in (make_zn(10), corpus.by_label("F_4"), make_boolean(2)):
     endos = endomorphisms(ring)
     print(f"  {ring.label}: {len(endos)} unital endomorphisms")

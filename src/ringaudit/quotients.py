@@ -21,18 +21,20 @@ for the domains, whether each J/P with J a lattice ideal over P, other
 than P, is prime, then principal (_quotient_pprir, one batch of pairs
 (P, J) for all the domains; a containment block with no pair asks
 nothing).
-Homomorphisms are total index maps; a map given by the caller is trusted
-only once check_hom has verified the preservation laws exhaustively, a
-block of rows at a time, which makes its kernel an ideal
-without a second check, while the search, _endomorphism_blocks, finds maps
-that are homomorphisms by construction (the proof is in its docstring;
-each layer's elements are listed once, by a scalar walk of multiples and
-one add-table gather), so they are not re-checked: the tests hold every
-map it yields to an exhaustive law check. The search works on blocks of
-maps, one map to a row of a numpy array, and yields each block as it
-finishes it, which endomorphisms sorts into RingHoms and audit_thm3 reads
-as it comes. One count of distinct images (_image_flags) over a block
-serves classify_hom (one row) and audit_thm3.
+Every RingHom is a unital ring homomorphism, a total index map. Calling
+the type checks a caller's map where it is built: its form, then the
+preservation laws by check_hom, exhaustively, a block of rows at a time.
+The package's own maps enter through RingHom._trusted, each site naming
+why its map is one: quotient_ring's projection, by the correspondence
+theorem, and the maps of the search, _endomorphism_blocks, homomorphisms
+by construction (the proof is in its docstring; each layer's elements are
+listed once, by a scalar walk of multiples and one add-table gather). So
+kernel and classify_hom check no law, and a kernel is an ideal without a
+second check; the tests hold every trusted map to check_hom. The search
+works on blocks of maps, one map to a row of a numpy array, and yields
+each block as it finishes it, which endomorphisms sorts into RingHoms and
+audit_thm3 reads as it comes. One count of distinct images (_image_flags)
+over a block serves classify_hom (one row) and audit_thm3.
 """
 
 from __future__ import annotations
@@ -81,11 +83,42 @@ ENDO_CAP_ENV = "RINGAUDIT_ENDO_CAP"
 
 @dataclass(frozen=True)
 class RingHom:
-    """Total element map between rings; mapping[a] is the image of a."""
+    """A unital ring homomorphism, a total element map between rings:
+    mapping[a] is the image of a. Calling the type checks a caller's map:
+    one of the wrong length, with an image that is not an integer (a bool
+    included) or with an image out of the target's range is refused, then
+    one that breaks a law, found by check_hom. The images are kept as a
+    tuple of Python ints. _trusted keeps a map the package has just built
+    as a homomorphism."""
 
     source: FiniteRing
     target: FiniteRing
     mapping: tuple[int, ...]
+
+    def __post_init__(self):
+        source, target = self.source, self.target
+        if len(self.mapping) != source.order:
+            raise ValueError("map length does not match source order")
+        # a bool is an int to Python; it is refused, not read as 0 or 1
+        odd = [v for v in self.mapping if not isinstance(v, (int, np.integer)) or isinstance(v, bool)]
+        if odd:
+            raise ValueError(f"map image {odd[0]!r} is not an integer")
+        object.__setattr__(self, "mapping", tuple(map(int, self.mapping)))
+        if any(not 0 <= v < target.order for v in self.mapping):
+            raise ValueError("map image out of target range")
+        if not check_hom(source, target, self.mapping):
+            raise ValueError(f"{source.label}->{target.label} is not a unital ring homomorphism")
+
+    @classmethod
+    def _trusted(cls, source: FiniteRing, target: FiniteRing, mapping: tuple[int, ...]) -> "RingHom":
+        """The RingHom of a tuple of int images that is a unital
+        homomorphism by its construction in the package, unchecked; each
+        caller names why it is one."""
+        hom = object.__new__(cls)
+        object.__setattr__(hom, "source", source)
+        object.__setattr__(hom, "target", target)
+        object.__setattr__(hom, "mapping", mapping)
+        return hom
 
     def __call__(self, a: int) -> int:
         return self.mapping[self.source._check_index(a)]
@@ -116,7 +149,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
     Cosets are numbered in the order of their representatives, and cell
     (a, b) of each table is the coset of the ring's cell at the
     representatives a, b. The correspondence theorem makes the tables a
-    ring, so it is built trusted."""
+    ring and the projection a homomorphism, so both are built trusted."""
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         raise ValueError("cannot quotient by the whole ring (the zero ring is excluded)")
@@ -131,54 +164,41 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientPresentation:
         f"{ring.label}/{ideal}",
         element_names=[f"[{ring.element_names[r]}]" for r in reps.tolist()],
     )
-    return QuotientPresentation(ring, ideal, quotient, RingHom(ring, quotient, tuple(coset_of.tolist())))
+    return QuotientPresentation(ring, ideal, quotient, RingHom._trusted(ring, quotient, tuple(coset_of.tolist())))
 
 
-def check_hom(hom: RingHom) -> bool:
-    """Exhaustively verify unity, additive and multiplicative preservation:
-    f(one) = one, then each operation's law on every pair (a, b),
-    f(a op b) against f(a) op f(b), compared a block of rows a of about
-    _BLOCK_CELLS cells at a time, stopping at the first block that breaks
-    one.
+def check_hom(source: FiniteRing, target: FiniteRing, mapping: tuple[int, ...]) -> bool:
+    """Whether the map sending a to mapping[a] is a unital ring
+    homomorphism, verified exhaustively: f(one) = one, then each
+    operation's law on every pair (a, b), f(a op b) against f(a) op f(b),
+    compared a block of rows a of about _BLOCK_CELLS cells at a time,
+    stopping at the first block that breaks one.
 
-    Malformed maps (wrong length, an image that is not an integer or lies
-    out of range) raise ValueError; well-formed maps that break a law just
-    return False.
-    """
-    src, tgt = hom.source, hom.target
-    if len(hom.mapping) != src.order:
-        raise ValueError("map length does not match source order")
-    # a bool is an int to Python and would index the target's tables as a mask
-    odd = [v for v in hom.mapping if not isinstance(v, (int, np.integer)) or isinstance(v, bool)]
-    if odd:
-        raise ValueError(f"map image {odd[0]!r} is not an integer")
-    if any(not 0 <= v < tgt.order for v in hom.mapping):
-        raise ValueError("map image out of target range")
-    f = np.array(hom.mapping, dtype=np.int64)
-    if f[src.one] != tgt.one:
+    The mapping is a well-formed map, as RingHom's door leaves it:
+    source.order integer images, each in the target's range."""
+    f = np.array(mapping, dtype=np.int64)
+    if f[source.one] != target.one:
         return False
-    step = max(1, _BLOCK_CELLS // src.order)
-    for start in range(0, src.order, step):
-        cells = f[start:start + step, None] * tgt.order + f  # flat index of (f(a), f(b)) in a target table
+    step = max(1, _BLOCK_CELLS // source.order)
+    for start in range(0, source.order, step):
+        cells = f[start:start + step, None] * target.order + f  # flat index of (f(a), f(b)) in a target table
         if not (
-            np.array_equal(np.take(f, src.add_table[start:start + step]), np.take(tgt.add_table, cells))
-            and np.array_equal(np.take(f, src.mul_table[start:start + step]), np.take(tgt.mul_table, cells))
+            np.array_equal(np.take(f, source.add_table[start:start + step]), np.take(target.add_table, cells))
+            and np.array_equal(np.take(f, source.mul_table[start:start + step]), np.take(target.mul_table, cells))
         ):
             return False
     return True
 
 
 def kernel(hom: RingHom) -> Ideal:
-    """Preimage of zero, an ideal by the laws check_hom proves: not re-checked."""
-    if not check_hom(hom):
-        raise ValueError("kernel is defined for ring homomorphisms only")
+    """Preimage of zero. Every RingHom is a homomorphism, so the preimage
+    is an ideal, and its mask enters Ideal._trusted unchecked."""
     return Ideal._trusted(hom.source, _pack((np.array(hom.mapping) == hom.target.zero)[None])[0])
 
 
 def classify_hom(hom: RingHom) -> dict:
-    """{injective, surjective}, read by _image_flags as audit_thm3 reads them."""
-    if not check_hom(hom):
-        raise ValueError("classify_hom is defined for ring homomorphisms only")
+    """{injective, surjective}, read by _image_flags as audit_thm3 reads
+    them. No law is checked: every RingHom is a homomorphism."""
     injective, surjective = _image_flags(np.array([hom.mapping]), hom.source.order, hom.target.order)
     return {"injective": bool(injective[0]), "surjective": bool(surjective[0])}
 
@@ -201,14 +221,15 @@ def endomorphism_cap() -> int:
 
 def endomorphisms(ring: FiniteRing, cap: int | None = None) -> list[RingHom]:
     """All unital ring endomorphisms, in increasing order of their mappings:
-    the rows of _endomorphism_blocks, sorted, each made a RingHom. Rings
-    larger than the cap are rejected; set RINGAUDIT_ENDO_CAP to raise it."""
+    the rows of _endomorphism_blocks, sorted, each made a RingHom
+    unchecked, as the search's proof makes it a homomorphism. Rings larger
+    than the cap are rejected; set RINGAUDIT_ENDO_CAP to raise it."""
     if cap is None:
         cap = endomorphism_cap()
     if ring.order > cap:
         raise ValueError(f"ring order {ring.order} exceeds endomorphism search cap {cap}; set {ENDO_CAP_ENV} to raise it")
     maps = sorted(tuple(row) for block in _endomorphism_blocks(ring) for row in block.tolist())
-    return [RingHom(ring, ring, m) for m in maps]
+    return [RingHom._trusted(ring, ring, m) for m in maps]
 
 
 def _endomorphism_blocks(ring: FiniteRing) -> Iterator[np.ndarray]:
@@ -440,7 +461,8 @@ def audit_thm3(ring: FiniteRing) -> ClaimOutcome:
     The search's maps are unital endomorphisms by the proof in its
     docstring, so none is re-checked here; the tests check every map it
     yields against an exhaustive law check. The witness is the least map,
-    in increasing order, whose two flags differ."""
+    in increasing order, whose two flags differ; it is the search's, a
+    homomorphism by the search's proof, so its RingHom is built trusted."""
     cap = endomorphism_cap()
     n = ring.order
     if n > cap:
@@ -451,5 +473,5 @@ def audit_thm3(ring: FiniteRing) -> ClaimOutcome:
         witness = sorted([*witness, *map(tuple, block[injective != surjective].tolist())])[:1]
         checked += len(block)
     if witness:
-        return ClaimOutcome(REFUTED, witness=RingHom(ring, ring, witness[0]).render())
+        return ClaimOutcome(REFUTED, witness=RingHom._trusted(ring, ring, witness[0]).render())
     return ClaimOutcome(VERIFIED, detail=f"endomorphisms checked: {checked}")
