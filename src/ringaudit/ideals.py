@@ -10,9 +10,10 @@ member, for a block of ideal rows of any size, comes from the helper that
 quotient_ring and THM1 share (_cosets): each row picks its own additive
 generators by the rule of rings._picks. The full lattice of a ring is built
 one local factor eR at a time, for the primitive idempotents e: the ideals
-inside eR are the closure under sum of the principal ideals there, and an
-ideal of R is the intersection of the preimages {x : ex in J} of one such J
-per factor. Sums run on bool rows over the elements: I + aR is the join of
+inside eR are the closure under sum of the principal ideals there, which
+Close-by-One makes each once, so nothing is deduplicated, and an ideal of
+R is the intersection of the preimages {x : ex in J} of one such J per
+factor. Sums run on bool rows over the elements: I + aR is the join of
 I with the cyclic subgroups <a*s> for s in ring.generators, and the
 closure, sum_ideals and ideal_generated share that one join; the pick rule
 of the generators and the doubling join are defined once, in rings (_picks,
@@ -73,8 +74,8 @@ __all__ = [
 
 
 # Cells in one block of a chunked numpy step, small enough to stay in cache:
-# ideals x rows x order in _product_lands, frontier rows x principal
-# ideals x order in the lattice closure, rows x sets x 64-bit words in the
+# ideals x rows x order in _product_lands, frontier rows x later joins x
+# order in the lattice closure, rows x sets x 64-bit words in the
 # containment test (_subsets), and rows x order in quotients' endomorphism
 # search and in THM1's blocks of quotients.
 _BLOCK_CELLS = 1 << 16
@@ -87,23 +88,11 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _row_bytes(inside: np.ndarray) -> list[bytes]:
-    """The packed bytes of each row of a 2-d bool array, entry i at bit i
-    (little-endian)."""
-    packed = np.packbits(inside, axis=1, bitorder="little")
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-
-
 def _pack(inside: np.ndarray) -> list[int]:
-    """The bitmask of each row of a 2-d bool array."""
-    return [int.from_bytes(row, "little") for row in _row_bytes(inside)]
-
-
-def _unpack(rows: list[bytes], count: int) -> np.ndarray:
-    """The len(rows) x count bool array whose row k holds the bits of
-    rows[k], packed as _row_bytes packs them: its inverse, in one unpack."""
-    packed = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), (count + 7) // 8)
-    return np.unpackbits(packed, axis=1, count=count, bitorder="little").view(bool)
+    """The bitmask of each row of a 2-d bool array, entry i at bit i: one
+    packing of the whole array, each row's bytes read little-endian."""
+    packed = np.packbits(inside, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()]
 
 
 def _subsets(rows: np.ndarray, sets: np.ndarray):
@@ -428,47 +417,55 @@ def _primitive_idempotents(ring, principals: list[int]) -> list[int]:
 
 def _closure(ring, rows: np.ndarray, joins: list[int]) -> np.ndarray:
     """Every sum of one or more of the ideals aR for a in joins, given as
-    the bool rows, as a bool block.
+    the bool rows, as a bool block, each sum once: Close-by-One (Kuznetsov
+    1993) over the joins in decreasing size of aR, a stable order.
 
-    Each round joins the whole frontier, the sums first found in the round
-    before (the rows themselves, at first), with every aR, as the cyclic
-    subgroups <a*s> for s in the ring's additive generating set: a
-    K x P x order block per chunk of K frontier rows, for P = len(joins),
-    within about _BLOCK_CELLS cells, joined with one s at a time through
-    gather indices made once, so a chunk costs a fixed number of gathers
-    whatever P is. I + aR is I when a lies in I, and aR when I lies in aR;
-    both are known, so a frontier row whose sums are all of these two kinds
-    skips the block. The rows whose packed bytes are new make the next
-    frontier.
+    Each round takes the sums S first found in the round before (the rows
+    themselves, at first, each made by its own join), each with y, the
+    position of the join that made it. A sum with a later join j > y
+    outside it makes S + a_jR for every later join, as the cyclic
+    subgroups <a_j*s> for s in the ring's additive generating set: one
+    K x (P - 1 - y) x order block per chunk of K sums with the same y, of
+    P = len(joins), within about _BLOCK_CELLS cells; a sum that holds all
+    its later joins has no child. The gather indices of the joins are made
+    once, over the joins from the last back, so those after y are the
+    first P - 1 - y. A child is kept, with j as its y, when the least join
+    it gains over S is a_j: a_j lies outside S, and the child holds no
+    earlier join that S lacks. Why that makes each sum once is in
+    all_ideals.
     """
     if not joins:
         return rows
-    found, frontier, outside = [rows], rows, ~rows
-    known, doublings = None, None
-    joins = np.array(joins)
-    chunk = max(1, _BLOCK_CELLS // (len(joins) * ring.order))
+    order = np.argsort(-rows.sum(axis=1), kind="stable")
+    rows, joins = rows[order], np.array(joins)[order]
+    last = len(joins) - 1
+    found, frontier, made_by, doublings = [], rows, np.arange(len(joins)), None
     while True:
-        fresh = []
-        for k in range(0, len(frontier), chunk):
-            part = frontier[k:k + chunk]
-            grows = (~part[:, joins] & (part[:, None] & outside).any(axis=2)).any(axis=1)
-            if not grows.any():
-                continue
-            if doublings is None:  # only now are the generators needed
-                products = ring.mul_table[joins[:, None], ring.generators]
-                products = products[:, (products != ring.zero).any(axis=0)]
-                doublings = [_doublings(ring.add_table, ring.zero, t) for t in products.T]
-                known = set(_row_bytes(np.concatenate(found)))
-            block = np.repeat(part[grows, None], len(joins), axis=1)
-            for steps in doublings:
-                block = _join(block, steps)
-            new = [row for row in dict.fromkeys(_row_bytes(block.reshape(-1, ring.order))) if row not in known]
-            known.update(new)
-            fresh += new
-        if not fresh:
-            return np.concatenate(found)
-        frontier = _unpack(fresh, ring.order)
         found.append(frontier)
+        # the sums with a later join outside them; no other sum has a child
+        live = np.logical_or.reduce(~frontier[:, joins] & (np.arange(len(joins)) > made_by[:, None]), axis=1)
+        if not live.any():
+            return np.concatenate(found)
+        if doublings is None:  # only now are the generators needed
+            products = ring.mul_table[joins[::-1, None], ring.generators]
+            products = products[:, (products != ring.zero).any(axis=0)]
+            doublings = [_doublings(ring.add_table, ring.zero, t) for t in products.T]
+        fresh, fresh_by = [], []
+        for y in sorted(set(made_by[live].tolist())):
+            later = last - y  # the joins last, last - 1, .., y + 1
+            sums = frontier[live & (made_by == y)]
+            chunk = max(1, _BLOCK_CELLS // (later * ring.order))
+            for k in range(0, len(sums), chunk):
+                part = sums[k:k + chunk]
+                block = np.repeat(part[:, None], later, axis=1)
+                for steps in doublings:
+                    block = _join(block, steps[:, :later * ring.order])
+                # column c is join last - c; a child is kept when the least join it gains is its own
+                gained = block[:, :, joins] > part[:, None, joins]
+                kept, column = np.nonzero(gained.argmax(axis=2) == last - np.arange(later))
+                fresh.append(block[kept, column])
+                fresh_by.append(last - column)
+        frontier, made_by = np.concatenate(fresh), np.concatenate(fresh_by)
 
 
 def _canonical_order(inside: np.ndarray) -> np.ndarray:
@@ -501,16 +498,34 @@ def all_ideals(ring) -> IdealLattice:
     identity. (Atiyah-Macdonald, Thm 8.7; McDonald, Finite Rings with
     Identity, 1974.)
 
-    The closure in eR starts from its principal ideals and, round by round,
-    adds I + aR for each ideal I first found in the round before and each
-    principal aR of eR other than {0} and eR, which add nothing new. An
-    ideal that is a sum of k principal ideals is thus found by round k - 1,
-    so the closure holds every ideal of eR. I + aR is a join of cyclic
-    subgroups: each r is a sum of elements of an additive generating set S
-    of R, so by distributivity aR = {a*r} is generated additively by the
-    a*s, s in S, and I + aR is I joined with each <a*s> in turn, by the
-    doubling join of rings (_join). So every row is an ideal, and enters
-    the Ideal type unchecked.
+    The closure in eR is Close-by-One (Kuznetsov 1993; Ganter's
+    NextClosure, 1984, lists the same sets) over the joins a_1..a_P, the
+    first generators of the principal ideals of eR other than {0} and eR,
+    which add nothing new, in decreasing size of a_jR. Every ideal S of eR
+    other than {0} and eR is the sum of the a_jR inside it, so it is fixed
+    by C(S) = {j : a_j in S}, and S + a_jR is the least ideal over S and
+    a_j. The order lemma: if a_b lies in a_jR, b != j, then a_bR is a
+    smaller ideal than a_jR, so b comes after j. So a_jR holds no earlier
+    join, and the principal ideals are the first round as they stand.
+    A sum S made by adding join y has the children S + a_jR for j > y with
+    a_j outside S, kept when C(S + a_jR) and C(S) agree below j. (No
+    child is a_jR itself: S inside a_jR would put a_yR inside it, so
+    j < y.)
+    Each ideal S is found: let j_1 = min C(S), T_1 = a_{j_1}R, and
+    j_(i+1) = min(C(S) - C(T_i)), T_(i+1) = T_i + a_{j_(i+1)}R, until
+    T_m = S. C(T_i) holds all of C(S) below j_(i+1), and T_(i+1) lies in
+    S, so C(T_(i+1)) and C(T_i) agree below j_(i+1), and j_(i+1) > j_i:
+    each step is a kept child, and T_1 is a first-round row by the order
+    lemma. Each ideal is found once: along any path that finds S, a kept
+    step from T_i by j_(i+1) keeps C below j_(i+1), and the later steps,
+    by larger joins, keep it too, so C(S) and C(T_i) agree below j_(i+1),
+    and j_(i+1) is forced to be min(C(S) - C(T_i)), as is j_1 = min C(S).
+    So the path is the one above, and no row is made twice.
+    I + aR is a join of cyclic subgroups: each r is a sum of elements of
+    an additive generating set S of R, so by distributivity aR = {a*r} is
+    generated additively by the a*s, s in S, and I + aR is I joined with
+    each <a*s> in turn, by the doubling join of rings (_join). So every
+    row is an ideal, and enters the Ideal type unchecked.
     """
     if ring._lattice is not None:
         return ring._lattice

@@ -22,8 +22,8 @@ than P, is prime, then principal (_quotient_pprir, one batch of pairs
 (P, J) for all the domains; a containment block with no pair asks
 nothing).
 Every RingHom is a unital ring homomorphism, a total index map. Calling
-the type checks a caller's map where it is built: its form, then the
-preservation laws by check_hom, exhaustively, a block of rows at a time.
+the type checks a caller's map where it is built, by check_hom: its form,
+then the preservation laws, exhaustively, a block of rows at a time.
 The package's own maps enter through RingHom._trusted, each site naming
 why its map is one: quotient_ring's projection, by the correspondence
 theorem, and the maps of the search, _endomorphism_blocks, homomorphisms
@@ -84,12 +84,10 @@ ENDO_CAP_ENV = "RINGAUDIT_ENDO_CAP"
 @dataclass(frozen=True)
 class RingHom:
     """A unital ring homomorphism, a total element map between rings:
-    mapping[a] is the image of a. Calling the type checks a caller's map:
-    one of the wrong length, with an image that is not an integer (a bool
-    included) or with an image out of the target's range is refused, then
-    one that breaks a law, found by check_hom. The images are kept as a
-    tuple of Python ints. _trusted keeps a map the package has just built
-    as a homomorphism."""
+    mapping[a] is the image of a. Calling the type checks a caller's map
+    by check_hom, which refuses a malformed one by name; one that breaks a
+    law is refused too. The images are kept as a tuple of Python ints.
+    _trusted keeps a map the package has just built as a homomorphism."""
 
     source: FiniteRing
     target: FiniteRing
@@ -97,17 +95,9 @@ class RingHom:
 
     def __post_init__(self):
         source, target = self.source, self.target
-        if len(self.mapping) != source.order:
-            raise ValueError("map length does not match source order")
-        # a bool is an int to Python; it is refused, not read as 0 or 1
-        odd = [v for v in self.mapping if not isinstance(v, (int, np.integer)) or isinstance(v, bool)]
-        if odd:
-            raise ValueError(f"map image {odd[0]!r} is not an integer")
-        object.__setattr__(self, "mapping", tuple(map(int, self.mapping)))
-        if any(not 0 <= v < target.order for v in self.mapping):
-            raise ValueError("map image out of target range")
         if not check_hom(source, target, self.mapping):
             raise ValueError(f"{source.label}->{target.label} is not a unital ring homomorphism")
+        object.__setattr__(self, "mapping", tuple(map(int, self.mapping)))
 
     @classmethod
     def _trusted(cls, source: FiniteRing, target: FiniteRing, mapping: tuple[int, ...]) -> "RingHom":
@@ -174,8 +164,18 @@ def check_hom(source: FiniteRing, target: FiniteRing, mapping: tuple[int, ...]) 
     compared a block of rows a of about _BLOCK_CELLS cells at a time,
     stopping at the first block that breaks one.
 
-    The mapping is a well-formed map, as RingHom's door leaves it:
-    source.order integer images, each in the target's range."""
+    A malformed map is refused first, by name, with ValueError: one of the
+    wrong length, then one with an image that is not an integer (a bool
+    included, or a numpy bool), then one with an image out of the target's
+    range. Numpy integers are images too."""
+    if len(mapping) != source.order:
+        raise ValueError("map length does not match source order")
+    # a bool is an int to Python; it is refused, not read as 0 or 1
+    odd = [v for v in mapping if not isinstance(v, (int, np.integer)) or isinstance(v, bool)]
+    if odd:
+        raise ValueError(f"map image {odd[0]!r} is not an integer")
+    if any(not 0 <= v < target.order for v in mapping):
+        raise ValueError("map image out of target range")
     f = np.array(mapping, dtype=np.int64)
     if f[source.one] != target.one:
         return False

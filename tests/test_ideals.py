@@ -39,7 +39,7 @@ from _oracles import (
     whole_block_checked_members,
     whole_block_is_primary,
 )
-from _strategies import fp_algebras
+from _strategies import fp_algebras, local_rings
 from ringaudit.ideals import (
     Ideal,
     all_ideals,
@@ -310,6 +310,29 @@ def test_lattice_by_factors_matches_pairwise_closure(ring):
     assert_primes_and_edges_match_oracles(ring)
 
 
+@st.composite
+def relabelled_local_rings(draw):
+    """A drawn local ring Z_q[x]/(f) of characteristic p^k, or Z_{p^k} for
+    p^k <= 64 under a drawn relabelling, so the first generators of its
+    principal ideals, by index, come in no order of size."""
+    if draw(st.booleans()):
+        return draw(local_rings())
+    ring = make_zn(draw(st.sampled_from([4, 8, 16, 32, 64, 9, 27, 25, 49])))
+    return _relabelled(ring, draw(st.permutations(range(ring.order))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(relabelled_local_rings())
+def test_lattice_of_relabelled_local_rings_matches_pairwise_closure(ring):
+    lattice, oracle = all_ideals(ring), closure_lattice(ring)
+    masks = [i.members for i in lattice.ideals]
+    assert len(set(masks)) == len(masks), ring.label  # no ideal is found twice
+    assert masks == [i.members for i in oracle.ideals], ring.label
+    assert lattice.index == oracle.index
+    assert lattice.generator == oracle.generator
+    assert np.array_equal(lattice.inside, oracle.inside)
+
+
 def pair_scan_edges(lattice):
     """The non-reflexive containment pairs of a lattice's ideals, in order,
     read off the pair-by-pair scan."""
@@ -408,7 +431,7 @@ def _gaussian_binomial(n, k, q):
     return top // bottom
 
 
-@pytest.mark.parametrize("p, dim, count", [(2, 6, 375), (3, 4, 29)])
+@pytest.mark.parametrize("p, dim, count", [(2, 6, 375), (2, 7, 2826), (3, 4, 29)])
 def test_zero_product_algebra_lattice_matches_closed_form(p, dim, count):
     # the ideals are R and the subspaces of the maximal ideal m, the one prime
     ring = _zero_product_algebra(p, dim)

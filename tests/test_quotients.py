@@ -222,11 +222,37 @@ def test_the_door_keeps_the_images_as_python_ints():
     assert hash(listed) == hash(hom) and listed == hom
 
 
-@pytest.mark.parametrize("image", [1.0, True, "1", None, np.float64(1)])
+@pytest.mark.parametrize("image", [1.0, True, np.bool_(True), "1", None, np.float64(1)])
 def test_check_hom_refuses_an_image_that_is_not_an_integer(image):
     z2 = make_zn(2)
-    with pytest.raises(ValueError, match=f"^map image {re.escape(repr(image))} is not an integer$"):
-        check_hom(RingHom(z2, z2, (0, image)))
+    message = f"^map image {re.escape(repr(image))} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        check_hom(z2, z2, (0, image))
+    with pytest.raises(ValueError, match=message):
+        RingHom(z2, z2, (0, image))
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ((0,), "map length does not match source order"),
+        ((0, 1, 1), "map length does not match source order"),
+        ((0, 1.0, 5), "map length does not match source order"),  # the length is asked first
+        ((0, 5), "map image out of target range"),
+        ((-1, 1), "map image out of target range"),
+        ((0, 1 << 70), "map image out of target range"),  # past int64, refused, not overflowed
+        ((0, np.int64(2)), "map image out of target range"),
+        ((5, 1.0), "map image 1.0 is not an integer"),  # every image's type before any range
+    ],
+)
+def test_check_hom_refuses_a_malformed_map_by_name(mapping, message):
+    # check_hom is the one place a map's form is checked; the door raises
+    # what it raises
+    z2 = make_zn(2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_hom(z2, z2, mapping)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RingHom(z2, z2, mapping)
 
 
 def test_check_hom_at_the_order_ceiling_stays_within_two_tables():
