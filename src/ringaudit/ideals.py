@@ -20,17 +20,21 @@ of the generators and the doubling join are defined once, in rings (_picks,
 _doublings, _join). The lattice lives with its ring, holds its ideals as
 one ideals-by-elements bool block, and computes the prime spectrum and the
 maximal ideals from that block on first use, so the predicates that ask for
-them are lookups, and a radical is the intersection of the primes over its
-ideal, for one ideal or, in primary_ideals, for a block of them.
-Containment between ideals has one block test, _subsets, on packed words:
-the maximal ideals, is_maximal's one ideal, the containment pairs and
-to_dot's covers all read it. is_prime, is_primary, primary_ideals, the
-lattice's primes and THM1's quotient side (whether R/P is a domain, whether
-J/P is prime in it) share one question, whether some product of an x from
-one set and a y from another lands in the ideal, and one helper,
-_product_lands, answers it for a block of ideals a few table rows at a
-time, reading only the rows of the x asked for; an ideal leaves the block
-at the first chunk that holds such a product.
+them are lookups. A radical is the intersection of the primes over its
+ideal, read off the spectrum's masks by radical, the package's one radical.
+Each ideal predicate has one definition over a block of ideal rows, asked
+of every row by the lattice-wide reader and of one row by the one-ideal
+reader: _prime_rows (the lattice's primes, is_prime), _primary_rows
+(primary_ideals, is_primary) and _maximal_rows (the lattice's maximal
+flags, is_maximal). Containment between ideals has one block test,
+_subsets, on packed words: _maximal_rows, the containment pairs and
+to_dot's covers all read it. _prime_rows, _primary_rows and THM1's
+quotient side (whether R/P is a domain, whether J/P is prime in it) share
+one question, whether some product of an x from one set and a y from
+another lands in the ideal, and one helper, _product_lands, answers it for
+a block of ideals a few table rows at a time, reading only the rows of the
+x asked for; an ideal leaves the block at the first chunk that holds such
+a product.
 Canonical order is lexicographic on the sorted member-index tuples;
 wherever a witness is chosen it is the first candidate in canonical order.
 """
@@ -358,22 +362,16 @@ class IdealLattice:
     @cached_property
     def primes(self) -> dict[int, Ideal]:
         """The prime ideals keyed by member mask, in canonical order: every
-        proper ideal tested at once, by the definition, with _product_lands."""
+        proper ideal's row tested at once, by _prime_rows."""
         proper = np.flatnonzero(~self.inside.all(axis=1))
-        outside = ~self.inside[proper]
-        lands = _product_lands(self.ring, ~outside, outside, outside)
-        return {self.ideals[k].members: self.ideals[k] for k in proper[~lands].tolist()}
+        prime = proper[_prime_rows(self.ring, self.inside[proper])]
+        return {self.ideals[k].members: self.ideals[k] for k in prime.tolist()}
 
     @cached_property
     def maximal(self) -> np.ndarray:
-        """maximal[i] holds when ideals[i] is maximal: exactly two ideals
-        hold it, itself and R. R is held by one, every other ideal by at
-        least two. Only each block's counts are kept: L bools for L ideals,
-        plus one block."""
-        maximal = np.zeros(len(self.ideals), dtype=bool)
-        for start, within in _subsets(self.inside, self.inside):
-            maximal[start:start + len(within)] = np.add.reduce(within, axis=1) == 2
-        return maximal
+        """maximal[i] holds when ideals[i] is maximal: every ideal's row
+        tested at once, by _maximal_rows."""
+        return _maximal_rows(self, self.inside)
 
     def containment_edges(self) -> list[tuple[int, int]]:
         """Non-reflexive containment pairs (i, j): ideals[i] < ideals[j], in
@@ -484,7 +482,8 @@ def _canonical_order(inside: np.ndarray) -> np.ndarray:
 
 def all_ideals(ring) -> IdealLattice:
     """Every ideal, built one local factor at a time on first use and kept on
-    the ring, so it lives exactly as long.
+    the ring. The lattice holds the ring too, so the cycle collector frees
+    the two together.
 
     The idempotents of R form a finite Boolean algebra under e <= f iff
     ef = e. Its atoms, the primitive idempotents e_1..e_k, are pairwise
@@ -552,13 +551,14 @@ def all_ideals(ring) -> IdealLattice:
 
 def radical(ring, ideal: Ideal) -> Ideal:
     """The intersection of the primes containing the ideal, which is the set
-    of elements with some power inside it (Atiyah-Macdonald, Prop. 1.14);
-    no prime contains R, so radical(R) is R. An intersection of ideals is
-    an ideal."""
+    of elements with some power inside it (Atiyah-Macdonald, Prop. 1.14),
+    read off the spectrum's masks; no prime contains R, so radical(R) is
+    R. An intersection of ideals is an ideal. The package's one radical:
+    is_primary and primary_ideals take theirs from it."""
     _same_ring(ring, ideal)
-    mask = _full_mask(ring)
+    members, mask = ideal.members, _full_mask(ring)
     for prime in all_ideals(ring).primes:
-        if ideal.members & ~prime == 0:
+        if members & prime == members:
             mask &= prime
     return Ideal._trusted(ring, mask)
 
@@ -567,11 +567,11 @@ def _product_lands(ring, inside: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> 
     """For each row k of the K x order bool blocks inside, xs and ys, whether
     some x with xs[k, x] and y with ys[k, y] have xy in inside[k].
 
-    is_prime, is_primary, the lattice's primes and THM1's quotients all ask
-    this of every pair in a block of the multiplication table. Only the
-    table rows of the x that some row of xs holds are read, so a sparse xs,
-    such as THM1's coset representatives, reads few rows. They are tested a
-    few at a time for a group of ideals, at most about _BLOCK_CELLS cells
+    _prime_rows, _primary_rows and THM1's quotients all ask this of every
+    pair in a block of the multiplication table. Only the table rows of
+    the x that some row of xs holds are read, so a sparse xs, such as
+    THM1's coset representatives, reads few rows. They are tested a few
+    at a time for a group of ideals, at most about _BLOCK_CELLS cells
     each step, and an ideal leaves the block at the first chunk of rows that
     holds such a product for it. So an ideal that fails its predicate is
     usually settled by its first rows, the rows per step grow as ideals
@@ -601,25 +601,51 @@ def _product_lands(ring, inside: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> 
     return lands
 
 
+def _prime_rows(ring, inside: np.ndarray) -> np.ndarray:
+    """Whether each row of a block of proper ideal rows is a prime ideal:
+    no product of two elements outside it lands in it, asked by
+    _product_lands. The lattice's primes ask it of every proper ideal,
+    is_prime of one. R is not prime, by definition, and is asked of
+    neither."""
+    outside = ~inside
+    return ~_product_lands(ring, inside, outside, outside)
+
+
+def _maximal_rows(lattice, rows: np.ndarray) -> np.ndarray:
+    """Whether each row of a block of ideal rows is a maximal ideal:
+    exactly two ideals of the lattice hold it, itself and R. R is held by
+    one, every other ideal by at least two. The containment test runs a
+    block at a time (_subsets), and only each row's count is kept. The
+    lattice's maximal flags ask it of every row, is_maximal of one."""
+    return np.concatenate([np.add.reduce(within, axis=1) for _, within in _subsets(rows, lattice.inside)]) == 2
+
+
+def _primary_rows(ring, lattice, pairs) -> np.ndarray:
+    """Whether I is a primary ideal, for each (I, radical(I)) of pairs, I
+    proper: no product of an x outside I and a y outside radical(I) lands
+    in I, asked by _product_lands of both blocks of rows, gathered from
+    the lattice. primary_ideals asks it of every proper ideal, is_primary
+    of one. R is not primary, by definition, and is asked of neither."""
+    inside = lattice.inside[[lattice.index[ideal.members] for ideal, _ in pairs]]
+    radicals = lattice.inside[[lattice.index[rad.members] for _, rad in pairs]]
+    return ~_product_lands(ring, inside, ~inside, ~radicals)
+
+
 def is_prime(ring, ideal: Ideal) -> bool:
-    """Proper, and xy in P forces x in P or y in P (all pairs checked)."""
+    """Proper, and xy in P forces x in P or y in P (all pairs checked):
+    _prime_rows of its one row."""
     _same_ring(ring, ideal)
-    if not ideal.is_proper:
-        return False
-    inside = _flags_of(ring, ideal.members)[None]
-    return not _product_lands(ring, inside, ~inside, ~inside)[0]
+    return ideal.is_proper and bool(_prime_rows(ring, _flags_of(ring, ideal.members)[None])[0])
 
 
 def is_maximal(ring, ideal: Ideal) -> bool:
-    """Proper with no ideal strictly between it and the whole ring: its one
-    row is held by exactly two ideals, itself and R, as the lattice's
-    maximal flags test every row. Every Ideal of the ring is an ideal, so
-    the lattice holds it."""
+    """Proper with no ideal strictly between it and the whole ring:
+    _maximal_rows of its one row, which costs one row's containment test,
+    not the lattice's maximal flags. Every Ideal of the ring is an ideal,
+    so the lattice holds it."""
     _same_ring(ring, ideal)
     lattice = all_ideals(ring)
-    i = lattice.index[ideal.members]
-    [(_, within)] = _subsets(lattice.inside[i:i + 1], lattice.inside)
-    return int(np.add.reduce(within, axis=None)) == 2
+    return bool(_maximal_rows(lattice, lattice.inside[[lattice.index[ideal.members]]])[0])
 
 
 def is_semiprime(ring, ideal: Ideal) -> bool:
@@ -630,34 +656,19 @@ def is_semiprime(ring, ideal: Ideal) -> bool:
 
 
 def is_primary(ring, ideal: Ideal) -> bool:
-    """xy in I forces x in I or some power of y in I; false for I = R."""
+    """xy in I forces x in I or some power of y in I; false for I = R:
+    _primary_rows of its one pair with its radical."""
     _same_ring(ring, ideal)
-    if not ideal.is_proper:
-        return False
-    inside = _flags_of(ring, ideal.members)[None]
-    in_radical = _flags_of(ring, radical(ring, ideal).members)[None]
-    return not _product_lands(ring, inside, ~inside, ~in_radical)[0]
+    return ideal.is_proper and bool(_primary_rows(ring, all_ideals(ring), [(ideal, radical(ring, ideal))])[0])
 
 
 def primary_ideals(ring) -> list[tuple[Ideal, Ideal]]:
-    """(I, radical(I)) for every primary ideal I, in canonical order: the
-    radicals of all proper ideals as one block, each row the AND of the
-    prime rows that hold its ideal, as radical computes one, in one pass
-    over the block per prime; then one _product_lands call over all of
-    them, as is_primary asks it of one. Each radical is an intersection of
-    primes, or R, and so an ideal."""
+    """(I, radical(I)) for every primary ideal I, in canonical order: each
+    proper ideal with its radical from radical, all asked of _primary_rows
+    in one block, as is_primary asks it of one."""
     lattice = all_ideals(ring)
-    proper = np.flatnonzero(~lattice.inside.all(axis=1))
-    inside = lattice.inside[proper]
-    radicals = np.ones_like(inside)
-    for mask in lattice.primes:
-        prime = lattice.inside[lattice.index[mask]]
-        radicals[~np.logical_or.reduce(inside & ~prime, axis=1)] &= prime
-    primary = ~_product_lands(ring, inside, ~inside, ~radicals)
-    return [
-        (lattice.ideals[k], Ideal._trusted(ring, mask))
-        for k, mask in zip(proper[primary].tolist(), _pack(radicals[primary]))
-    ]
+    pairs = [(ideal, radical(ring, ideal)) for ideal in lattice.ideals if ideal.is_proper]
+    return [pair for pair, primary in zip(pairs, _primary_rows(ring, lattice, pairs).tolist()) if primary]
 
 
 def is_principal(ring, ideal: Ideal) -> tuple[bool, Optional[int]]:

@@ -39,7 +39,7 @@ from _oracles import (
     whole_block_checked_members,
     whole_block_is_primary,
 )
-from _strategies import fp_algebras, local_rings
+from _strategies import _relabelled, fp_algebras, local_rings, relabelled_local_rings
 from ringaudit.ideals import (
     Ideal,
     all_ideals,
@@ -74,7 +74,6 @@ from ringaudit.rings import (
     make_algebra,
     make_boolean,
     make_product,
-    make_table_ring,
     make_zn,
 )
 
@@ -259,20 +258,6 @@ def test_lattice_of_random_zn_products_is_closed_and_complete(moduli):
         assert found == brute_force_ideals(ring)
 
 
-def _relabelled(ring, position):
-    """A table-ring copy of ring with element k at index position[k], each
-    element keeping its name."""
-    position = np.asarray(position)
-    element = np.argsort(position)
-    return make_table_ring(
-        ring.order,
-        position[ring.add_table[np.ix_(element, element)]],
-        position[ring.mul_table[np.ix_(element, element)]],
-        position[ring.zero], position[ring.one],
-        element_names=[ring.element_names[k] for k in element],
-    )
-
-
 def _square_zero_algebra(p):
     """F_p[x,y]/(x,y)^2: local, and its maximal ideal (x,y) is not principal."""
     zero = [0, 0, 0]
@@ -308,17 +293,6 @@ def test_lattice_by_factors_matches_pairwise_closure(ring):
     assert lattice.generator == oracle.generator
     assert np.array_equal(lattice.inside, oracle.inside)
     assert_primes_and_edges_match_oracles(ring)
-
-
-@st.composite
-def relabelled_local_rings(draw):
-    """A drawn local ring Z_q[x]/(f) of characteristic p^k, or Z_{p^k} for
-    p^k <= 64 under a drawn relabelling, so the first generators of its
-    principal ideals, by index, come in no order of size."""
-    if draw(st.booleans()):
-        return draw(local_rings())
-    ring = make_zn(draw(st.sampled_from([4, 8, 16, 32, 64, 9, 27, 25, 49])))
-    return _relabelled(ring, draw(st.permutations(range(ring.order))))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -625,15 +599,24 @@ def _checked_members(ring, mask):
     return np.flatnonzero(inside)
 
 
+def assert_cosets_match_the_padded_block_oracle(data, ring):
+    """A drawn block of the ring's lattice rows, of mixed sizes and ideals
+    all: each row's coset representatives are the padded gather's."""
+    lattice = all_ideals(ring)
+    inside = lattice.inside[data.draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, max_size=6))]
+    assert np.array_equal(_cosets(ring, inside), padded_block_cosets(ring, inside)), ring.label
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_cosets_match_the_padded_block_oracle(data):
-    # a block of lattice rows of mixed sizes, ideals all: each row's coset
-    # representatives are the padded gather's
-    ring = data.draw(st.sampled_from(CHECKED_RINGS))
-    lattice = all_ideals(ring)
-    inside = lattice.inside[data.draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, max_size=6))]
-    assert np.array_equal(_cosets(ring, inside), padded_block_cosets(ring, inside))
+    assert_cosets_match_the_padded_block_oracle(data, data.draw(st.sampled_from(CHECKED_RINGS)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cosets_of_local_rings_match_the_padded_block_oracle(data):
+    assert_cosets_match_the_padded_block_oracle(data, data.draw(local_rings()))
 
 
 @pytest.mark.parametrize("ring", [*CHECKED_RINGS, make_zn(128), make_boolean(6)], ids=lambda ring: ring.label)
@@ -823,13 +806,36 @@ def test_chunked_primary_matches_whole_block(moduli):
 
 
 def test_primary_ideals_match_the_one_ideal_predicates(small_corpus_rings):
-    # the block of radicals and the one _product_lands call give, ideal by
-    # ideal, what is_primary and radical give one ideal at a time; past
-    # order 256 the block of products is tested in several row chunks
+    # the lattice-wide reader gives, ideal by ideal, what is_primary and
+    # radical give one ideal at a time; past order 256 the block of
+    # products is tested in several row chunks
     beyond = [make_boolean(5), make_product([make_zn(4)] * 3), make_zn(512), make_product([make_zn(2), make_zn(256)])]
     for ring in [*small_corpus_rings, *beyond]:
         expected = [(ideal, radical(ring, ideal)) for ideal in all_ideals(ring).ideals if is_primary(ring, ideal)]
         assert primary_ideals(ring) == expected, ring.label
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(relabelled_local_rings())
+def test_predicates_of_relabelled_local_rings_match_the_oracles(ring):
+    # each ideal's radical, prime, maximal and primary verdicts against the
+    # definitions, and the lattice-wide primes, maximal flags and primary
+    # pairs against the same verdicts
+    lattice = all_ideals(ring)
+    family = {frozenset(ideal.indices()) for ideal in lattice.ideals}
+    expected = []
+    for ideal in lattice.ideals:
+        subset = members(ideal)
+        rad = radical(ring, ideal)
+        assert members(rad) == {a for a in ring.elements() if power_in(ring, a, subset)}, (ring.label, str(ideal))
+        assert is_prime(ring, ideal) == is_prime_subset(ring, subset), (ring.label, str(ideal))
+        assert is_maximal(ring, ideal) == is_maximal_in(family, ring, frozenset(subset)), (ring.label, str(ideal))
+        primary = whole_block_is_primary(ring, ideal)
+        assert is_primary(ring, ideal) == primary, (ring.label, str(ideal))
+        if primary:
+            expected.append((ideal, rad))
+    assert primary_ideals(ring) == expected, ring.label
+    assert_primes_and_edges_match_oracles(ring)
 
 
 def test_maximal_ideals_of_b10_are_read_without_up():

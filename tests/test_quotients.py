@@ -30,7 +30,7 @@ from _oracles import (
     quotient_tables,
     whole_block_checked_members,
 )
-from _strategies import fp_algebras, local_rings, small_products
+from _strategies import fp_algebras, local_rings, relabelled_local_rings, small_products
 from ringaudit.corpus import default_corpus
 from ringaudit.ideals import (
     Ideal,
@@ -656,6 +656,17 @@ def test_thm1_blocks_match_the_per_ideal_oracle_on_random_products(ring, block_c
         assert_thm1_blocks_match_the_per_ideal_oracle(ring)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(relabelled_local_rings(), st.sampled_from([1, quotients._BLOCK_CELLS]))
+def test_thm1_blocks_match_the_per_ideal_oracle_on_relabelled_local_rings(ring, block_cells):
+    # local rings of characteristic p^k other than Z_{p^k}, and quotients
+    # of them, under a drawn relabelling
+    with pytest.MonkeyPatch.context() as patch:
+        _block_cells(patch, block_cells)
+        assert_thm1_blocks_match_the_per_ideal_oracle(ring)
+        assert_quotient_pprir_matches_the_oracle(ring)
+
+
 def _every_proper_quotient(ring):
     """The lattice, the positions of its proper ideals and their rows of
     _cosets, all as one block of mixed sizes."""
@@ -975,22 +986,33 @@ def test_audit_thm3_refutes_on_planted_violation(monkeypatch):
     assert out.witness == RingHom(b3, b3, tuple(maps[5].tolist())).render()
 
 
+def assert_search_maps_pass_the_block_law_check(ring):
+    """Every map the search yields passes the exhaustive law check, a slice
+    of about _BLOCK_CELLS pair cells at a time."""
+    check = block_law_check(ring, ring)
+    step = max(1, quotients._BLOCK_CELLS // ring.order**2)
+    count = 0
+    for block in quotients._endomorphism_blocks(ring):
+        for start in range(0, len(block), step):
+            assert check(block[start:start + step]).all(), ring.label
+        count += len(block)
+    assert count >= 1, ring.label  # the identity, at least
+
+
 def test_every_map_the_search_yields_passes_the_block_law_check(corpus):
     # audit_thm3 trusts the search's proof that each map it yields is a
-    # unital endomorphism; here every one is held to the exhaustive law
-    # check, a slice of about _BLOCK_CELLS pair cells at a time
+    # unital endomorphism; here every one is held to the law check
     rings = [ring for ring in corpus if ring.order <= 16]
     assert len(rings) == 27
     rings += [make_boolean(5), make_boolean(6), make_product([*[make_zn(2)] * 4, make_zn(3)])]
     for ring in rings:
-        check = block_law_check(ring, ring)
-        step = max(1, quotients._BLOCK_CELLS // ring.order**2)
-        count = 0
-        for block in quotients._endomorphism_blocks(ring):
-            for start in range(0, len(block), step):
-                assert check(block[start:start + step]).all(), ring.label
-            count += len(block)
-        assert count >= 1, ring.label  # the identity, at least
+        assert_search_maps_pass_the_block_law_check(ring)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(local_rings(max_order=16))
+def test_every_map_the_search_yields_on_local_rings_passes_the_block_law_check(ring):
+    assert_search_maps_pass_the_block_law_check(ring)
 
 
 def test_audit_thm3_holds_no_map_of_b6(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import algebra_tables, product_tables, slice_loop_validate
-from _strategies import fp_structure_constants
+from _strategies import fp_structure_constants, local_rings
 from ringaudit import rings, ringfile
 from ringaudit.corpus import default_corpus
 from ringaudit.ideals import principal_ideal
@@ -199,6 +199,18 @@ def test_make_algebra_rejects_nonassociative_constants():
         make_algebra(2, 3, sc)
     assert err.value.axiom == "associativity(mul)"
     assert len(err.value.witness) == 3
+
+
+@pytest.mark.parametrize("names", [("1", "x", "x"), ("1", "x")], ids=["repeated", "too-few"])
+def test_make_algebra_refuses_basis_names_that_are_not_dim_distinct_names(names):
+    sc = _sc_with_unity(3, {(1, 1): (0, 0, 0), (1, 2): (0, 0, 0), (2, 2): (0, 0, 0)})
+    with pytest.raises(ValueError, match="^basis_names must be dim distinct names$"):
+        make_algebra(2, 3, sc, basis_names=names)
+
+
+def test_repr_names_the_label_and_the_order():
+    assert repr(make_zn(12)) == "FiniteRing('Z_12', order=12)"
+    assert repr(make_table_ring(2, Z2_ADD, Z2_MUL, 0, 1)) == "FiniteRing('table-ring-2', order=2)"
 
 
 def test_make_algebra_requires_prime_p():
@@ -618,10 +630,9 @@ def corruption_bases(corpus):
     return [*corpus, *(ring for ring in (build() for _, build in TRUSTED) if ring.order <= 128)]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_validator_matches_slice_loop_on_corrupted_tables(corruption_bases, data):
-    ring = data.draw(st.sampled_from(corruption_bases))
+def assert_corruptions_get_the_slice_loops_verdict(data, ring):
+    """One or two drawn cells of the ring's tables, each set with its
+    mirror to a drawn element, get the slice loop's verdict."""
     tables = {"add": ring.add_table.copy(), "mul": ring.mul_table.copy()}
     element = st.integers(0, ring.order - 1)
     for _ in range(data.draw(st.integers(1, 2))):
@@ -629,6 +640,18 @@ def test_validator_matches_slice_loop_on_corrupted_tables(corruption_bases, data
         a, b, value = data.draw(element), data.draw(element), data.draw(element)
         tables[which][a, b] = tables[which][b, a] = value
     assert_same_verdict(ring.order, tables["add"], tables["mul"], ring.zero, ring.one)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_validator_matches_slice_loop_on_corrupted_tables(corruption_bases, data):
+    assert_corruptions_get_the_slice_loops_verdict(data, data.draw(st.sampled_from(corruption_bases)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_validator_matches_slice_loop_on_corrupted_local_rings(data):
+    assert_corruptions_get_the_slice_loops_verdict(data, data.draw(local_rings()))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
