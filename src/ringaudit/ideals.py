@@ -22,19 +22,22 @@ one ideals-by-elements bool block, and computes the prime spectrum and the
 maximal ideals from that block on first use, so the predicates that ask for
 them are lookups. A radical is the intersection of the primes over its
 ideal, read off the spectrum's masks by radical, the package's one radical.
-Each ideal predicate has one definition over a block of ideal rows, asked
-of every row by the lattice-wide reader and of one row by the one-ideal
-reader: _prime_rows (the lattice's primes, is_prime), _primary_rows
-(primary_ideals, is_primary) and _maximal_rows (the lattice's maximal
-flags, is_maximal). Containment between ideals has one block test,
-_subsets, on packed words: _maximal_rows, the containment pairs and
-to_dot's covers all read it. _prime_rows, _primary_rows and THM1's
-quotient side (whether R/P is a domain, whether J/P is prime in it) share
-one question, whether some product of an x from one set and a y from
-another lands in the ideal, and one helper, _product_lands, answers it for
-a block of ideals a few table rows at a time, reading only the rows of the
-x asked for; an ideal leaves the block at the first chunk that holds such
-a product.
+Primality and primariness each have one definition over a block of ideal
+rows, asked of every row by the lattice-wide reader and of one row by the
+one-ideal reader: _prime_rows (the lattice's primes, is_prime) and
+_primary_rows (primary_ideals, is_primary). The least members of a family
+of sets come from one pass in size order, _least: the maximal ideals are
+the complements of the least complements of the proper ideals, kept as the
+lattice's maximal flags, which is_maximal reads, and the minimal primes
+over an ideal are the least of the primes over it. Containment between
+ideals has one block test, _subsets, on packed words: the containment
+pairs, to_dot's covers and THM1's ideals over each P read it. _prime_rows,
+_primary_rows and THM1's quotient side (whether R/P is a domain, whether
+J/P is prime in it) share one question, whether some product of an x from
+one set and a y from another lands in the ideal, and one helper,
+_product_lands, answers it for a block of ideals a few table rows at a
+time, reading only the rows of the x asked for; an ideal leaves the block
+at the first chunk that holds such a product.
 Canonical order is lexicographic on the sorted member-index tuples;
 wherever a witness is chosen it is the first candidate in canonical order.
 """
@@ -80,8 +83,9 @@ __all__ = [
 # Cells in one block of a chunked numpy step, small enough to stay in cache:
 # ideals x rows x order in _product_lands, frontier rows x later joins x
 # order in the lattice closure, rows x sets x 64-bit words in the
-# containment test (_subsets), and rows x order in quotients' endomorphism
-# search and in THM1's blocks of quotients.
+# containment test (_subsets), rows x entries in _rows_of's scatter, and
+# rows x order in quotients' endomorphism search and in THM1's blocks of
+# quotients.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -120,11 +124,38 @@ def _subsets(rows: np.ndarray, sets: np.ndarray):
 
 def _rows_of(width: int, rows: np.ndarray) -> np.ndarray:
     """The 2-d bool array, width columns wide, whose row k marks the
-    entries of row k of a 2-d index array: one flat scatter, row k's
-    entries offset by k * width."""
+    entries of row k of a 2-d index array: a flat scatter into each block
+    of about _BLOCK_CELLS // width rows, row k's entries offset by k * width
+    from the block's first row, so the flat index is one block's, not the
+    whole array's."""
     inside = np.zeros((len(rows), width), dtype=bool)
-    inside.ravel()[rows + np.arange(0, len(rows) * width, width)[:, None]] = True
+    step = max(1, _BLOCK_CELLS // width)
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        inside[start:start + step].ravel()[part + np.arange(0, len(part) * width, width)[:, None]] = True
     return inside
+
+
+def _least(masks) -> list[int]:
+    """The minimal members under inclusion of a family of distinct sets,
+    as int masks in increasing size. The masks are taken in increasing
+    size, by a stable sort, and each is kept when it holds no mask kept
+    before it.
+
+    This keeps exactly the minimal members (Davey-Priestley, Introduction
+    to Lattices and Order, Ch. 1). A member strictly inside a set m is
+    smaller, so it comes before m, and by induction each member before m
+    is kept or holds a kept member. So an m that is not minimal holds a
+    kept member and is dropped. A minimal m holds no other member, kept
+    or not, and is kept."""
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count):
+        for k in kept:
+            if k & ~m == 0:
+                break
+        else:
+            kept.append(m)
+    return kept
 
 
 def _flags_of(ring, mask: int) -> np.ndarray:
@@ -344,10 +375,11 @@ class IdealLattice:
     index maps each ideal's member mask to its position in ideals, and
     generator maps the mask of each principal ideal to its first generator.
     inside is the ideals-by-elements bool block, read-only: inside[i, x]
-    holds when element x lies in ideals[i]. The primes and the maximal
-    ideals are computed from it on first use and kept; the containment
-    pairs and the covers are read off it, a block of rows at a time, each
-    time they are asked for, and nothing of them is kept.
+    holds when element x lies in ideals[i]. The primes, from the block,
+    and the maximal flags, from the masks, are computed on first use and
+    kept; the containment pairs and the covers are read off the block, a
+    block of rows at a time, each time they are asked for, and nothing of
+    them is kept.
     """
 
     ring: "FiniteRing"
@@ -369,9 +401,13 @@ class IdealLattice:
 
     @cached_property
     def maximal(self) -> np.ndarray:
-        """maximal[i] holds when ideals[i] is maximal: every ideal's row
-        tested at once, by _maximal_rows."""
-        return _maximal_rows(self, self.inside)
+        """maximal[i] holds when ideals[i] is maximal: a maximal ideal is a
+        maximal member of the proper ideals, and J holds I exactly when I's
+        complement holds J's, so the maximal ideals are the complements of
+        the least complements of the proper ideals, by _least."""
+        full = _full_mask(self.ring)
+        least = {full ^ c for c in _least(full ^ m for m in self.index if m != full)}
+        return np.array([m in least for m in self.index], dtype=bool)
 
     def containment_edges(self) -> list[tuple[int, int]]:
         """Non-reflexive containment pairs (i, j): ideals[i] < ideals[j], in
@@ -611,15 +647,6 @@ def _prime_rows(ring, inside: np.ndarray) -> np.ndarray:
     return ~_product_lands(ring, inside, outside, outside)
 
 
-def _maximal_rows(lattice, rows: np.ndarray) -> np.ndarray:
-    """Whether each row of a block of ideal rows is a maximal ideal:
-    exactly two ideals of the lattice hold it, itself and R. R is held by
-    one, every other ideal by at least two. The containment test runs a
-    block at a time (_subsets), and only each row's count is kept. The
-    lattice's maximal flags ask it of every row, is_maximal of one."""
-    return np.concatenate([np.add.reduce(within, axis=1) for _, within in _subsets(rows, lattice.inside)]) == 2
-
-
 def _primary_rows(ring, lattice, pairs) -> np.ndarray:
     """Whether I is a primary ideal, for each (I, radical(I)) of pairs, I
     proper: no product of an x outside I and a y outside radical(I) lands
@@ -639,13 +666,12 @@ def is_prime(ring, ideal: Ideal) -> bool:
 
 
 def is_maximal(ring, ideal: Ideal) -> bool:
-    """Proper with no ideal strictly between it and the whole ring:
-    _maximal_rows of its one row, which costs one row's containment test,
-    not the lattice's maximal flags. Every Ideal of the ring is an ideal,
-    so the lattice holds it."""
+    """Proper with no ideal strictly between it and the whole ring: its
+    flag in the lattice's maximal flags. Every Ideal of the ring is an
+    ideal, so the lattice holds it."""
     _same_ring(ring, ideal)
     lattice = all_ideals(ring)
-    return bool(_maximal_rows(lattice, lattice.inside[[lattice.index[ideal.members]]])[0])
+    return bool(lattice.maximal[lattice.index[ideal.members]])
 
 
 def is_semiprime(ring, ideal: Ideal) -> bool:
@@ -700,17 +726,14 @@ def is_pprir(ring) -> tuple[bool, Optional[Ideal]]:
 
 
 def minimal_primes_over(ring, ideal: Ideal) -> list[Ideal]:
-    """Primes containing the ideal with no strictly smaller such prime."""
+    """Primes containing the ideal with no strictly smaller such prime, in
+    canonical order: the least of the primes over it, by _least."""
     _same_ring(ring, ideal)
     if not ideal.is_proper:
         raise ValueError("minimal primes are defined over proper ideals only")
-    m = ideal.members
-    over = [p for p in all_ideals(ring).primes.values() if m & ~p.members == 0]
-    return [
-        p
-        for p in over
-        if not any(q.members != p.members and q.members & ~p.members == 0 for q in over)
-    ]
+    m, primes = ideal.members, all_ideals(ring).primes
+    least = _least([p for p in primes if m & ~p == 0])
+    return [prime for p, prime in primes.items() if p in least]
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,11 @@ pure-Python encoder.
 polynomial_quotient_tables builds Z_q[x]/(f) for a monic f by loops over
 coefficient tuples, so the Galois and chain rings the tests hand to the
 FiniteRing validator share no code with the engine's table builders.
+count_of_two_maximal is the maximal flags as they stood before they came
+from one pass in size order: a row is maximal when exactly two ideals of
+the lattice hold it, counted on the containment blocks of ideals._subsets.
+pairwise_minimal_primes_over is minimal_primes_over as it stood then: every
+prime over the ideal tested against every other.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from itertools import product as cartesian
 
 import numpy as np
 
-from ringaudit.ideals import Ideal, IdealLattice, _flags_of, is_pprir, is_prime, radical, zero_ideal
+from ringaudit.ideals import Ideal, IdealLattice, _flags_of, _subsets, all_ideals, is_pprir, is_prime, radical, zero_ideal
 from ringaudit.rings import FiniteRing, RingAxiomError, additive_order
 
 
@@ -331,6 +336,21 @@ def is_maximal_in(family: set[frozenset[int]], ring, subset: frozenset[int]) -> 
     ideal of the family lies strictly between the subset and the ring."""
     whole = frozenset(range(ring.order))
     return subset != whole and not any(subset < other < whole for other in family)
+
+
+def count_of_two_maximal(lattice, rows: np.ndarray) -> np.ndarray:
+    """Whether each row of a block of ideal rows is a maximal ideal: exactly
+    two ideals of the lattice hold it, itself and R. R is held by one,
+    every other ideal by at least two."""
+    return np.concatenate([np.add.reduce(within, axis=1) for _, within in _subsets(rows, lattice.inside)]) == 2
+
+
+def pairwise_minimal_primes_over(ring, ideal) -> list:
+    """The primes over a proper ideal with no strictly smaller such prime,
+    in canonical order, by testing every pair of primes over it."""
+    m = ideal.members
+    over = [p for p in all_ideals(ring).primes.values() if m & ~p.members == 0]
+    return [p for p in over if not any(q.members != p.members and q.members & ~p.members == 0 for q in over)]
 
 
 def brute_force_covers(member_sets: list[frozenset[int]]) -> list[tuple[int, int]]:

@@ -23,6 +23,7 @@ from _oracles import (
     brute_force_covers,
     brute_force_ideals,
     closure_lattice,
+    count_of_two_maximal,
     divisor_count,
     first_generator,
     is_domain,
@@ -33,6 +34,7 @@ from _oracles import (
     is_semiprime_subset,
     padded_block_cosets,
     pair_scan_up,
+    pairwise_minimal_primes_over,
     pairwise_sum,
     polynomial_quotient_tables,
     power_in,
@@ -66,7 +68,7 @@ from ringaudit.ideals import (
 import ringaudit.claims as claims
 import ringaudit.ideals as ideals
 from ringaudit.corpus import default_corpus
-from ringaudit.ideals import _cosets, _flags_of, _pack, _primitive_idempotents, _rows_of
+from ringaudit.ideals import _cosets, _flags_of, _least, _pack, _primitive_idempotents, _rows_of
 from ringaudit.quotients import kernel, quotient_ring
 from ringaudit.ringfile import _sc_with_unity
 from ringaudit.rings import (
@@ -172,6 +174,34 @@ def test_rows_of_matches_a_loop_over_the_entries(data):
     got = _rows_of(width, rows)
     assert got.shape == (len(rows), width)
     assert got.tolist() == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from([1, 7, 64]))
+def test_rows_of_in_row_blocks_matches_a_loop_over_the_entries(data, block_cells):
+    # blocks of one row to a few rows, so most blocks start past row zero
+    width = data.draw(st.integers(1, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, width, (data.draw(st.integers(0, 12)), data.draw(st.integers(0, 2 * width))))
+    expected = [[False] * width for _ in rows]
+    for k, row in enumerate(rows.tolist()):
+        for entry in row:
+            expected[k][entry] = True
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ideals, "_BLOCK_CELLS", block_cells)
+        assert _rows_of(width, rows).tolist() == expected
+
+
+def test_the_lattice_of_z2048_is_built_in_bounded_memory():
+    # the principal rows are scattered a block of rows at a time, with no
+    # order x order index beside the 4 MiB bool block
+    ring = make_zn(2048)
+    tracemalloc.start()
+    lattice = all_ideals(ring)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(lattice) == divisor_count(2048)
+    assert peak < 8 << 20
 
 
 def test_ideal_order_divides_ring_order(corpus):
@@ -830,6 +860,8 @@ def test_predicates_of_relabelled_local_rings_match_the_oracles(ring):
         assert members(rad) == {a for a in ring.elements() if power_in(ring, a, subset)}, (ring.label, str(ideal))
         assert is_prime(ring, ideal) == is_prime_subset(ring, subset), (ring.label, str(ideal))
         assert is_maximal(ring, ideal) == is_maximal_in(family, ring, frozenset(subset)), (ring.label, str(ideal))
+        if ideal.is_proper:
+            assert minimal_primes_over(ring, ideal) == pairwise_minimal_primes_over(ring, ideal), (ring.label, str(ideal))
         primary = whole_block_is_primary(ring, ideal)
         assert is_primary(ring, ideal) == primary, (ring.label, str(ideal))
         if primary:
@@ -840,7 +872,8 @@ def test_predicates_of_relabelled_local_rings_match_the_oracles(ring):
 
 def test_maximal_ideals_of_b10_are_read_without_up():
     # PROP1's hypothesis holds on B_10, so it asks for all 1024 ideals'
-    # maximality: read a block of rows at a time, with no up-sets built
+    # maximality: one pass over the complements in size order, with no
+    # up-sets built
     ring = make_boolean(10)
     lattice = all_ideals(ring)
     tracemalloc.start()
@@ -850,7 +883,7 @@ def test_maximal_ideals_of_b10_are_read_without_up():
     assert "up" not in vars(lattice)
     # the maximal ideals of B_10 are the complements of its ten atoms
     assert sorted(len(lattice.ideals[k]) for k in maximal.nonzero()[0]) == [512] * 10
-    # the packed rows and their complements, one block of strays and the flags
+    # the complements of the ideals as ints, their sorted list and the flags
     assert peak < 1 << 20
     assert claims._prop1(ring).detail == "hypothesis holds"
     assert "up" not in vars(lattice)
@@ -919,6 +952,44 @@ def test_minimal_primes_examples():
     assert [members(p) for p in minimal_primes_over(z7, zero_ideal(z7))] == [{0}]
     with pytest.raises(ValueError, match="proper"):
         minimal_primes_over(z12, unit_ideal(z12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 255), unique=True, max_size=12))
+def test_least_keeps_exactly_the_minimal_members(family):
+    # families of distinct sets of eight elements, drawn in any order
+    expected = {m for m in family if not any(o != m and o & ~m == 0 for o in family)}
+    kept = _least(family)
+    assert sorted(kept) == sorted(expected)
+    assert kept == sorted(kept, key=int.bit_count)
+
+
+@pytest.fixture(scope="module")
+def non_pprir_rings():
+    """Rings whose maximal ideal needs two generators, so some prime is
+    not principal: F_3[x,y]/(x,y)^2, F_2[x,y]/(x^2,y^2) and
+    F_2[x,y]/(x^2,xy,y^3), each alone and times Z_2 and Z_3, and the
+    128-element zero-product F_2 algebra, with 2826 ideals."""
+    local = [
+        _square_zero_algebra(3),
+        make_algebra(2, 4, _sc_with_unity(4, {(1, 2): [0, 0, 0, 1]}), basis_names=["1", "x", "y", "xy"]),
+        make_algebra(2, 4, _sc_with_unity(4, {(2, 2): [0, 0, 0, 1]}), basis_names=["1", "x", "y", "y2"]),
+    ]
+    return [*local, *(make_product([ring, make_zn(n)]) for ring in local for n in (2, 3)), _zero_product_algebra(2, 7)]
+
+
+def test_maximal_flags_and_minimal_primes_of_non_pprir_rings_match_the_oracles(non_pprir_rings):
+    for ring in non_pprir_rings:
+        lattice = all_ideals(ring)
+        assert not is_pprir(ring)[0], ring.label
+        family = {frozenset(ideal.indices()) for ideal in lattice.ideals}
+        expected = [is_maximal_in(family, ring, frozenset(ideal.indices())) for ideal in lattice.ideals]
+        assert count_of_two_maximal(lattice, lattice.inside).tolist() == expected, ring.label
+        assert lattice.maximal.tolist() == expected, ring.label
+        assert [is_maximal(ring, ideal) for ideal in lattice.ideals] == expected, ring.label
+        for ideal in lattice.ideals:
+            if ideal.is_proper:
+                assert minimal_primes_over(ring, ideal) == pairwise_minimal_primes_over(ring, ideal), (ring.label, str(ideal))
 
 
 def test_minimal_primes_are_minimal(small_corpus_rings):
@@ -998,12 +1069,14 @@ def test_is_maximal_tests_one_row_against_the_lattice(small_corpus_rings):
     for ring in [*small_corpus_rings, *beyond]:
         lattice = all_ideals(ring)
         family = {frozenset(ideal.indices()) for ideal in lattice.ideals}
+        flags = []
         for ideal in lattice.ideals:  # R included
             expected = is_maximal_in(family, ring, frozenset(ideal.indices()))
             assert is_maximal(ring, ideal) == expected, (ring.label, str(ideal))
-    # the rings built here have asked is_maximal of every ideal, one at a
-    # time, and still hold no maximal flags
-    assert not any("maximal" in vars(all_ideals(ring)) for ring in beyond)
+            flags.append(vars(lattice)["maximal"])
+        # the lattice's maximal flags are built once, by the first call at
+        # the latest, and every later is_maximal reads the same flags
+        assert all(f is flags[0] for f in flags), ring.label
 
 
 @pytest.mark.parametrize("mask, law", [(0b11, "missing -1"), (0b101, "missing -2")])
@@ -1032,12 +1105,13 @@ def test_lattice_is_built_once_and_spectrum_on_demand():
     classify_ring(ring)
     prime_spectrum(ring)
     assert "primes" in vars(lattice)
-    # is_maximal tests its one ideal against the lattice; every ideal's
-    # maximal flag is built when PROP1 or PROP2 reads the flags
-    is_maximal(ring, principal_ideal(ring, 2))
+    # every ideal's maximal flag is built by the first is_maximal, and
+    # PROP1 and PROP2 read the same flags
     assert "maximal" not in vars(lattice)
+    is_maximal(ring, principal_ideal(ring, 2))
+    flags = vars(lattice)["maximal"]
     claims._prop1(ring)
-    assert "maximal" in vars(lattice)
+    assert vars(lattice)["maximal"] is flags
     # the containment pairs and the covers are read off the block, not kept
     cached = set(vars(lattice))
     lattice.containment_edges()
